@@ -51,7 +51,6 @@ int main(int argc, char** argv) {
   std::printf("strategy    : %s\n", parallel::strategy_name(solver.options().strategy));
   std::printf("status      : %s\n", mip::mip_status_name(report.status));
   if (report.has_solution) std::printf("objective   : %.6f (gap %.2e)\n", report.objective, report.gap);
-  std::printf("lp code path: %s\n", lp::code_path_name(report.lp_path));
   std::printf("presolve    : -%d rows, -%d cols\n", report.presolve_rows_removed,
               report.presolve_cols_removed);
   std::printf("tree census : %ld total = %ld branched + %ld feasible + %ld infeasible + %ld pruned"

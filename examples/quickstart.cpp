@@ -22,14 +22,13 @@ int main() {
   model.lp().add_row_le({{x, 2.0}, {y, 1.0}}, 5.0, "c1");
   model.lp().add_row_le({{x, 1.0}, {y, 3.0}}, 7.0, "c2");
 
-  Solver solver;  // default options: strategy S2, auto LP code path
+  Solver solver;  // default options: strategy S2
   SolveReport report = solver.solve(model);
 
   std::printf("%s\n", version());
   std::printf("status      : %s\n", mip::mip_status_name(report.status));
   std::printf("objective   : %.6f\n", report.objective);
   std::printf("x = %.0f, y = %.0f\n", report.x[0], report.x[1]);
-  std::printf("lp code path: %s\n", lp::code_path_name(report.lp_path));
   std::printf("tree        : %ld nodes (%ld branched, %ld feasible, %ld infeasible, %ld pruned)\n",
               report.anatomy.total_nodes, report.anatomy.branched,
               report.anatomy.feasible_leaves, report.anatomy.infeasible_leaves,

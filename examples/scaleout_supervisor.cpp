@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
                 run.result.objective);
   }
   // GPUMIP_TRACE_OUT=trace.json dumps the per-rank timeline of everything
-  // above (open in ui.perfetto.dev; analyze with tools/gpumip-trace).
+  // above (open in ui.perfetto.dev; analyze with gpumip-report --trace).
   const std::string traced = obs::trace::export_if_requested();
   if (!traced.empty()) std::printf("\ntrace written to %s\n", traced.c_str());
   return 0;

@@ -18,10 +18,11 @@
 #   jobs      parallel build jobs         (default: nproc)
 #
 # --compare reruns the suite into build-bench/current.json and diffs it
-# against the committed baseline with scripts/bench_compare.py (tight
+# against the committed baseline with gpumip-report --compare (tight
 # tolerances on the deterministic device/LP/MIP ledgers, loose on protocol
-# traffic, histograms skipped). Nonzero exit = regression; scripts/check.sh
-# gate 8 runs this mode.
+# traffic, histograms skipped), which on a regression also ranks the
+# paper-claim categories that moved. Nonzero exit = regression;
+# scripts/check.sh gate 8 runs this mode.
 set -eu -o pipefail
 
 cd "$(dirname "$0")/.."
@@ -54,6 +55,7 @@ cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Release -DGPUMIP_OBS=ON \
 echo "==> [bench] build"
 targets=()
 for b in $BENCHES; do targets+=("bench_$b"); done
+if [ "$MODE" = compare ]; then targets+=(gpumip-report); fi
 cmake --build "$BUILD" -j "$JOBS" --target "${targets[@]}" >"$BUILD.build.log" 2>&1
 
 METRICS_DIR="$BUILD/metrics"
@@ -79,9 +81,7 @@ merged = {
 for b in benches:
     with open(f"{metrics_dir}/{b}.json") as f:
         doc = json.load(f)
-    # v2 adds labeled names + a "families" index; the per-kind maps are
-    # shape-compatible with v1, so both merge identically.
-    if doc.get("schema") not in ("gpumip.metrics.v1", "gpumip.metrics.v2"):
+    if doc.get("schema") != "gpumip.metrics.v2":
         sys.exit(f"bench {b}: unexpected metrics schema {doc.get('schema')!r}")
     if not doc.get("enabled", False):
         sys.exit(f"bench {b}: metrics export says observability is disabled; "
@@ -124,16 +124,7 @@ PY
 
 if [ "$MODE" = compare ]; then
   echo "==> [bench] compare against $BASELINE"
-  if ! python3 scripts/bench_compare.py "$BASELINE" "$OUT"; then
-    # A regression: before failing, say WHICH paper-claim category moved.
-    # gpumip-report ranks claim categories (transfer, C3..C8) by the
-    # labeled-metric deltas between the two runs (docs/TRACING.md).
-    echo "==> [bench] regression — attributing with gpumip-report"
-    cmake --build "$BUILD" -j "$JOBS" --target gpumip-report \
-      >>"$BUILD.build.log" 2>&1
-    "./$BUILD/tools/gpumip-report/gpumip-report" --attribute "$BASELINE" "$OUT" || true
-    exit 1
-  fi
+  "./$BUILD/tools/gpumip-report/gpumip-report" --compare "$BASELINE" "$OUT"
 fi
 
 echo "==> [bench] OK ($OUT)"

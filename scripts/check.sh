@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full correctness sweep for the analysis toolchain (DESIGN.md, "Checked
 # builds & invariants", "simmpi concurrency model", "Static analysis", and
-# "Tracing"). Runs eleven independent gates and exits nonzero if any of
+# "Tracing"). Runs ten independent gates and exits nonzero if any of
 # them finds a problem:
 #
 #   1. sanitize   — ASan+UBSan build (-DGPUMIP_SANITIZE=ON) + full ctest.
@@ -55,20 +55,21 @@
 #   8. bench      — recorded-baseline regression compare: reruns the bench
 #                   suite (scripts/bench.sh --compare) and diffs the
 #                   deterministic counters/gauges against the committed
-#                   BENCH_baseline.json within per-family tolerances, then
-#                   proves the comparator has teeth by seeding a regression
-#                   (doubled H2D transfer volume) and requiring it to fail.
-#   9. trace      — event-trace analyzer: gpumip-trace --self-check runs the
-#                   analyzer's embedded-fixture expectations, then analyzes
-#                   the committed supervised-solve trace and requires it to
-#                   be non-trivial (>= 2 ranks, every cross-rank flow
-#                   matched, a multi-hop critical path, positive makespan).
-#   10. report    — regression attribution: gpumip-report --self-check runs
-#                   the report engine's embedded known-answer fixtures, then
-#                   the committed fixture pair (a baseline and a doubled-H2D
-#                   regression of it) must attribute with the transfer
-#                   category ranked first — proof the claim-category mapping
-#                   and the delta ranking still point at the right culprit.
+#                   BENCH_baseline.json within per-family tolerances
+#                   (gpumip-report --compare), then proves the comparator
+#                   has teeth by seeding a regression (doubled H2D transfer
+#                   volume) and requiring it to fail with exit status 1 and
+#                   be attributed to the transfer category.
+#   9. report     — profile tool: gpumip-report --self-check runs the
+#                   embedded known-answer fixtures of the report engine and
+#                   the trace analyzer, then analyzes the committed
+#                   supervised-solve trace and requires it to be non-trivial
+#                   (>= 2 ranks, every cross-rank flow matched, a multi-hop
+#                   critical path, positive makespan); finally the committed
+#                   fixture pair (a baseline and a doubled-H2D regression of
+#                   it) must attribute with the transfer category ranked
+#                   first — proof the claim-category mapping and the delta
+#                   ranking still point at the right culprit.
 #
 # Both build gates compile with -Werror (GPUMIP_WERROR=ON), so warnings
 # promoted in the top-level CMakeLists (-Wall -Wextra -Wpedantic -Wshadow)
@@ -220,8 +221,7 @@ glossary = open("docs/METRICS.md").read()
 bad = []
 for path in sys.argv[1:]:
     doc = json.load(open(path))
-    if doc.get("schema") not in ("gpumip.metrics.v1", "gpumip.metrics.v2") \
-            or not doc.get("enabled"):
+    if doc.get("schema") != "gpumip.metrics.v2" or not doc.get("enabled"):
         sys.exit(f"{path}: bad schema or observability disabled")
     names = list(doc["counters"]) + list(doc["gauges"]) + list(doc["histograms"])
     if not names:
@@ -379,11 +379,12 @@ timed lint lint_gate
 
 # Gate 8: bench-regression compare. scripts/bench.sh --compare reruns the
 # recorded-baseline suite and diffs the deterministic counters/gauges
-# against BENCH_baseline.json (see scripts/bench_compare.py for the
-# tolerance families). The gate then seeds a known regression — doubling
-# every gpumip.gpu.xfer.h2d.bytes counter of the fresh run — and requires
-# the comparator to reject it, so a comparator that silently stopped
-# comparing also fails the gate.
+# against BENCH_baseline.json (see compare_tolerance in
+# tools/gpumip-report/report.hpp for the tolerance families). The gate then
+# seeds a known regression — doubling every gpumip.gpu.xfer.h2d.bytes
+# counter of the fresh run — and requires the comparator to reject it with
+# exit status 1 (a parse or usage error exits 2 and does not count), so a
+# comparator that silently stopped comparing also fails the gate.
 bench_gate() {
   local baseline=BENCH_baseline.json current=build-bench/current.json
   if [ ! -f "$baseline" ]; then
@@ -412,20 +413,21 @@ if seeded == 0:
     sys.exit("no gpumip.gpu.xfer.h2d.bytes counter to tamper with")
 json.dump(doc, open(sys.argv[2], "w"))
 PY
-  if python3 scripts/bench_compare.py "$baseline" build-bench/tampered.json \
-       >build-bench.tamper.log 2>&1; then
-    echo "==> [bench] COMPARATOR HAS NO TEETH: doubled H2D volume passed the compare"
+  local tool=./build-bench/tools/gpumip-report/gpumip-report
+  local status=0
+  "$tool" --compare "$baseline" build-bench/tampered.json \
+    >build-bench.tamper.log 2>&1 || status=$?
+  if [ "$status" -ne 1 ]; then
+    echo "==> [bench] COMPARATOR HAS NO TEETH: doubled H2D volume gave exit status $status, not 1"
+    tail -n 20 build-bench.tamper.log
     FAILURES=$((FAILURES + 1))
     return
   fi
   # The attribution leg of the drill: gpumip-report must not just see the
   # seeded regression, it must blame the right claim category (transfer).
   echo "==> [bench] seeded-regression attribution (gpumip-report must rank transfer first)"
-  if ! { cmake --build build-bench -j "$JOBS" --target gpumip-report \
-           >>build-bench.build.log 2>&1 &&
-         ./build-bench/tools/gpumip-report/gpumip-report \
-           --attribute "$baseline" build-bench/tampered.json \
-           --expect-top transfer >build-bench.attribute.log 2>&1; }; then
+  if ! "$tool" --attribute "$baseline" build-bench/tampered.json \
+         --expect-top transfer >build-bench.attribute.log 2>&1; then
     echo "==> [bench] ATTRIBUTION FAILED (see build-bench.attribute.log)"
     tail -n 20 build-bench.attribute.log
     FAILURES=$((FAILURES + 1))
@@ -435,40 +437,18 @@ PY
 }
 timed bench bench_gate
 
-# Gate 9: event-trace analyzer. Reuses the gate-7 Release tree (the tool is
-# solver-independent and cheap to build). --self-check first proves the
-# analyzer's embedded-fixture expectations (parse, flow matching, critical
-# path, rank breakdowns, malformed-input rejection) still hold, then the
-# committed trace of a real supervised solve must analyze as non-trivial.
-trace_gate() {
-  local build_dir=build-lint
-  local fixture=tools/gpumip-trace/testdata/fixture_trace.json
-  echo "==> [trace] build ($build_dir, gpumip-trace)"
-  if ! { cmake -B "$build_dir" -S . -DCMAKE_BUILD_TYPE=Release \
-           >"$build_dir.trace-configure.log" 2>&1 &&
-         cmake --build "$build_dir" -j "$JOBS" --target gpumip-trace \
-           >"$build_dir.trace-build.log" 2>&1; }; then
-    echo "==> [trace] BUILD FAILED (see $build_dir.trace-*.log)"
-    FAILURES=$((FAILURES + 1))
-    return
-  fi
-  if ! "./$build_dir/tools/gpumip-trace/gpumip-trace" --self-check "$fixture"; then
-    echo "==> [trace] ANALYZER CHECK FAILED (self-check or committed fixture trivial)"
-    FAILURES=$((FAILURES + 1))
-    return
-  fi
-  echo "==> [trace] OK"
-}
-timed trace trace_gate
-
-# Gate 10: regression-attribution engine. Reuses the gate-7 Release tree
-# (gpumip-report is solver-independent). --self-check proves the embedded
-# known-answer fixtures (parsing, claim-category mapping, exclusions, the
-# doubled-H2D ranking) still hold; then the committed fixture pair — a
-# baseline and a regression of it with doubled H2D volume plus decoy moves
-# on excluded metrics — must attribute with transfer ranked first.
+# Gate 9: the profile tool. Reuses the gate-7 Release tree (gpumip-report
+# is solver-independent). --self-check proves the embedded known-answer
+# fixtures of both engines still hold — report parsing, claim-category
+# mapping, noise list, comparator and the doubled-H2D ranking; trace
+# parsing, flow matching, critical path, rank breakdowns and malformed-input
+# rejection — and that the committed trace of a real supervised solve
+# analyzes as non-trivial. Then the committed fixture pair — a baseline and
+# a regression of it with doubled H2D volume plus decoy moves on excluded
+# metrics — must attribute with transfer ranked first.
 report_gate() {
   local build_dir=build-lint
+  local trace=tools/gpumip-trace/testdata/fixture_trace.json
   local base=tools/gpumip-report/testdata/fixture_baseline.json
   local regr=tools/gpumip-report/testdata/fixture_regression.json
   echo "==> [report] build ($build_dir, gpumip-report)"
@@ -481,8 +461,8 @@ report_gate() {
     return
   fi
   local tool="./$build_dir/tools/gpumip-report/gpumip-report"
-  if ! "$tool" --self-check; then
-    echo "==> [report] SELF-CHECK FAILED (an embedded fixture expectation broke)"
+  if ! "$tool" --self-check --trace "$trace"; then
+    echo "==> [report] SELF-CHECK FAILED (an embedded fixture expectation broke or the committed trace is trivial)"
     FAILURES=$((FAILURES + 1))
     return
   fi

@@ -34,14 +34,6 @@ SolveReport Solver::solve(const mip::MipModel& model) const {
     working = &reduced_model;
   }
 
-  // ---- LP code-path decision (paper section 5.4) ----
-  const sparse::Csr matrix = working->lp().matrix();
-  switch (options_.lp_backend) {
-    case LpBackend::Auto: report.lp_path = lp::choose_path(matrix); break;
-    case LpBackend::DenseGpu: report.lp_path = lp::CodePath::DenseGpu; break;
-    case LpBackend::SparseHybrid: report.lp_path = lp::CodePath::SparseHybrid; break;
-  }
-
   // ---- solve ----
   if (options_.workers > 0) {
     parallel::SupervisorOptions sup = options_.supervisor;

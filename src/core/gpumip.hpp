@@ -25,7 +25,6 @@
 #include "lp/interior_point.hpp"
 #include "lp/path_chooser.hpp"
 #include "lp/presolve.hpp"
-#include "lp/scaling.hpp"
 #include "lp/simplex.hpp"
 #include "mip/solver.hpp"
 #include "parallel/strategies.hpp"
@@ -35,17 +34,8 @@
 
 namespace gpumip {
 
-/// Where the LP relaxations run (paper section 5.4's two code paths, plus
-/// an automatic chooser).
-enum class LpBackend {
-  Auto,         ///< runtime density decision (lp::choose_path)
-  DenseGpu,     ///< dense kernels on the simulated device
-  SparseHybrid, ///< sparse kernels, setup on the CPU
-};
-
 struct SolverOptions {
   parallel::Strategy strategy = parallel::Strategy::S2_CpuOrchestrated;
-  LpBackend lp_backend = LpBackend::Auto;
   bool presolve = true;
   mip::MipOptions mip;                  ///< engine knobs (branching, cuts, ...)
   gpu::CostModelConfig device;          ///< simulated accelerator
@@ -64,7 +54,6 @@ struct SolveReport {
   double bound = 0.0;
   double gap = 0.0;
 
-  lp::CodePath lp_path = lp::CodePath::DenseGpu;  ///< chosen code path
   mip::MipStats stats;
   mip::TreeAnatomy anatomy;   ///< Figure-1 style tree census
 

@@ -3,7 +3,7 @@
 // The paper (section 2.3) notes interior-point methods are the preferred
 // family for sparse real-world LPs; the normal-equations system A D Aᵀ is
 // factorized by Cholesky each iteration — dense Cholesky on the GPU path,
-// sparse Cholesky (with fill-reducing ordering) on the hybrid/CPU path.
+// sparse Cholesky on the hybrid/CPU path.
 // Experiment E9 compares this engine against the simplex.
 #pragma once
 

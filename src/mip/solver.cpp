@@ -48,7 +48,7 @@ void BnbSolver::root_cut_loop() {
   CutPool pool;
   for (int round = 0; round < options_.cut_rounds; ++round) {
     // Each round is a traced span: its duration IS the device→host→device
-    // round-trip latency the paper's C4 tension is about (gpumip-trace
+    // round-trip latency the paper's C4 tension is about (the trace analyzer
     // aggregates these into the cut-latency report).
     GPUMIP_TRACE_SCOPE("gpumip.mip.cuts.round", round);
     form_ = std::make_unique<lp::StandardForm>(lp::build_standard_form(model_.lp()));

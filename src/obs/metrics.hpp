@@ -162,10 +162,9 @@ class Registry {
   void reset();
 
   /// The full registry as a JSON document (schema gpumip.metrics.v2; see
-  /// docs/METRICS.md for the layout). The v2 document keeps the v1
-  /// counters/gauges/histograms maps — labeled instruments appear as
-  /// flattened `name{k=v,...}` keys — and adds a "families" array, so v1
-  /// readers (bench_compare.py) keep working unchanged.
+  /// docs/METRICS.md for the layout): counters/gauges/histograms maps —
+  /// labeled instruments appear as flattened `name{k=v,...}` keys — and a
+  /// "families" array.
   std::string to_json() const;
 
   /// Writes to_json() to `path` atomically enough for collection scripts

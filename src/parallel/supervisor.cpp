@@ -344,7 +344,7 @@ SupervisorResult run_supervised(const mip::MipModel& model,
         wopts.relax_arena = warena ? &*warena : nullptr;
         // Span closes after the advance() below, so its simulated duration
         // is the subproblem's compute time — the per-rank "busy" segments
-        // gpumip-trace aggregates.
+        // the trace analyzer aggregates.
         GPUMIP_TRACE_BEGIN("gpumip.worker.subproblem", item.track_id);
         mip::BnbSolver solver(working_model, wopts);
         mip::MipResult r = solver.solve_from(task);

@@ -2,8 +2,7 @@
 // positive definite systems — the sparse normal-equations path of the
 // interior-point solver (paper sections 2.3, 4.2).
 //
-// No pivoting (SPD); combine with a fill-reducing ordering from
-// ordering.hpp for low fill.
+// No pivoting (SPD).
 #pragma once
 
 #include <vector>

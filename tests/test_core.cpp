@@ -80,20 +80,6 @@ TEST(Facade, StrategySelectionWorks) {
   }
 }
 
-TEST(Facade, BackendOverrideRespected) {
-  SolverOptions opts;
-  opts.lp_backend = LpBackend::SparseHybrid;
-  Solver solver(opts);
-  SolveReport report = solver.solve(small_mip());
-  EXPECT_EQ(report.lp_path, lp::CodePath::SparseHybrid);
-}
-
-TEST(Facade, AutoBackendPicksDenseForSmall) {
-  Solver solver;
-  SolveReport report = solver.solve(small_mip());
-  EXPECT_EQ(report.lp_path, lp::CodePath::DenseGpu);
-}
-
 TEST(Facade, SupervisedModeMatchesSequential) {
   Rng rng(500);
   RandomMipConfig cfg;

@@ -76,37 +76,6 @@ TEST_P(FamilySweep, SupervisedMatchesFacadeOnEveryFamily) {
 
 INSTANTIATE_TEST_SUITE_P(Families, FamilySweep, ::testing::Range(0, 5));
 
-TEST(Pipeline, ScalingPresolveSolveEquality) {
-  // A badly scaled model: solve directly, and via scaling -> presolve ->
-  // solve -> unscale; objectives must match.
-  Rng rng(920);
-  lp::LpModel model;
-  const int n = 8;
-  for (int j = 0; j < n; ++j) {
-    model.add_col(rng.uniform(-2.0, -0.5) * (j % 2 == 0 ? 1e3 : 1e-3), 0.0, 10.0);
-  }
-  for (int i = 0; i < 6; ++i) {
-    std::vector<lp::Term> terms;
-    for (int j = 0; j < n; ++j) {
-      if (rng.flip(0.6)) terms.push_back({j, rng.uniform(0.1, 1.0) * (i % 2 == 0 ? 1e2 : 1e-2)});
-    }
-    if (terms.empty()) terms.push_back({i % n, 1.0});
-    model.add_row_le(terms, rng.uniform(5.0, 10.0) * (i % 2 == 0 ? 1e2 : 1e-2));
-  }
-  const lp::StandardForm direct_form = lp::build_standard_form(model);
-  lp::LpResult direct = lp::SimplexSolver(direct_form).solve_default();
-  ASSERT_EQ(direct.status, lp::LpStatus::Optimal);
-
-  lp::ScalingResult scaled = lp::geometric_scaling(model);
-  EXPECT_LT(lp::coefficient_spread(scaled.scaled), lp::coefficient_spread(model));
-  const lp::StandardForm scaled_form = lp::build_standard_form(scaled.scaled);
-  lp::LpResult via_scaled = lp::SimplexSolver(scaled_form).solve_default();
-  ASSERT_EQ(via_scaled.status, lp::LpStatus::Optimal);
-  linalg::Vector x =
-      scaled.unscale_solution(std::span<const double>(via_scaled.x.data(), static_cast<std::size_t>(n)));
-  EXPECT_NEAR(model.objective_value(x), direct.objective, 1e-6 * (1 + std::abs(direct.objective)));
-}
-
 TEST(Pipeline, MpsToSupervisorToCheckpointFile) {
   // Full loop: generate -> write MPS -> read MPS -> supervised solve with
   // file checkpoints -> resume from the file.

@@ -9,7 +9,6 @@
 #include "linalg/eta.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
-#include "linalg/qr.hpp"
 
 namespace gpumip::linalg {
 namespace {
@@ -188,40 +187,6 @@ TEST(Cholesky, RidgeRescuesSemidefinite) {
   a(0, 0) = 1.0;  // rank 1
   EXPECT_THROW(DenseCholesky{a}, NumericalError);
   EXPECT_NO_THROW(DenseCholesky(a, 1e-6));
-}
-
-TEST(QR, LeastSquaresMatchesNormalEquations) {
-  Rng rng(37);
-  Matrix a = Matrix::random(10, 4, rng);
-  Vector b(10);
-  for (auto& v : b) v = rng.uniform(-2, 2);
-  HouseholderQR qr(a);
-  Vector x = qr.solve(b);
-  // Residual must be orthogonal to the column space: Aᵀ(Ax - b) = 0.
-  Vector r(10, 0.0);
-  gemv(1.0, a, x, 0.0, r);
-  axpy(-1.0, b, r);
-  Vector atr(4, 0.0);
-  gemv_t(1.0, a, r, 0.0, atr);
-  for (double v : atr) EXPECT_NEAR(v, 0.0, 1e-10);
-}
-
-TEST(QR, ExactSolveOnSquare) {
-  Rng rng(41);
-  Matrix a = Matrix::random(6, 6, rng);
-  for (int i = 0; i < 6; ++i) a(i, i) += 3.0;
-  Vector xtrue(6);
-  for (auto& v : xtrue) v = rng.uniform(-1, 1);
-  Vector b(6, 0.0);
-  gemv(1.0, a, xtrue, 0.0, b);
-  HouseholderQR qr(a);
-  EXPECT_LT(max_abs_diff(qr.solve(b), xtrue), 1e-9);
-}
-
-TEST(QR, RankDeficientThrows) {
-  Matrix a(4, 2, 0.0);
-  a(0, 0) = 1.0;  // second column zero
-  EXPECT_THROW(HouseholderQR{a}, NumericalError);
 }
 
 // --- Eta / PFI updates: the paper's core rank-1 reuse primitive ---

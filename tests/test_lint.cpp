@@ -60,8 +60,8 @@ TEST(LintR1, RawDeviceAccessOutsideDeviceContextFires) {
 
 TEST(LintR1, DeviceContextFilesAreExempt) {
   const std::string code = "void f(B& b) { auto s = b.as<double>(); }\n";
-  for (const char* path : {"src/linalg/batched.cpp", "src/linalg/device_blas.hpp",
-                           "src/sparse/device_sparse.cpp", "src/gpu/device.cpp"}) {
+  for (const char* path :
+       {"src/linalg/batched.cpp", "src/linalg/device_blas.hpp", "src/gpu/device.cpp"}) {
     EXPECT_FALSE(has_rule(lint_one(path, code, doc_options()), "R1")) << path;
   }
   // Stem matching is exact: a lookalike file is NOT exempt.

@@ -6,7 +6,6 @@
 #include "lp/model.hpp"
 #include "lp/path_chooser.hpp"
 #include "lp/presolve.hpp"
-#include "lp/scaling.hpp"
 #include "lp/simplex.hpp"
 #include "lp/standard_form.hpp"
 #include "sparse/ops.hpp"
@@ -503,26 +502,6 @@ TEST(Presolve, PreservesOptimum) {
   // Same objective once the fixed column's cost contribution is added back.
   Vector full = pr.postsolve(std::span<const double>(reduced.x.data(), pr.reduced.num_cols()));
   EXPECT_NEAR(m.objective_value(full), direct.objective, 1e-6);
-}
-
-// ---------- scaling ----------
-
-TEST(Scaling, ReducesSpreadAndPreservesOptimum) {
-  LpModel m;
-  m.set_sense(Sense::Maximize);
-  const int x = m.add_col(3.0), y = m.add_col(5.0);
-  m.add_row_le({{x, 1e-3}}, 4e-3);
-  m.add_row_le({{y, 2e3}}, 12e3);
-  m.add_row_le({{x, 3.0}, {y, 2.0}}, 18.0);
-  const double spread_before = coefficient_spread(m);
-  ScalingResult sr = geometric_scaling(m);
-  EXPECT_LT(coefficient_spread(sr.scaled), spread_before);
-  const StandardForm form_scaled = build_standard_form(sr.scaled);
-  LpResult r = SimplexSolver(form_scaled).solve_default();
-  ASSERT_EQ(r.status, LpStatus::Optimal);
-  Vector orig = sr.unscale_solution(std::span<const double>(r.x.data(), 2));
-  EXPECT_NEAR(orig[0], 2.0, 1e-7);
-  EXPECT_NEAR(orig[1], 6.0, 1e-7);
 }
 
 // ---------- path chooser ----------

@@ -1,8 +1,9 @@
 // Tests for the gpumip-report engine (tools/gpumip-report/report.hpp):
-// document parsing (metrics v1/v2, bench baselines, time series), the
-// claim-category mapping with its exclusion list, single-run profiles,
-// two-run attribution ranking, and the live round trip — a real metrics
-// export from the registry parsed back and attributed.
+// document parsing (metrics v2, bench baselines, time series), the
+// claim-category mapping with its exclusion list, the baseline comparator's
+// tolerance classes, single-run profiles, two-run attribution ranking, and
+// the live round trip — a real metrics export from the registry parsed
+// back and attributed.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -19,22 +20,24 @@ namespace {
 
 using reporttool::Attribution;
 using reporttool::BenchDoc;
+using reporttool::Comparison;
 using reporttool::MetricsSnapshot;
 using reporttool::Profile;
 using reporttool::TimeSeries;
 
 BenchDoc one_bench(std::map<std::string, double> counters,
-                   std::map<std::string, double> gauges = {}) {
+                   std::map<std::string, double> gauges = {},
+                   const std::string& bench = "bench") {
   BenchDoc doc;
   MetricsSnapshot snap;
   snap.counters = std::move(counters);
   snap.gauges = std::move(gauges);
   snap.enabled = true;
-  doc.benches["bench"] = std::move(snap);
+  doc.benches[bench] = std::move(snap);
   return doc;
 }
 
-TEST(ReportParse, MetricsV1AndV2BothDecode) {
+TEST(ReportParse, MetricsV2DecodesAndV1IsRejected) {
   const std::string v1 = R"({
     "schema": "gpumip.metrics.v1", "enabled": true,
     "counters": {"gpumip.mip.nodes": 10}, "gauges": {}, "histograms": {}
@@ -49,8 +52,8 @@ TEST(ReportParse, MetricsV1AndV2BothDecode) {
   })";
   MetricsSnapshot snap;
   std::string error;
-  ASSERT_TRUE(reporttool::parse_metrics(v1, snap, error)) << error;
-  EXPECT_DOUBLE_EQ(snap.counters.at("gpumip.mip.nodes"), 10.0);
+  EXPECT_FALSE(reporttool::parse_metrics(v1, snap, error));
+  EXPECT_NE(error.find("gpumip.metrics.v1"), std::string::npos) << error;
   ASSERT_TRUE(reporttool::parse_metrics(v2, snap, error)) << error;
   EXPECT_DOUBLE_EQ(snap.counters.at("gpumip.lp.solves{method=pdhg}"), 3.0);
   EXPECT_DOUBLE_EQ(snap.histograms.at("gpumip.lp.solve.seconds{method=pdhg}").first, 3.0);
@@ -127,6 +130,105 @@ TEST(ReportAttribution, RankSplitsAggregateBeforeScoring) {
   EXPECT_EQ(b.ranked.front().category, "c8_scale");
   ASSERT_FALSE(b.ranked.front().top.empty());
   EXPECT_EQ(b.ranked.front().top.front().name, "gpumip.simmpi.sent.bytes");
+}
+
+// ---- baseline comparator --------------------------------------------------
+
+/// Compares a one-metric run of `bench` that moved from `base` to `current`.
+Comparison compare_one(const std::string& bench, const std::string& name, double base,
+                       double current) {
+  return reporttool::compare(one_bench({{name, base}}, {}, bench),
+                             one_bench({{name, current}}, {}, bench));
+}
+
+TEST(ReportCompare, LedgerFamiliesGetTheTightTolerance) {
+  for (const char* name :
+       {"gpumip.gpu.xfer.h2d.bytes", "gpumip.lp.ops.refactor", "gpumip.mip.nodes"}) {
+    EXPECT_EQ(reporttool::compare_tolerance("e1_strategies", name), 0.02) << name;
+    EXPECT_TRUE(compare_one("e1_strategies", name, 1000.0, 1020.0).failures.empty()) << name;
+    EXPECT_TRUE(compare_one("e1_strategies", name, 1000.0, 980.0).failures.empty()) << name;
+    const Comparison over = compare_one("e1_strategies", name, 1000.0, 1021.0);
+    ASSERT_EQ(over.failures.size(), 1u) << name;
+    EXPECT_NE(over.failures[0].find(name), std::string::npos) << over.failures[0];
+    EXPECT_EQ(over.compared, 1);
+  }
+}
+
+TEST(ReportCompare, EverythingElseGetsTheLooseTolerance) {
+  const std::string name = "gpumip.simmpi.sent.bytes";
+  EXPECT_EQ(reporttool::compare_tolerance("e1_strategies", name), 0.25);
+  EXPECT_TRUE(compare_one("e1_strategies", name, 1000.0, 1250.0).failures.empty());
+  EXPECT_EQ(compare_one("e1_strategies", name, 1000.0, 1251.0).failures.size(), 1u);
+  // Gauges are compared like counters.
+  const Comparison gauge = reporttool::compare(
+      one_bench({}, {{"gpumip.supervisor.busy_fraction", 0.8}}, "e1_strategies"),
+      one_bench({}, {{"gpumip.supervisor.busy_fraction", 0.5}}, "e1_strategies"));
+  EXPECT_EQ(gauge.failures.size(), 1u);
+}
+
+TEST(ReportCompare, ScaleoutBenchIsLooseForEveryMetric) {
+  // Incumbent discovery order under the supervisor changes pruning, so
+  // even the MIP ledger gets 25% in e8_scaleout.
+  const std::string name = "gpumip.mip.tree.pruned";
+  EXPECT_EQ(reporttool::compare_tolerance("e8_scaleout", name), 0.25);
+  EXPECT_TRUE(compare_one("e8_scaleout", name, 200.0, 250.0).failures.empty());
+  EXPECT_EQ(compare_one("e8_scaleout", name, 200.0, 251.0).failures.size(), 1u);
+  EXPECT_EQ(compare_one("e1_strategies", name, 200.0, 250.0).failures.size(), 1u);
+}
+
+TEST(ReportCompare, AbsoluteFloorAppliesNearZero) {
+  const std::string name = "gpumip.gpu.xfer.d2h.bytes";
+  EXPECT_TRUE(compare_one("e1_strategies", name, 0.0, 1e-10).failures.empty());
+  EXPECT_EQ(compare_one("e1_strategies", name, 0.0, 1e-8).failures.size(), 1u);
+}
+
+TEST(ReportCompare, NoiseAndRankSplitsAreSkipped) {
+  for (const char* name :
+       {"gpumip.obs.trace.dropped", "gpumip.obs.sampler.samples",
+        "gpumip.simmpi.recv.idle_seconds", "gpumip.simmpi.recv.idle_seconds{rank=1}",
+        "gpumip.supervisor.checkpoints", "gpumip.simmpi.sent.bytes{rank=3}",
+        "gpumip.supervisor.dispatched{method=pdhg,rank=12}"}) {
+    EXPECT_FALSE(reporttool::compare_tolerance("e1_strategies", name).has_value()) << name;
+    const Comparison c = compare_one("e1_strategies", name, 10.0, 1e6);
+    EXPECT_TRUE(c.failures.empty()) << name;
+    EXPECT_EQ(c.compared, 0) << name;
+  }
+  // The noise list is the one attribution excludes; rank splits are not
+  // noise there (they aggregate into their family total instead).
+  EXPECT_EQ(reporttool::category_of("gpumip.supervisor.checkpoints"), "");
+  EXPECT_EQ(reporttool::category_of("gpumip.simmpi.sent.bytes{rank=3}"), "c8_scale");
+  // A labeled name without a rank pair is compared.
+  EXPECT_EQ(reporttool::compare_tolerance("e1_strategies", "gpumip.lp.solves{method=pdhg}"),
+            0.02);
+}
+
+TEST(ReportCompare, MissingFailsAndNewOnlyWarns) {
+  BenchDoc base = one_bench({{"gpumip.mip.nodes", 10.0}, {"gpumip.lp.ops.refactor", 4.0}}, {},
+                            "e1_strategies");
+  base.benches["e3_basis_updates"] = base.benches["e1_strategies"];
+  BenchDoc current = one_bench({{"gpumip.mip.nodes", 10.0}, {"gpumip.mip.cuts.rounds", 2.0}},
+                               {}, "e1_strategies");
+  current.benches["e7_batching"] = current.benches["e1_strategies"];
+
+  const Comparison c = reporttool::compare(base, current);
+  ASSERT_EQ(c.failures.size(), 2u);
+  EXPECT_NE(c.failures[0].find("gpumip.lp.ops.refactor missing"), std::string::npos)
+      << c.failures[0];
+  EXPECT_NE(c.failures[1].find("e3_basis_updates: bench missing"), std::string::npos)
+      << c.failures[1];
+  ASSERT_EQ(c.warnings.size(), 2u);
+  EXPECT_NE(c.warnings[0].find("new counter gpumip.mip.cuts.rounds"), std::string::npos)
+      << c.warnings[0];
+  EXPECT_NE(c.warnings[1].find("e7_batching: new bench"), std::string::npos) << c.warnings[1];
+
+  // New metrics alone never fail the compare.
+  const Comparison grown = reporttool::compare(one_bench({{"gpumip.mip.nodes", 10.0}}),
+                                               one_bench({{"gpumip.mip.nodes", 10.0},
+                                                          {"gpumip.mip.cuts.rounds", 2.0}}));
+  EXPECT_TRUE(grown.failures.empty());
+  EXPECT_EQ(grown.warnings.size(), 1u);
+  const std::string text = reporttool::format_comparison(grown);
+  EXPECT_NE(text.find("1 metrics within tolerance (1 warning(s))"), std::string::npos) << text;
 }
 
 TEST(ReportProfile, CategoryMassAndFormatting) {

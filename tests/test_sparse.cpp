@@ -4,13 +4,9 @@
 
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
-#include "linalg/lu.hpp"
-#include "sparse/device_sparse.hpp"
 #include "sparse/formats.hpp"
 #include "sparse/ops.hpp"
-#include "sparse/ordering.hpp"
 #include "sparse/sparse_cholesky.hpp"
-#include "sparse/sparse_lu.hpp"
 
 namespace gpumip::sparse {
 namespace {
@@ -166,115 +162,6 @@ TEST(Ops, RowStatsDetectIrregularity) {
   EXPECT_GT(is.cv, 0.5);
 }
 
-TEST(Ordering, RcmIsPermutation) {
-  Rng rng(29);
-  Csr a = random_sparse(30, 0.1, rng);
-  auto perm = rcm_ordering(a);
-  std::vector<bool> seen(30, false);
-  for (int v : perm) {
-    ASSERT_GE(v, 0);
-    ASSERT_LT(v, 30);
-    EXPECT_FALSE(seen[static_cast<std::size_t>(v)]);
-    seen[static_cast<std::size_t>(v)] = true;
-  }
-}
-
-TEST(Ordering, RcmReducesBandwidthOfShuffledBandMatrix) {
-  // Build a tridiagonal matrix, shuffle it, and check RCM restores a small
-  // bandwidth.
-  const int n = 40;
-  Rng rng(31);
-  std::vector<Triplet> t;
-  for (int i = 0; i < n; ++i) {
-    t.push_back({i, i, 4.0});
-    if (i + 1 < n) {
-      t.push_back({i, i + 1, -1.0});
-      t.push_back({i + 1, i, -1.0});
-    }
-  }
-  Csr band = csr_from_triplets(n, n, t);
-  auto shuffle_perm = rng.permutation(n);
-  Csr shuffled = permute_symmetric(band, shuffle_perm);
-  const int before = bandwidth(shuffled);
-  Csr reordered = permute_symmetric(shuffled, rcm_ordering(shuffled));
-  const int after = bandwidth(reordered);
-  EXPECT_GT(before, 5);
-  EXPECT_LE(after, 2);
-}
-
-TEST(Ordering, MinDegreeReducesFillOnArrowMatrix) {
-  // Arrow matrix: dense first row/column. Natural order fills completely;
-  // eliminating the arrow head last avoids all fill.
-  const int n = 25;
-  std::vector<Triplet> t;
-  for (int i = 0; i < n; ++i) t.push_back({i, i, 4.0});
-  for (int i = 1; i < n; ++i) {
-    t.push_back({0, i, -1.0});
-    t.push_back({i, 0, -1.0});
-  }
-  Csr arrow = csr_from_triplets(n, n, t);
-  const long fill_natural = symbolic_fill(arrow);
-  Csr reordered = permute_symmetric(arrow, min_degree_ordering(arrow));
-  const long fill_md = symbolic_fill(reordered);
-  EXPECT_GT(fill_natural, 100);
-  EXPECT_EQ(fill_md, 0);
-}
-
-TEST(SparseLU, SolvesRandomSystems) {
-  Rng rng(37);
-  for (int n : {1, 5, 30, 80}) {
-    Csr a = random_sparse(n, 0.15, rng);
-    SparseLU lu(csr_to_csc(a));
-    Vector xtrue(static_cast<std::size_t>(n));
-    for (auto& v : xtrue) v = rng.uniform(-2, 2);
-    Vector b(static_cast<std::size_t>(n), 0.0);
-    spmv(1.0, a, xtrue, 0.0, b);
-    EXPECT_LT(max_abs_diff(lu.solve(b), xtrue), 1e-8) << "n=" << n;
-  }
-}
-
-TEST(SparseLU, MatchesDenseLUOnDenseMatrix) {
-  Rng rng(41);
-  Matrix dense = Matrix::random(20, 20, rng);
-  for (int i = 0; i < 20; ++i) dense(i, i) += 5.0;
-  SparseLU slu(csr_to_csc(csr_from_dense(dense)));
-  linalg::DenseLU dlu(dense);
-  Vector b(20);
-  for (auto& v : b) v = rng.uniform(-1, 1);
-  EXPECT_LT(max_abs_diff(slu.solve(b), dlu.solve(b)), 1e-9);
-}
-
-TEST(SparseLU, RequiresPivoting) {
-  // Zero diagonal forces row exchange: [[0,1],[1,0]].
-  Csr a = csr_from_triplets(2, 2, {{0, 1, 1.0}, {1, 0, 1.0}});
-  SparseLU lu(csr_to_csc(a));
-  Vector b = {3.0, 7.0};
-  Vector x = lu.solve(b);
-  EXPECT_NEAR(x[0], 7.0, 1e-12);
-  EXPECT_NEAR(x[1], 3.0, 1e-12);
-}
-
-TEST(SparseLU, SingularThrows) {
-  Csr a = csr_from_triplets(3, 3, {{0, 0, 1.0}, {1, 1, 1.0}});  // empty last row/col
-  EXPECT_THROW(SparseLU{csr_to_csc(a)}, NumericalError);
-}
-
-TEST(SparseLU, FillIsBoundedOnTridiagonal) {
-  const int n = 50;
-  std::vector<Triplet> t;
-  for (int i = 0; i < n; ++i) {
-    t.push_back({i, i, 4.0});
-    if (i + 1 < n) {
-      t.push_back({i, i + 1, -1.0});
-      t.push_back({i + 1, i, -1.0});
-    }
-  }
-  SparseLU lu(csc_from_triplets(n, n, t));
-  // Tridiagonal LU has at most ~3n nonzeros (no pivoting needed thanks to
-  // diagonal dominance; partial pivoting keeps it within a small multiple).
-  EXPECT_LT(lu.factor_nnz(), 5 * n);
-}
-
 TEST(SparseCholesky, SolvesSpdSystems) {
   Rng rng(43);
   for (int n : {1, 6, 25, 60}) {
@@ -301,78 +188,6 @@ TEST(SparseCholesky, MatchesDenseCholesky) {
 TEST(SparseCholesky, IndefiniteThrows) {
   Csr a = csr_from_triplets(2, 2, {{0, 0, 1.0}, {0, 1, 2.0}, {1, 0, 2.0}, {1, 1, 1.0}});
   EXPECT_THROW(SparseCholesky{csr_to_csc(a)}, NumericalError);
-}
-
-TEST(SparseCholesky, OrderingReducesFactorFill) {
-  // Arrow matrix again: min-degree ordering should give near-zero fill.
-  const int n = 30;
-  std::vector<Triplet> t;
-  for (int i = 0; i < n; ++i) t.push_back({i, i, static_cast<double>(n)});
-  for (int i = 1; i < n; ++i) {
-    t.push_back({0, i, -1.0});
-    t.push_back({i, 0, -1.0});
-  }
-  Csr arrow = csr_from_triplets(n, n, t);
-  SparseCholesky natural(csr_to_csc(arrow));
-  Csr reordered = permute_symmetric(arrow, min_degree_ordering(arrow));
-  SparseCholesky ordered(csr_to_csc(reordered));
-  EXPECT_GT(natural.factor_nnz(), ordered.factor_nnz() * 3);
-}
-
-TEST(DeviceSparse, UploadDownloadRoundTrip) {
-  gpu::Device dev;
-  Rng rng(53);
-  Csr a = random_sparse(20, 0.2, rng);
-  auto da = DeviceCsr::upload(dev, 0, a);
-  EXPECT_TRUE(approx_equal(da.download(0), a, 0.0));
-  EXPECT_EQ(dev.stats().transfers_h2d, 3u);  // rowptr + colidx + values
-}
-
-TEST(DeviceSparse, SpmvMatchesHostAndChargesSparseRates) {
-  gpu::Device dev;
-  Rng rng(59);
-  Csr a = random_sparse(40, 0.1, rng);
-  Vector x(40), y_host(40, 0.0);
-  for (auto& v : x) v = rng.uniform(-1, 1);
-  spmv(1.0, a, x, 0.0, y_host);
-  auto da = DeviceCsr::upload(dev, 0, a);
-  auto dx = linalg::DeviceVector::upload(dev, 0, x);
-  linalg::DeviceVector dy(dev, 40);
-  dy.assign(0, Vector(40, 0.0));
-  dev_spmv(0, 1.0, da, dx, 0.0, dy);
-  EXPECT_LT(max_abs_diff(dy.download(0), y_host), 1e-12);
-  EXPECT_GE(dev.stats().kernels, 1u);
-}
-
-TEST(DeviceSparse, SparseSpmvSlowerThanDenseGemvSameShape) {
-  // The paper's section 5.4 asymmetry: same logical matvec, the sparse
-  // kernel is charged more per flop.
-  Rng rng(61);
-  const int n = 200;
-  Csr sp = random_sparse(n, 0.9, rng);  // nearly dense in CSR form
-  Matrix dn = to_dense(sp);
-
-  gpu::Device dev_sparse, dev_dense;
-  Vector x(static_cast<std::size_t>(n), 1.0);
-  {
-    auto da = DeviceCsr::upload(dev_sparse, 0, sp);
-    auto dx = linalg::DeviceVector::upload(dev_sparse, 0, x);
-    linalg::DeviceVector dy(dev_sparse, n);
-    dy.assign(0, Vector(static_cast<std::size_t>(n), 0.0));
-    dev_sparse.reset_stats();
-    dev_spmv(0, 1.0, da, dx, 0.0, dy);
-    dev_sparse.synchronize();
-  }
-  {
-    auto da = linalg::DeviceMatrix::upload(dev_dense, 0, dn);
-    auto dx = linalg::DeviceVector::upload(dev_dense, 0, x);
-    linalg::DeviceVector dy(dev_dense, n);
-    dy.assign(0, Vector(static_cast<std::size_t>(n), 0.0));
-    dev_dense.reset_stats();
-    linalg::dev_gemv(0, 1.0, da, dx, 0.0, dy);
-    dev_dense.synchronize();
-  }
-  EXPECT_GT(dev_sparse.stats().kernel_seconds, dev_dense.stats().kernel_seconds);
 }
 
 }  // namespace

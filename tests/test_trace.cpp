@@ -339,6 +339,15 @@ TEST(TraceExport, MalformedDocumentsAreRejectedByTheAnalyzer) {
   EXPECT_FALSE(error.empty());
   EXPECT_FALSE(tracetool::parse_trace("{\"traceEvents\": [", trace, error));
   EXPECT_FALSE(tracetool::parse_trace("", trace, error));
+  // A number the reader cannot consume whole is a parse error, not its
+  // longest readable prefix; deep nesting is refused before it can
+  // exhaust the recursive reader's stack.
+  EXPECT_FALSE(tracetool::parse_trace("{\"a\": 1.2.3}", trace, error));
+  EXPECT_NE(error.find("bad number"), std::string::npos) << error;
+  EXPECT_FALSE(tracetool::parse_trace("[1-2]", trace, error));
+  EXPECT_NE(error.find("bad number"), std::string::npos) << error;
+  EXPECT_FALSE(tracetool::parse_trace(std::string(1000000, '['), trace, error));
+  EXPECT_NE(error.find("nesting too deep"), std::string::npos) << error;
 }
 
 }  // namespace

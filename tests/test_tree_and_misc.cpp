@@ -4,7 +4,6 @@
 
 #include "linalg/blas.hpp"
 #include "linalg/device_blas.hpp"
-#include "linalg/qr.hpp"
 #include "mip/branching.hpp"
 #include "mip/tree.hpp"
 #include "support/log.hpp"
@@ -172,24 +171,6 @@ TEST(DeviceBlas, AssignColUpdatesOneColumn) {
   EXPECT_EQ(back(3, 2), 6.0);
   EXPECT_EQ(back(0, 0), 1.0);
   EXPECT_THROW(da.assign_col(0, 9, col), Error);
-}
-
-TEST(QR, RFactorIsUpperTriangularAndConsistent) {
-  Rng rng(13);
-  Matrix a = Matrix::random(8, 5, rng);
-  linalg::HouseholderQR qr(a);
-  Matrix r = qr.r();
-  for (int i = 0; i < 5; ++i) {
-    for (int j = 0; j < i; ++j) EXPECT_EQ(r(i, j), 0.0);
-  }
-  // ||A x|| == ||Q^T A x|| == ||R x|| for any x (Q orthogonal).
-  Vector x(5);
-  for (auto& v : x) v = rng.uniform(-1, 1);
-  Vector ax(8, 0.0);
-  linalg::gemv(1.0, a, x, 0.0, ax);
-  Vector rx(5, 0.0);
-  linalg::gemv(1.0, r, x, 0.0, rx);
-  EXPECT_NEAR(linalg::nrm2(ax), linalg::nrm2(rx), 1e-10);
 }
 
 }  // namespace

@@ -99,7 +99,6 @@ struct Options {
   std::vector<std::string> device_context = {
       "linalg/batched",
       "linalg/device_blas",
-      "sparse/device_sparse",
       "gpu/device",
   };
 

@@ -1,23 +1,36 @@
-// gpumip-report CLI — scripts/check.sh gate 10 entry point.
+// gpumip-report CLI — the one profile tool (scripts/check.sh gates 8 and 9,
+// scripts/bench.sh --compare).
 //
-//   gpumip-report --self-check
+//   gpumip-report --self-check [--trace TRACE.json]
+//   gpumip-report --compare BASE.json CURRENT.json
 //   gpumip-report --attribute BASE.json CURRENT.json [--expect-top CATEGORY]
 //   gpumip-report --metrics RUN.json [--timeseries TS.json] [--trace TRACE.json]
+//   gpumip-report --trace TRACE.json
 //
-// --self-check runs the engine's known-answer fixtures (parsing, category
-// mapping, exclusion list, the embedded doubled-H2D drill).
+// --self-check runs the known-answer fixtures of both engines: the report
+// engine (parsing, category mapping, noise list, comparator, the embedded
+// doubled-H2D drill) and the trace analyzer (flow matching, critical path,
+// rank breakdowns, malformed-input rejection). With --trace it also
+// requires that trace to be non-trivial (matched flows, >= 2 ranks, a
+// cross-rank critical path).
+//
+// --compare is the recorded-baseline regression gate: it holds CURRENT to
+// BASE within per-family tolerances (report.hpp, compare_tolerance) and,
+// on a regression, prints the failures followed by the attribution
+// ranking of which claim categories moved.
 //
 // --attribute loads two runs (bench-baseline documents from scripts/bench.sh
 // or raw metrics exports) and prints which claim categories explain the
 // delta, ranked. With --expect-top, exits 1 unless the top-ranked category
-// matches — gate 10 uses this against the committed fixture pair, and
-// scripts/bench.sh --compare uses the plain form to annotate regressions.
+// matches.
 //
 // --metrics builds a single-run profile, optionally merging a time-series
-// export and a trace-event timeline into the same report.
+// export and a trace-event timeline into the same report. --trace alone
+// prints the timeline analysis: critical path, per-rank busy/blocked/idle,
+// device-lane overlap, cut latency.
 //
-// Exit status: 0 clean, 1 failed self-check / unexpected top category,
-// 2 usage/IO/parse error.
+// Exit status: 0 clean, 1 regression / failed self-check / trivial trace /
+// unexpected top category, 2 usage/IO/parse error.
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -28,18 +41,31 @@
 
 namespace {
 
-bool read_file(const std::string& path, std::string& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  out = buffer.str();
-  return true;
-}
+using gpumip::tracetool::Trace;
 
 int usage_error(const std::string& what) {
   std::cerr << "gpumip-report: " << what << " (see --help)\n";
   return 2;
+}
+
+/// Reads `path` and parses it with `parse`; reports the failure and
+/// returns false on an IO or parse error.
+template <typename Doc>
+bool load(const std::string& path, bool (*parse)(const std::string&, Doc&, std::string&),
+          Doc& out) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    std::cerr << "gpumip-report: cannot read " << path << "\n";
+    return false;
+  }
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  std::string error;
+  if (!parse(buffer.str(), out, error)) {
+    std::cerr << "gpumip-report: " << path << ": " << error << "\n";
+    return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -48,6 +74,7 @@ int main(int argc, char** argv) {
   using namespace gpumip::reporttool;
 
   bool self_check = false;
+  std::vector<std::string> compare_paths;
   std::vector<std::string> attribute_paths;
   std::string expect_top;
   std::string metrics_path;
@@ -63,14 +90,19 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto next_pair = [&](std::vector<std::string>& out) {
+      const char* base = next("BASE.json CURRENT.json");
+      const char* current = base == nullptr ? nullptr : next("CURRENT.json");
+      if (current == nullptr) return false;
+      out = {base, current};
+      return true;
+    };
     if (arg == "--self-check") {
       self_check = true;
+    } else if (arg == "--compare") {
+      if (!next_pair(compare_paths)) return 2;
     } else if (arg == "--attribute") {
-      const char* base = next("BASE.json CURRENT.json");
-      if (base == nullptr) return 2;
-      const char* current = next("CURRENT.json");
-      if (current == nullptr) return 2;
-      attribute_paths = {base, current};
+      if (!next_pair(attribute_paths)) return 2;
     } else if (arg == "--expect-top") {
       const char* category = next("a category id");
       if (category == nullptr) return 2;
@@ -88,40 +120,62 @@ int main(int argc, char** argv) {
       if (path == nullptr) return 2;
       trace_path = path;
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: gpumip-report --self-check\n"
+      std::cout << "usage: gpumip-report --self-check [--trace TRACE.json]\n"
+                   "       gpumip-report --compare BASE.json CURRENT.json\n"
                    "       gpumip-report --attribute BASE.json CURRENT.json"
                    " [--expect-top CATEGORY]\n"
                    "       gpumip-report --metrics RUN.json [--timeseries TS.json]"
-                   " [--trace TRACE.json]\n";
+                   " [--trace TRACE.json]\n"
+                   "       gpumip-report --trace TRACE.json\n";
       return 0;
     } else {
       return usage_error("unknown argument " + arg);
     }
   }
+  if (!expect_top.empty() && attribute_paths.empty()) {
+    return usage_error("--expect-top requires --attribute");
+  }
+  if (!timeseries_path.empty() && metrics_path.empty()) {
+    return usage_error("--timeseries requires --metrics");
+  }
+  if (!self_check && compare_paths.empty() && attribute_paths.empty() && metrics_path.empty() &&
+      trace_path.empty()) {
+    return usage_error("nothing to do");
+  }
+
+  Trace trace;
+  if (!trace_path.empty() && !load(trace_path, gpumip::tracetool::parse_trace, trace)) return 2;
 
   bool ok = true;
   if (self_check) {
     std::cout << "==> gpumip-report self-check (known-answer fixtures)\n";
     ok = run_self_check(std::cout);
+    std::cout << "==> trace analyzer self-check (known-answer fixtures)\n";
+    ok = gpumip::tracetool::run_self_check(std::cout) && ok;
+  }
+
+  if (!compare_paths.empty()) {
+    BenchDoc base;
+    BenchDoc current;
+    if (!load(compare_paths[0], parse_bench_doc, base) ||
+        !load(compare_paths[1], parse_bench_doc, current)) {
+      return 2;
+    }
+    const Comparison comparison = compare(base, current);
+    std::cout << "==> compare " << compare_paths[1] << " against " << compare_paths[0] << "\n"
+              << format_comparison(comparison);
+    if (!comparison.failures.empty()) {
+      std::cout << format_attribution(attribute(base, current));
+      ok = false;
+    }
   }
 
   if (!attribute_paths.empty()) {
-    std::string base_text;
-    std::string cur_text;
-    if (!read_file(attribute_paths[0], base_text)) {
-      return usage_error("cannot read " + attribute_paths[0]);
-    }
-    if (!read_file(attribute_paths[1], cur_text)) {
-      return usage_error("cannot read " + attribute_paths[1]);
-    }
     BenchDoc base;
     BenchDoc current;
-    std::string error;
-    if (!parse_run(base_text, base, error)) {
-      return usage_error(attribute_paths[0] + ": " + error);
-    }
-    if (!parse_run(cur_text, current, error)) {
-      return usage_error(attribute_paths[1] + ": " + error);
+    if (!load(attribute_paths[0], parse_run, base) ||
+        !load(attribute_paths[1], parse_run, current)) {
+      return 2;
     }
     const Attribution attribution = attribute(base, current);
     std::cout << "==> " << attribute_paths[0] << " vs " << attribute_paths[1] << "\n"
@@ -133,51 +187,29 @@ int main(int argc, char** argv) {
                 << expect_top << "\n";
       if (!match) ok = false;
     }
-  } else if (!expect_top.empty()) {
-    return usage_error("--expect-top requires --attribute");
   }
 
   if (!metrics_path.empty()) {
-    std::string text;
-    if (!read_file(metrics_path, text)) return usage_error("cannot read " + metrics_path);
     BenchDoc run;
-    std::string error;
-    if (!parse_run(text, run, error)) return usage_error(metrics_path + ": " + error);
-
+    if (!load(metrics_path, parse_run, run)) return 2;
     TimeSeries series;
-    const TimeSeries* series_ptr = nullptr;
-    if (!timeseries_path.empty()) {
-      std::string ts_text;
-      if (!read_file(timeseries_path, ts_text)) {
-        return usage_error("cannot read " + timeseries_path);
-      }
-      if (!parse_timeseries(ts_text, series, error)) {
-        return usage_error(timeseries_path + ": " + error);
-      }
-      series_ptr = &series;
-    }
-
-    gpumip::tracetool::Trace trace;
-    const gpumip::tracetool::Trace* trace_ptr = nullptr;
-    if (!trace_path.empty()) {
-      std::string trace_text;
-      if (!read_file(trace_path, trace_text)) {
-        return usage_error("cannot read " + trace_path);
-      }
-      if (!gpumip::tracetool::parse_trace(trace_text, trace, error)) {
-        return usage_error(trace_path + ": " + error);
-      }
-      trace_ptr = &trace;
-    }
-
-    const Profile profile = build_profile(run, trace_ptr, series_ptr);
+    if (!timeseries_path.empty() && !load(timeseries_path, parse_timeseries, series)) return 2;
+    const Profile profile = build_profile(run, trace_path.empty() ? nullptr : &trace,
+                                          timeseries_path.empty() ? nullptr : &series);
     std::cout << "==> " << metrics_path << "\n" << format_profile(profile);
-  } else if (!timeseries_path.empty() || !trace_path.empty()) {
-    return usage_error("--timeseries/--trace require --metrics");
   }
 
-  if (!self_check && attribute_paths.empty() && metrics_path.empty()) {
-    return usage_error("nothing to do");
+  if (!trace_path.empty()) {
+    const gpumip::tracetool::Report report = gpumip::tracetool::analyze(trace);
+    if (metrics_path.empty()) {
+      std::cout << "==> " << trace_path << "\n" << gpumip::tracetool::format_report(report);
+    }
+    if (self_check) {
+      const std::string verdict = gpumip::tracetool::verify_nontrivial(report);
+      std::cout << "  [" << (verdict.empty() ? "PASS] trace is non-trivial" : "FAIL] " + verdict)
+                << "\n";
+      if (!verdict.empty()) ok = false;
+    }
   }
   return ok ? 0 : 1;
 }

@@ -64,7 +64,11 @@ bool snapshot_from(const JsonValue& root, MetricsSnapshot& out, std::string& err
   return true;
 }
 
-constexpr double kScoreFloor = 1e-9;  // slack for baselines at or near zero
+constexpr double kAbsFloor = 1e-9;  // slack for baselines at or near zero
+
+// Comparator tolerances, relative to the baseline value.
+constexpr double kTightTolerance = 0.02;  // the paper-claim ledgers
+constexpr double kLooseTolerance = 0.25;  // protocol traffic, everything else
 
 /// Family part of a possibly-labeled metric name: everything before '{'.
 std::string strip_labels(const std::string& name) {
@@ -79,6 +83,18 @@ bool starts_with(const std::string& s, const char* prefix) {
 bool ends_with(const std::string& s, const char* suffix) {
   const std::size_t n = std::char_traits<char>::length(suffix);
   return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
+}
+
+/// The noise list: metrics that are host-timing or bookkeeping noise,
+/// never solver work, matched on the label-stripped family name. The
+/// comparator skips them and attribution never blames them.
+bool is_noise(const std::string& metric_name) {
+  const std::string name = strip_labels(metric_name);
+  // Trace-ring drops and sampler-row counts depend on how much tracing and
+  // sampling ran; idle seconds are wall-clock blocking time; quiesced-point
+  // hits depend on timing.
+  return starts_with(name, "gpumip.obs.") || ends_with(name, ".idle_seconds") ||
+         name == "gpumip.supervisor.checkpoints";
 }
 
 /// Rewrite `name{...,rank=R,...}` without its rank pair (empty label sets
@@ -119,7 +135,7 @@ bool parse_metrics(const std::string& json, MetricsSnapshot& out, std::string& e
   JsonValue root;
   if (!JsonReader(json).parse(root, error)) return false;
   if (!snapshot_from(root, out, error)) return false;
-  if (out.schema != "gpumip.metrics.v1" && out.schema != "gpumip.metrics.v2") {
+  if (out.schema != "gpumip.metrics.v2") {
     error = "unexpected metrics schema '" + out.schema + "'";
     return false;
   }
@@ -218,14 +234,8 @@ const std::vector<std::string>& category_ids() {
 }
 
 std::string category_of(const std::string& metric_name) {
+  if (is_noise(metric_name)) return "";
   const std::string name = strip_labels(metric_name);
-  // Exclusions first: the observability layer's own bookkeeping (trace
-  // drops, sampler overhead) and host-timing noise must not be blamed for
-  // a solver regression — same stance as scripts/bench_compare.py.
-  if (starts_with(name, "gpumip.obs.")) return "";
-  if (ends_with(name, ".idle_seconds")) return "";
-  if (name == "gpumip.supervisor.checkpoints") return "";
-
   if (starts_with(name, "gpumip.gpu.xfer.")) return "transfer";
   if (starts_with(name, "gpumip.lp.ops.")) return "c3_basis";
   if (starts_with(name, "gpumip.mip.cuts.") || starts_with(name, "gpumip.cuts.")) {
@@ -314,7 +324,7 @@ Attribution attribute(const BenchDoc& base, const BenchDoc& current) {
       md.name = name;
       md.base = base_value;
       md.current = cur_value;
-      md.score = delta / std::max(std::fabs(base_value), kScoreFloor);
+      md.score = delta / std::max(std::fabs(base_value), kAbsFloor);
       CategoryDelta& cd = per_category[cat];
       cd.category = cat;
       cd.score += md.score;
@@ -345,6 +355,79 @@ Attribution attribute(const BenchDoc& base, const BenchDoc& current) {
   std::sort(out.ranked.begin(), out.ranked.end(),
             [](const CategoryDelta& a, const CategoryDelta& b) { return a.score > b.score; });
   return out;
+}
+
+std::optional<double> compare_tolerance(const std::string& bench, const std::string& name) {
+  // Per-rank splits depend on which worker won each dispatch race; the
+  // world-total counters carry the comparable signal.
+  if (is_noise(name) || drop_rank_label(name) != name) return std::nullopt;
+  // Incumbent discovery order under the thread-per-rank supervisor changes
+  // pruning, so even the MIP ledgers there legitimately wobble.
+  if (bench == "e8_scaleout") return kLooseTolerance;
+  const bool ledger = starts_with(name, "gpumip.gpu.") || starts_with(name, "gpumip.lp.") ||
+                      starts_with(name, "gpumip.mip.");
+  return ledger ? kTightTolerance : kLooseTolerance;
+}
+
+Comparison compare(const BenchDoc& base, const BenchDoc& current) {
+  Comparison out;
+  auto compare_kind = [&](const std::string& bench, const char* kind,
+                          const std::map<std::string, double>& base_map,
+                          const std::map<std::string, double>& cur_map) {
+    for (const auto& [name, base_value] : base_map) {
+      const std::optional<double> rel = compare_tolerance(bench, name);
+      if (!rel) continue;
+      const auto cur = cur_map.find(name);
+      if (cur == cur_map.end()) {
+        out.failures.push_back(bench + ": " + kind + " " + name + " missing from current run");
+        continue;
+      }
+      ++out.compared;
+      const double delta = std::fabs(cur->second - base_value);
+      const double limit = std::max(*rel * std::fabs(base_value), kAbsFloor);
+      if (delta > limit) {
+        std::ostringstream line;
+        line << bench << ": " << name << " = " << cur->second << " vs baseline " << base_value
+             << " (|delta| " << delta << " > " << limit << ", tolerance " << *rel * 100
+             << "%)";
+        out.failures.push_back(line.str());
+      }
+    }
+    for (const auto& [name, value] : cur_map) {
+      if (base_map.count(name) == 0 && compare_tolerance(bench, name)) {
+        out.warnings.push_back(bench + ": new " + kind + " " + name);
+      }
+    }
+  };
+  for (const auto& [bench, base_snap] : base.benches) {
+    const auto cur = current.benches.find(bench);
+    if (cur == current.benches.end()) {
+      out.failures.push_back(bench + ": bench missing from current run");
+      continue;
+    }
+    compare_kind(bench, "counter", base_snap.counters, cur->second.counters);
+    compare_kind(bench, "gauge", base_snap.gauges, cur->second.gauges);
+  }
+  for (const auto& [bench, snap] : current.benches) {
+    if (base.benches.count(bench) == 0) out.warnings.push_back(bench + ": new bench");
+  }
+  return out;
+}
+
+std::string format_comparison(const Comparison& comparison) {
+  std::ostringstream out;
+  for (const std::string& line : comparison.warnings) {
+    out << "  warning: " << line << " (regenerate the baseline to start tracking it)\n";
+  }
+  if (comparison.failures.empty()) {
+    out << "bench compare: " << comparison.compared << " metrics within tolerance ("
+        << comparison.warnings.size() << " warning(s))\n";
+    return out.str();
+  }
+  out << "bench compare: " << comparison.failures.size() << " regression(s) ("
+      << comparison.compared << " metrics compared):\n";
+  for (const std::string& line : comparison.failures) out << "  " << line << "\n";
+  return out.str();
 }
 
 std::string format_profile(const Profile& profile) {
@@ -576,6 +659,14 @@ bool run_self_check(std::ostream& out) {
   const Attribution clean = attribute(base, base);
   expect(clean.ranked.empty(), "identical runs attribute to nothing");
 
+  // The comparator sees only the doubled H2D counter: the 1% reuse wobble
+  // is inside the 2% ledger tolerance and every other move is noise.
+  const Comparison drill = compare(base, regression);
+  expect(drill.failures.size() == 1 &&
+             drill.failures.front().find("gpumip.gpu.xfer.h2d.bytes") != std::string::npos,
+         "compare fails the doubled H2D counter and nothing else");
+  expect(compare(base, base).failures.empty(), "compare passes identical runs");
+
   // Rank shuffles between two correct runs must cancel in the family
   // total: opposing per-rank jitter scores zero, the real H2D move wins.
   BenchDoc jitter_base, jitter_cur;
@@ -600,8 +691,8 @@ bool run_self_check(std::ostream& out) {
 
   // Degenerate inputs must be rejected, not misreported.
   MetricsSnapshot bad;
-  expect(!parse_metrics("{\"schema\": \"gpumip.metrics.v9\", \"counters\": {}}", bad, error),
-         "unknown metrics schema rejected");
+  expect(!parse_metrics("{\"schema\": \"gpumip.metrics.v1\", \"counters\": {}}", bad, error),
+         "retired metrics v1 schema rejected");
   BenchDoc bad_doc;
   expect(!parse_bench_doc("{\"schema\": \"gpumip.bench-baseline.v1\"}", bad_doc, error),
          "baseline without benches rejected");

@@ -1,12 +1,14 @@
-// gpumip-report: per-solve profile assembly and regression attribution
-// (scripts/check.sh gate 10; docs/TRACING.md "Report workflow").
+// gpumip-report: the one profile and regression tool over the
+// observability exports (scripts/check.sh gates 8 and 9; docs/TRACING.md
+// "Report workflow").
 //
 // The observability layer exports three complementary documents — a
-// metrics snapshot (docs/METRICS.md, gpumip.metrics.v1/v2), a sim-clock
+// metrics snapshot (docs/METRICS.md, gpumip.metrics.v2), a sim-clock
 // time series (gpumip.timeseries.v1, src/obs/sampler.hpp), and a
-// trace-event timeline (gpumip.trace.v1, analyzed by gpumip-trace). This
-// tool merges them into one profile that attributes where the makespan
-// went in terms of the paper's claim categories:
+// trace-event timeline (gpumip.trace.v1, analyzed by the tracetool engine
+// in tools/gpumip-trace). This tool merges them into one profile that
+// attributes where the makespan went in terms of the paper's claim
+// categories:
 //
 //   transfer  — H2D/D2H volume and staging      (gpumip.gpu.xfer.*)
 //   c3_basis  — basis maintenance / refactors   (gpumip.lp.ops.*)
@@ -16,20 +18,19 @@
 //   c7_batch  — batched-LP wave shape           (gpumip.lp.batch.*)
 //   c8_scale  — scale-out protocol traffic      (gpumip.simmpi.*, supervisor)
 //
-// Given TWO runs (bench-baseline or raw metrics documents), `attribute`
-// ranks the categories by how much of the metric delta they explain —
-// scripts/bench.sh --compare runs it whenever the comparator finds a
-// regression, so "gate 8 failed" arrives with a named culprit instead of
-// a wall of counter diffs.
+// Given TWO bench-baseline documents, `compare` is the recorded-baseline
+// regression gate (scripts/bench.sh --compare), and `attribute` ranks the
+// categories by how much of the metric delta they explain, so a failed
+// compare arrives with a named culprit instead of a wall of counter diffs.
 //
 // Engine is a static library (tests/test_report.cpp drives it with
-// in-memory documents); the CLI in main.cpp wraps it, mirroring
-// tools/gpumip-trace.
+// in-memory documents); the CLI in main.cpp wraps it.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -40,10 +41,8 @@ namespace gpumip::reporttool {
 
 // ---- input documents -------------------------------------------------------
 
-/// Flattened metrics snapshot: one map per instrument kind, histogram
-/// values folded to (count, sum). Accepts both gpumip.metrics.v1 and v2
-/// (v2 adds the labeled-family index; the maps themselves are unchanged,
-/// so v1 consumers keep working — this parser reads either).
+/// Flattened gpumip.metrics.v2 snapshot: one map per instrument kind,
+/// histogram values folded to (count, sum).
 struct MetricsSnapshot {
   std::map<std::string, double> counters;
   std::map<std::string, double> gauges;
@@ -83,9 +82,9 @@ bool parse_timeseries(const std::string& json, TimeSeries& out, std::string& err
 /// or "" for names excluded from attribution entirely: the observability
 /// layer's own bookkeeping (gpumip.obs.*, including trace-ring drops and
 /// sampler overhead) and host-timing noise (*.idle_seconds, checkpoint
-/// hits) — the same skip list scripts/bench_compare.py applies. Labels
-/// are ignored for categorization: `gpumip.lp.solves{method=pdhg}` maps
-/// where `gpumip.lp.solves` does.
+/// hits) — the same noise list `compare` skips. Labels are ignored for
+/// categorization: `gpumip.lp.solves{method=pdhg}` maps where
+/// `gpumip.lp.solves` does.
 std::string category_of(const std::string& metric_name);
 
 /// All category ids in report order (excludes the "" exclusion marker).
@@ -141,13 +140,39 @@ struct Attribution {
 /// missing from one side is scored against zero.
 Attribution attribute(const BenchDoc& base, const BenchDoc& current);
 
+// ---- baseline comparison ---------------------------------------------------
+
+/// Relative tolerance `compare` applies to counter/gauge `name` of `bench`,
+/// or nullopt when it is skipped. Skipped: the noise list (see
+/// category_of) and per-rank `{rank=N}` splits, whose world totals are
+/// compared instead. Tolerances: 2% on the paper-claim ledgers
+/// (gpumip.gpu.*, gpumip.lp.*, gpumip.mip.*), 25% on everything else, and
+/// 25% on every metric of the e8_scaleout bench, whose supervisor runs
+/// change pruning with incumbent discovery order. A change is in
+/// tolerance when |current - base| <= max(tolerance * |base|, 1e-9).
+std::optional<double> compare_tolerance(const std::string& bench, const std::string& name);
+
+struct Comparison {
+  std::vector<std::string> failures;  ///< "bench: ..." lines; any fails the gate
+  std::vector<std::string> warnings;  ///< new benches/metrics, not yet tracked
+  long compared = 0;                  ///< metrics held to a tolerance
+};
+
+/// The recorded-baseline regression gate over counters and gauges
+/// (histograms record host wall time and are not compared). A bench or
+/// metric of `base` missing from `current` fails; one new in `current`
+/// only warns, since the fix is to regenerate the baseline.
+Comparison compare(const BenchDoc& base, const BenchDoc& current);
+
 // ---- rendering -------------------------------------------------------------
+
+std::string format_comparison(const Comparison& comparison);
 
 std::string format_profile(const Profile& profile);
 std::string format_attribution(const Attribution& attribution);
 
-/// Built-in known-answer fixtures: document parsing (metrics v1 + v2,
-/// bench baselines, time series), category mapping, exclusion list, and
+/// Built-in known-answer fixtures: document parsing (metrics v2, bench
+/// baselines, time series), category mapping, exclusion list, and
 /// an embedded doubled-H2D regression whose attribution must rank the
 /// transfer category first. Prints one line per expectation; returns
 /// false if any fails.

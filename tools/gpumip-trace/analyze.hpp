@@ -1,5 +1,6 @@
-// gpumip-trace: timeline analyzer for the Chrome trace-event JSON written
-// by obs/trace.hpp (scripts/check.sh gate 9; docs/TRACING.md).
+// Timeline analyzer for the Chrome trace-event JSON written by
+// obs/trace.hpp (gpumip-report --trace; scripts/check.sh gate 9;
+// docs/TRACING.md).
 //
 // Metrics (docs/METRICS.md) aggregate totals; the exported trace keeps the
 // order. This tool turns the order back into the numbers the paper's
@@ -13,7 +14,7 @@
 //   * cut round-trip latency (paper C4) from the cuts.round spans.
 //
 // Engine is a static library (tests/test_trace.cpp drives it with in-memory
-// traces); the CLI in main.cpp wraps it, mirroring tools/gpumip-lint.
+// traces); the gpumip-report CLI (tools/gpumip-report) wraps it.
 #pragma once
 
 #include <cstdint>
@@ -95,7 +96,7 @@ struct Report {
 
 Report analyze(const Trace& trace);
 
-/// Human-readable multi-section report (what the CLI prints).
+/// Human-readable multi-section report (what `gpumip-report --trace` prints).
 std::string format_report(const Report& report);
 
 /// Empty string when the trace exercises the analyses (matched flows, a

@@ -6,6 +6,7 @@ namespace gpumip::tracetool {
 
 bool JsonReader::parse(JsonValue& out, std::string& error) {
   pos_ = 0;
+  depth_ = 0;
   error_.clear();
   if (!value(out)) {
     error = "offset " + std::to_string(pos_) + ": " + error_;
@@ -99,12 +100,14 @@ bool JsonReader::value(JsonValue& out) {  // NOLINT(misc-no-recursion)
   skip_ws();
   if (pos_ >= text_.size()) return fail("unexpected end of input");
   const char c = text_[pos_];
+  if ((c == '{' || c == '[') && ++depth_ > kMaxDepth) return fail("nesting too deep");
   if (c == '{') {
     ++pos_;
     out.type = JsonValue::Type::kObject;
     skip_ws();
     if (pos_ < text_.size() && text_[pos_] == '}') {
       ++pos_;
+      --depth_;
       return true;
     }
     for (;;) {
@@ -119,6 +122,7 @@ bool JsonReader::value(JsonValue& out) {  // NOLINT(misc-no-recursion)
         ++pos_;
         continue;
       }
+      --depth_;
       return expect('}');
     }
   }
@@ -128,6 +132,7 @@ bool JsonReader::value(JsonValue& out) {  // NOLINT(misc-no-recursion)
     skip_ws();
     if (pos_ < text_.size() && text_[pos_] == ']') {
       ++pos_;
+      --depth_;
       return true;
     }
     for (;;) {
@@ -139,6 +144,7 @@ bool JsonReader::value(JsonValue& out) {  // NOLINT(misc-no-recursion)
         ++pos_;
         continue;
       }
+      --depth_;
       return expect(']');
     }
   }
@@ -170,11 +176,16 @@ bool JsonReader::value(JsonValue& out) {  // NOLINT(misc-no-recursion)
   }
   if (pos_ == start) return fail("unexpected character");
   out.type = JsonValue::Type::kNumber;
+  const std::string token = text_.substr(start, pos_ - start);
+  std::size_t used = 0;
   try {
-    out.number = std::stod(text_.substr(start, pos_ - start));
+    out.number = std::stod(token, &used);
   } catch (...) {
     return fail("bad number");
   }
+  // stod stops at the first character it cannot use, so "1.2.3" would
+  // silently read as 1.2 and "1-2" as 1.
+  if (used != token.size()) return fail("bad number");
   return true;
 }
 

@@ -1,9 +1,7 @@
-// Minimal JSON DOM shared by the analysis tools (gpumip-trace,
-// gpumip-report). All inputs are machine-written and bounded — metrics
-// exports, time-series exports, trace-event files, bench baselines — so a
-// small recursive-descent reader keeps the tools dependency-free (same
-// stance as gpumip-lint's lexer). Extracted from gpumip-trace/analyze.cpp
-// so gpumip-report can parse the same documents without a second copy.
+// Minimal JSON DOM shared by the trace analyzer and gpumip-report. All
+// inputs are machine-written — metrics exports, time-series exports,
+// trace-event files, bench baselines — so a small recursive-descent reader
+// keeps the tools dependency-free (same stance as gpumip-lint's lexer).
 #pragma once
 
 #include <cstddef>
@@ -33,10 +31,13 @@ struct JsonValue {
 
 class JsonReader {
  public:
+  static constexpr int kMaxDepth = 256;
+
   explicit JsonReader(const std::string& text) : text_(text) {}
 
   /// Parses the whole document into `out`. Returns false and sets `error`
-  /// (with a byte offset) on malformed input or trailing characters.
+  /// (with a byte offset) on malformed input, trailing characters, or
+  /// nesting deeper than kMaxDepth (the reader recurses once per level).
   bool parse(JsonValue& out, std::string& error);
 
  private:
@@ -49,6 +50,7 @@ class JsonReader {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< open arrays/objects enclosing the current value
   std::string error_;
 };
 
