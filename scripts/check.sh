@@ -41,17 +41,17 @@
 #                   membership statically (subsumes gate 6's grep for names
 #                   that never execute) and holds trace-event names to the
 #                   docs/TRACING.md catalog the same way, R5 compiles every
-#                   src/ header as its own translation unit, the
+#                   src/ header as its own translation unit (the
+#                   gpumip_lint_headers build target), the
 #                   call-graph rules R6-R9 enforce the hot-path manifest
 #                   (no allocation / payload copy / blocking call reachable
 #                   from a declared root without a justified waiver, every
 #                   root instrumented), and the CFG/dataflow lifetime rules
 #                   R10-R12 catch use-after-move, arena use-after-reset,
 #                   and unbalanced raw trace spans path-sensitively. The
-#                   gate first runs the tool's seeded-violation self-test,
-#                   so a rule that silently stopped firing also fails the
-#                   gate, and archives the --format=json report next to
-#                   the gate logs.
+#                   gate first runs the tool's test suite (test_lint), so
+#                   a rule that silently stopped firing also fails the
+#                   gate.
 #   8. bench      — recorded-baseline regression compare: reruns the bench
 #                   suite (scripts/bench.sh --compare) and diffs the
 #                   deterministic counters/gauges against the committed
@@ -309,71 +309,52 @@ PY
 }
 timed methods methods_gate
 
-# Gate 7: gpumip-lint. A dedicated small Release tree builds just the tool
-# (it has no solver dependencies, so this is cheap even from scratch). The
-# self-test proves each rule R1-R4, the call-graph rules R6-R9, the
-# CFG/dataflow lifetime rules R10-R12, and the protocol/determinism rules
-# R13-R16 still fire on their seeded-violation fixtures and that the
-# suppression round trip holds; the sweep then
-# requires src/ to be clean modulo the justified entries in
-# tools/gpumip-lint/suppressions.txt, with R5 compiling every header under
-# src/ standalone and R6-R9 walking the hot-path manifest
-# tools/gpumip-lint/hotpaths.txt. The per-file scan phase fans out over
-# --jobs $JOBS worker threads (findings merge back in input order, so the
-# report is thread-count independent). The sweep runs with --format=json:
-# findings stay on stderr for the console, and the machine-readable
-# document (schema gpumip.lint.v1, including the waived findings and the
-# per-phase wall times) is archived next to the gate logs as
-# build-lint.lint.json.
+# Gate 7: gpumip-lint. A dedicated small Release tree builds just the tool,
+# its test suite and the R5 header target (none of them link the solver,
+# so this is cheap even from scratch). test_lint proves each rule R1-R4,
+# the call-graph rules R6-R9, the CFG/dataflow lifetime rules R10-R12, and
+# the protocol/determinism rules R13-R16 still fire on their
+# seeded-violation fixtures and that the suppression round trip holds;
+# gpumip_lint_headers compiles every src/ header as its own translation
+# unit (R5); the sweep then requires src/ to be clean modulo the justified
+# entries in tools/gpumip-lint/suppressions.txt, with R6-R9 walking the
+# hot-path manifest tools/gpumip-lint/hotpaths.txt.
 lint_gate() {
   local build_dir=build-lint
-  echo "==> [lint] configure+build ($build_dir, gpumip-lint)"
+  echo "==> [lint] configure+build ($build_dir, gpumip-lint, test_lint)"
   if ! { cmake -B "$build_dir" -S . -DCMAKE_BUILD_TYPE=Release \
            >"$build_dir.configure.log" 2>&1 &&
-         cmake --build "$build_dir" -j "$JOBS" --target gpumip-lint \
+         cmake --build "$build_dir" -j "$JOBS" --target gpumip-lint test_lint \
            >"$build_dir.build.log" 2>&1; }; then
     echo "==> [lint] BUILD FAILED (see $build_dir.*.log)"
     FAILURES=$((FAILURES + 1))
     return
   fi
-  local tool="./$build_dir/tools/gpumip-lint/gpumip-lint"
-  if ! "$tool" --self-test; then
-    echo "==> [lint] SELF-TEST FAILED (a rule no longer fires on its fixture)"
+  if ! "./$build_dir/tests/test_lint" --gtest_brief=1; then
+    echo "==> [lint] TEST SUITE FAILED (a rule no longer fires on its fixture)"
     FAILURES=$((FAILURES + 1))
     return
   fi
-  echo "==> [lint] R1-R16 over src/ (suppressions: tools/gpumip-lint/suppressions.txt, hot paths: tools/gpumip-lint/hotpaths.txt, jobs: $JOBS)"
-  mapfile -t lint_sources < <(find src -name '*.cpp' -o -name '*.hpp' | sort)
-  local lint_status=0
-  "$tool" --metrics-doc docs/METRICS.md --tracing-doc docs/TRACING.md \
-       --suppressions tools/gpumip-lint/suppressions.txt \
-       --hotpaths tools/gpumip-lint/hotpaths.txt \
-       --header-check --include-dir src --compiler "${CXX:-c++}" \
-       --scratch "$build_dir/lint-scratch" --format=json \
-       --jobs "$JOBS" \
-       "${lint_sources[@]}" >"$build_dir.lint.json" || lint_status=$?
-  # Surface the analyzer's per-phase wall times from the archived JSON so
-  # a slow rule family is visible without re-running by hand.
-  if command -v python3 >/dev/null 2>&1; then
-    python3 - "$build_dir.lint.json" <<'PY' || true
-import json, sys
-s = json.load(open(sys.argv[1]))["stats"]
-speedup = s["scan_serial_ms"] / s["scan_ms"] if s["scan_ms"] > 0 else 1.0
-print("==> [lint] phases: scan %.1fms (%d jobs, %.1fx over serial %.1fms), "
-      "token rules %.1fms, index+graph %.1fms, hotpath %.1fms, "
-      "lifetime %.1fms, protocol %.1fms, determinism %.1fms "
-      "(%d files, %d functions)"
-      % (s["scan_ms"], s["scan_jobs"], speedup, s["scan_serial_ms"],
-         s["rules_ms"], s["index_ms"], s["hotpath_ms"], s["lifetime_ms"],
-         s["protocol_ms"], s["determinism_ms"], s["files"], s["functions"]))
-PY
+  echo "==> [lint] R5: every src/ header compiles standalone (gpumip_lint_headers)"
+  if ! cmake --build "$build_dir" -j "$JOBS" --target gpumip_lint_headers \
+         >"$build_dir.headers.log" 2>&1; then
+    echo "==> [lint] R5 FAILED: a header is not self-contained (see $build_dir.headers.log)"
+    grep -m 10 "error" "$build_dir.headers.log"
+    FAILURES=$((FAILURES + 1))
+    return
   fi
-  if [ "$lint_status" -ne 0 ]; then
+  echo "==> [lint] R1-R16 over src/ (suppressions: tools/gpumip-lint/suppressions.txt, hot paths: tools/gpumip-lint/hotpaths.txt)"
+  mapfile -t lint_sources < <(find src -name '*.cpp' -o -name '*.hpp' | sort)
+  if ! "./$build_dir/tools/gpumip-lint/gpumip-lint" \
+         --metrics-doc docs/METRICS.md --tracing-doc docs/TRACING.md \
+         --suppressions tools/gpumip-lint/suppressions.txt \
+         --hotpaths tools/gpumip-lint/hotpaths.txt \
+         "${lint_sources[@]}"; then
     echo "==> [lint] FINDINGS (annotate with justification or fix; see docs/LINT.md)"
     FAILURES=$((FAILURES + 1))
     return
   fi
-  echo "==> [lint] OK (report archived: $build_dir.lint.json)"
+  echo "==> [lint] OK"
 }
 timed lint lint_gate
 

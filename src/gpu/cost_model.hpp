@@ -26,7 +26,6 @@ struct CostModelConfig {
   double mem_bandwidth = 0.9e12;    ///< device memory bytes/s
   double launch_overhead = 5.0e-6;  ///< fixed seconds per kernel launch
   double divergence_penalty = 3.0;  ///< slowdown multiplier at full divergence
-  int simd_width = 32;              ///< lanes per warp (reporting only)
   int parallel_slots = 16;          ///< kernels that can overlap across streams
 
   // Host link (PCIe/NVLink class).

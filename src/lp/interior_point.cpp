@@ -438,6 +438,7 @@ LpResult InteriorPointSolver::solve(std::span<const double> lb, std::span<const 
         form_->c[static_cast<std::size_t>(j)] -
         sparse::column_dot(form_->a_cols, j, result.duals);
   }
+  publish_op_stats(result.ops);
   return result;
 }
 

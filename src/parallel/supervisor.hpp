@@ -26,7 +26,6 @@ namespace gpumip::parallel {
 struct SupervisorOptions {
   int workers = 4;
   long ramp_up_nodes = 64;        ///< supervisor node budget for ramp-up
-  int target_pool_per_worker = 4; ///< ramp-up stops at workers * this open nodes
   long worker_node_budget = 500;  ///< nodes per assignment
   mip::MipOptions mip;            ///< base engine options (cuts run once, at ramp-up)
   NetworkConfig network;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "lp/interior_point.hpp"
 #include "lp/model.hpp"
@@ -8,6 +9,7 @@
 #include "lp/presolve.hpp"
 #include "lp/simplex.hpp"
 #include "lp/standard_form.hpp"
+#include "obs/metrics.hpp"
 #include "sparse/ops.hpp"
 
 namespace gpumip::lp {
@@ -304,11 +306,18 @@ TEST(InteriorPoint, MatchesSimplexOnTextbookLp) {
   m.add_row_le({{x, 3.0}, {y, 2.0}}, 18.0);
   const StandardForm form = build_standard_form(m);
   InteriorPointSolver ipm(form);
+  const obs::Counter& cholesky = obs::counter("gpumip.lp.ops.cholesky");
+  const std::uint64_t cholesky_before = cholesky.value();
   LpResult r = ipm.solve_default();
   ASSERT_EQ(r.status, LpStatus::Optimal);
   EXPECT_NEAR(form.user_objective(r.objective), 36.0, 1e-5);
   EXPECT_NEAR(r.x[0], 2.0, 1e-4);
   EXPECT_NEAR(r.x[1], 6.0, 1e-4);
+  // The solve's op recipe reaches the lp.ops.* counters, as for simplex
+  // and PDHG.
+  EXPECT_GT(r.ops.cholesky, 0);
+  EXPECT_EQ(cholesky.value() - cholesky_before,
+            obs::kObsEnabled ? static_cast<std::uint64_t>(r.ops.cholesky) : 0u);
 }
 
 TEST(InteriorPoint, HandlesBoundedVariables) {

@@ -9,12 +9,11 @@ namespace {
 
 constexpr std::size_t npos = std::string::npos;
 
-bool in_scope(const std::string& path, const Options& options) {
-  for (const std::string& prefix : options.determinism_scope) {
-    if (path.compare(0, prefix.size(), prefix) == 0) return true;
-    if (path.find("/" + prefix) != npos) return true;
-  }
-  return false;
+/// R15-R16 apply to all of src/ (matched as a path prefix or after any
+/// '/'): the replay invariant covers the whole solve, so exceptions are
+/// waivers, not scope carve-outs. Bench and tool code may read clocks.
+bool in_scope(const std::string& path) {
+  return path.starts_with("src/") || path.find("/src/") != npos;
 }
 
 void report(const Scanned& f, std::size_t at, const std::string& rule,
@@ -74,10 +73,10 @@ struct UnorderedDecl {
 /// variable names across the in-scope files. Name-based and global, like
 /// the call graph: a member declared in a header is iterated in its .cpp.
 std::map<std::string, UnorderedDecl> collect_unordered_names(
-    const std::vector<Scanned>& files, const Options& options) {
+    const std::vector<Scanned>& files) {
   std::map<std::string, UnorderedDecl> tracked;
   for (const Scanned& f : files) {
-    if (!in_scope(f.src->path, options)) continue;
+    if (!in_scope(f.src->path)) continue;
     const std::string& s = f.clean;
     for (const char* container :
          {"unordered_map", "unordered_set", "unordered_multimap", "unordered_multiset"}) {
@@ -225,11 +224,10 @@ void check_seed_plumbing(const Scanned& f, std::vector<Finding>& findings) {
 
 }  // namespace
 
-void check_determinism(const std::vector<Scanned>& files, const Options& options,
-                       std::vector<Finding>& findings) {
-  const std::map<std::string, UnorderedDecl> tracked = collect_unordered_names(files, options);
+void check_determinism(const std::vector<Scanned>& files, std::vector<Finding>& findings) {
+  const std::map<std::string, UnorderedDecl> tracked = collect_unordered_names(files);
   for (const Scanned& f : files) {
-    if (!in_scope(f.src->path, options)) continue;
+    if (!in_scope(f.src->path)) continue;
     check_clocks_and_randomness(f, findings);
     check_unordered_iteration(f, tracked, findings);
     check_seed_plumbing(f, findings);

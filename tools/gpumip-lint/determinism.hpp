@@ -16,10 +16,9 @@
 // default-constructed engine is reproducible only by accident of the
 // implementation's default seed and invisible to the replay harness.
 //
-// Both rules apply inside Options::determinism_scope (path prefixes,
-// default "src/": the whole solve is replay-relevant) and share the
-// `determinism-ok` inline waiver — e.g. the host-lane wall timer keeps
-// its steady_clock with a justification, because its readings feed
+// Both rules apply inside src/ (the whole solve is replay-relevant) and
+// share the `determinism-ok` inline waiver — e.g. the host-lane wall timer
+// keeps its steady_clock with a justification, because its readings feed
 // reports, never the sim lane.
 #pragma once
 
@@ -30,9 +29,7 @@
 
 namespace gpumip::lint {
 
-/// Runs R15 + R16 over the scanned set, restricted to files inside
-/// `options.determinism_scope`.
-void check_determinism(const std::vector<Scanned>& files, const Options& options,
-                       std::vector<Finding>& findings);
+/// Runs R15 + R16 over the scanned set, restricted to files under src/.
+void check_determinism(const std::vector<Scanned>& files, std::vector<Finding>& findings);
 
 }  // namespace gpumip::lint

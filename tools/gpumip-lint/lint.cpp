@@ -1,16 +1,10 @@
 #include "lint.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <ostream>
+#include <iterator>
 #include <set>
 #include <sstream>
-#include <thread>
+#include <string_view>
 
 #include "callgraph.hpp"
 #include "cfg.hpp"
@@ -24,6 +18,15 @@
 namespace gpumip::lint {
 namespace {
 
+/// Path stems (matched against "<stem>.") whose files form the device
+/// context: raw DeviceBuffer::as<T>() access is legal there (R1), and
+/// their copy primitives are still subject to R2's device-span test.
+constexpr const char* kDeviceContext[] = {"linalg/batched", "linalg/device_blas", "gpu/device"};
+
+/// The one file allowed to move raw bytes (memcpy & friends): the Device
+/// transfer engine, which is what the H2D/D2H ledger instruments.
+constexpr std::string_view kTransferEngine = "gpu/device.cpp";
+
 /// True when `path` names a file of the confinement stem `stem`, i.e. the
 /// path contains "<stem>." — "gpu/device" matches gpu/device.cpp and
 /// gpu/device.hpp but not gpu/device_other.cpp.
@@ -33,9 +36,9 @@ bool matches_stem(const std::string& path, const std::string& stem) {
   return at == 0 || path[at - 1] == '/';
 }
 
-bool in_device_context(const std::string& path, const Options& options) {
-  return std::any_of(options.device_context.begin(), options.device_context.end(),
-                     [&](const std::string& stem) { return matches_stem(path, stem); });
+bool in_device_context(const std::string& path) {
+  return std::any_of(std::begin(kDeviceContext), std::end(kDeviceContext),
+                     [&](const char* stem) { return matches_stem(path, stem); });
 }
 
 bool mentions_device_span(const std::string& text) {
@@ -44,8 +47,8 @@ bool mentions_device_span(const std::string& text) {
 
 // ---- R1: memory-space confinement -----------------------------------------
 
-void check_r1(const Scanned& f, const Options& options, std::vector<Finding>& findings) {
-  if (in_device_context(f.src->path, options)) return;
+void check_r1(const Scanned& f, std::vector<Finding>& findings) {
+  if (in_device_context(f.src->path)) return;
   for (const char* pattern : {".as<", "->as<"}) {
     const std::string needle(pattern);
     for (std::size_t at = f.clean.find(needle); at != std::string::npos;
@@ -63,11 +66,9 @@ void check_r1(const Scanned& f, const Options& options, std::vector<Finding>& fi
 
 // ---- R2: transfer accounting ----------------------------------------------
 
-void check_r2(const Scanned& f, const Options& options, std::vector<Finding>& findings) {
+void check_r2(const Scanned& f, std::vector<Finding>& findings) {
   const std::string& path = f.src->path;
-  if (path.size() >= options.transfer_engine.size() &&
-      path.compare(path.size() - options.transfer_engine.size(), options.transfer_engine.size(),
-                   options.transfer_engine) == 0) {
+  if (path.ends_with(kTransferEngine)) {
     return;  // the transfer engine itself: the one audited home of raw copies
   }
   // (a) Untyped byte copies are invisible to the H2D/D2H ledger, so they
@@ -88,7 +89,7 @@ void check_r2(const Scanned& f, const Options& options, std::vector<Finding>& fi
   // move bytes across the host/device boundary without charging the copy
   // engine. Device-context files are exempt: their kernel bodies shuffle
   // device-resident data by design.
-  if (in_device_context(path, options)) return;
+  if (in_device_context(path)) return;
   for (const char* algo : {"copy", "copy_n", "fill", "fill_n"}) {
     for (std::size_t at : word_positions(f, algo)) {
       if (at < 2 || f.clean.compare(at - 2, 2, "::") != 0) continue;  // only std:: algorithms
@@ -324,7 +325,7 @@ std::string family_form(const std::string& name, std::vector<std::string> keys) 
 /// separate catalogs.
 void check_r4_names(const Scanned& f, const std::vector<R4Site>& sites,
                     bool registry_needs_obs_prefix, const std::string& kind,
-                    const std::string& doc_name, bool have_doc, const std::string& doc,
+                    const std::string& doc_name, const std::optional<std::string>& doc,
                     std::vector<Finding>& findings) {
   for (const R4Site& site_entry : sites) {
     const std::string& site = site_entry.name;
@@ -385,15 +386,14 @@ void check_r4_names(const Scanned& f, const std::vector<R4Site>& sites,
       }
       if (!keys.empty()) {
         const std::string family = family_form(name, keys);
-        if (have_doc && doc.find("`" + family + "`") == std::string::npos) {
+        if (doc && doc->find("`" + family + "`") == std::string::npos) {
           findings.push_back(
               {f.src->path, line, "R4",
                "labeled " + kind + " family '" + family + "' is not documented in " +
                    doc_name + "; every labeled family must appear (backticked) in "
                    "key-only form in the catalog"});
         }
-      } else if (!dynamic_key &&
-                 have_doc && doc.find("`" + name + "`") == std::string::npos) {
+      } else if (!dynamic_key && doc && doc->find("`" + name + "`") == std::string::npos) {
         findings.push_back(
             {f.src->path, line, "R4",
              kind + " name '" + name + "' is not documented in " + doc_name +
@@ -419,9 +419,9 @@ void check_r4(const Scanned& f, const Options& options, std::vector<Finding>& fi
       {"GPUMIP_TRACE_SPAN_OPEN", 1}, {"GPUMIP_TRACE_SCOPE"},
   };
   check_r4_names(f, kMetricSites, /*registry_needs_obs_prefix=*/true, "metric",
-                 "docs/METRICS.md", options.have_metrics_doc, options.metrics_doc, findings);
+                 "docs/METRICS.md", options.metrics_doc, findings);
   check_r4_names(f, kTraceSites, /*registry_needs_obs_prefix=*/true, "trace event",
-                 "docs/TRACING.md", options.have_tracing_doc, options.tracing_doc, findings);
+                 "docs/TRACING.md", options.tracing_doc, findings);
 }
 
 }  // namespace
@@ -469,122 +469,46 @@ std::vector<Suppression> parse_suppressions(const std::string& text, const std::
 }
 
 std::vector<Finding> run_lint(const std::vector<SourceFile>& files, const Options& options,
-                              std::vector<Suppression>& suppressions, RunStats* stats,
-                              std::vector<Finding>* waived_out) {
-  using Clock = std::chrono::steady_clock;
-  auto elapsed_ms = [](Clock::time_point since) {
-    return std::chrono::duration<double, std::milli>(Clock::now() - since).count();
-  };
-
+                              std::vector<Suppression>& suppressions) {
   std::vector<Finding> findings;
-  auto t0 = Clock::now();
-  // The per-file scan (lex + token index) is embarrassingly parallel: a
-  // small pool pulls file indices off a shared counter (same shape as the
-  // R5 header probes). Per-file finding slots and per-file timings keep
-  // the output and the serial-equivalent cost deterministic at any job
-  // count; everything downstream reads the shared Scanned array.
-  std::size_t jobs = options.jobs;
-  if (jobs == 0) {
-    jobs = std::max<std::size_t>(1, std::min<std::size_t>(8, std::thread::hardware_concurrency()));
-  }
-  jobs = std::min(jobs, std::max<std::size_t>(1, files.size()));
-  std::vector<Scanned> scanned(files.size());
-  std::vector<std::vector<Finding>> scan_slots(files.size());
-  std::vector<double> scan_times(files.size(), 0.0);
-  auto scan_one = [&](std::size_t idx) {
-    const auto file_t0 = Clock::now();
-    scanned[idx] = scan(files[idx], scan_slots[idx]);
-    scan_times[idx] = elapsed_ms(file_t0);
-  };
-  if (jobs == 1) {
-    for (std::size_t i = 0; i < files.size(); ++i) scan_one(i);
-  } else {
-    std::atomic<std::size_t> next{0};
-    auto worker = [&]() {
-      for (;;) {
-        const std::size_t idx = next.fetch_add(1);
-        if (idx >= files.size()) return;
-        scan_one(idx);
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(jobs);
-    for (std::size_t t = 0; t < jobs; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
-  for (std::vector<Finding>& slot : scan_slots) {
-    findings.insert(findings.end(), std::make_move_iterator(slot.begin()),
-                    std::make_move_iterator(slot.end()));
-  }
-  if (stats != nullptr) {
-    stats->scan_ms = elapsed_ms(t0);
-    stats->scan_jobs = jobs;
-    for (double ms : scan_times) stats->scan_serial_ms += ms;
-    stats->files = files.size();
-  }
+  std::vector<Scanned> scanned;
+  scanned.reserve(files.size());
+  for (const SourceFile& file : files) scanned.push_back(scan(file, findings));
 
-  t0 = Clock::now();
   const std::set<std::string> error_classes = collect_error_classes(scanned);
   for (const Scanned& f : scanned) {
-    check_r1(f, options, findings);
-    check_r2(f, options, findings);
+    check_r1(f, findings);
+    check_r2(f, findings);
     check_r3(f, error_classes, findings);
     check_r4(f, options, findings);
   }
-  if (stats != nullptr) stats->rules_ms = elapsed_ms(t0);
 
   // The declaration index and call graph are built once and shared by the
   // hot-path rules (R6-R9), the lifetime rules (R10-R12), and the
   // protocol rules (R13-R14).
-  std::vector<FunctionDecl> functions;
-  CallGraph graph;
-  if (options.have_hotpaths || options.lifetime_rules || options.protocol_rules) {
-    t0 = Clock::now();
-    functions = index_functions(scanned);
-    graph = build_call_graph(scanned, functions);
-    if (stats != nullptr) {
-      stats->index_ms = elapsed_ms(t0);
-      stats->functions = functions.size();
-    }
-  }
+  const std::vector<FunctionDecl> functions = index_functions(scanned);
+  const CallGraph graph = build_call_graph(scanned, functions);
 
   // Hot-path rules R6-R9: walk the call graph from the manifest roots.
-  if (options.have_hotpaths) {
-    t0 = Clock::now();
+  if (options.hotpaths) {
     const HotPathManifest manifest =
-        parse_hotpaths(options.hotpaths, options.hotpaths_path, findings);
+        parse_hotpaths(*options.hotpaths, options.hotpaths_path, findings);
     check_hotpaths(scanned, manifest, options.hotpaths_path, functions, graph, findings);
-    if (stats != nullptr) stats->hotpath_ms = elapsed_ms(t0);
   }
 
   // The noreturn set feeds both CFG consumers (lifetime and protocol).
-  std::set<std::string> noreturn_names;
-  if (options.lifetime_rules || options.protocol_rules) {
-    noreturn_names = collect_noreturn_names(scanned);
-  }
+  const std::set<std::string> noreturn_names = collect_noreturn_names(scanned);
 
   // Lifetime rules R10-R12: per-function CFGs + forward dataflow.
-  if (options.lifetime_rules) {
-    t0 = Clock::now();
-    check_lifetimes(scanned, functions, graph, noreturn_names, findings);
-    if (stats != nullptr) stats->lifetime_ms = elapsed_ms(t0);
-  }
+  check_lifetimes(scanned, functions, graph, noreturn_names, findings);
 
   // Protocol rules R13-R14: serializer/deserializer symmetry per CFG path,
   // tag-protocol coverage, exhausted() checks.
-  if (options.protocol_rules) {
-    t0 = Clock::now();
-    check_protocol(scanned, functions, graph, noreturn_names, findings);
-    if (stats != nullptr) stats->protocol_ms = elapsed_ms(t0);
-  }
+  check_protocol(scanned, functions, graph, noreturn_names, findings);
 
   // Determinism rules R15-R16: replay-relevant nondeterminism sources and
   // seed plumbing.
-  if (options.determinism_rules) {
-    t0 = Clock::now();
-    check_determinism(scanned, options, findings);
-    if (stats != nullptr) stats->determinism_ms = elapsed_ms(t0);
-  }
+  check_determinism(scanned, findings);
 
   // Apply the suppression file: a finding survives unless an entry matches
   // its rule, file suffix, and offending source line.
@@ -612,7 +536,6 @@ std::vector<Finding> run_lint(const std::vector<SourceFile>& files, const Option
         }
       }
     }
-    if (suppressed && waived_out != nullptr) waived_out->push_back(fi);
     if (!suppressed) kept.push_back(std::move(fi));
   }
   // Stale entries are findings too: a suppression must not outlive the
@@ -629,678 +552,6 @@ std::vector<Finding> run_lint(const std::vector<SourceFile>& files, const Option
            std::tie(b.file, b.line, b.rule, b.message);
   });
   return kept;
-}
-
-std::vector<Finding> check_headers_standalone(const std::vector<std::string>& headers,
-                                              const std::string& include_dir,
-                                              const std::string& compiler,
-                                              const std::string& scratch_dir,
-                                              std::size_t jobs) {
-  namespace fs = std::filesystem;
-  fs::create_directories(scratch_dir);
-  if (jobs == 0) {
-    jobs = std::max<std::size_t>(1, std::min<std::size_t>(8, std::thread::hardware_concurrency()));
-  }
-  jobs = std::min(jobs, std::max<std::size_t>(1, headers.size()));
-
-  // One probe per header, each its own compiler invocation — independent
-  // work, so a small pool pulls headers off a shared counter. Results land
-  // in per-header slots to keep the output in header order.
-  std::vector<std::vector<Finding>> slots(headers.size());
-  std::atomic<std::size_t> next{0};
-  auto probe = [&]() {
-    for (;;) {
-      const std::size_t idx = next.fetch_add(1);
-      if (idx >= headers.size()) return;
-      const std::string& header = headers[idx];
-      std::string mangled = header;
-      std::replace(mangled.begin(), mangled.end(), '/', '_');
-      const fs::path tu = fs::path(scratch_dir) / (mangled + ".standalone.cpp");
-      const fs::path log = fs::path(scratch_dir) / (mangled + ".log");
-      {
-        std::ofstream out(tu);
-        out << "// generated by gpumip-lint R5: the header must compile alone\n"
-            << "#include \"" << header << "\"\n";
-      }
-      const std::string cmd = compiler + " -std=c++20 -fsyntax-only -I \"" + include_dir +
-                              "\" \"" + tu.string() + "\" > \"" + log.string() + "\" 2>&1";
-      const int rc = std::system(cmd.c_str());  // NOLINT: deliberate tool invocation
-      if (rc == 0) continue;
-      std::string detail;
-      {
-        std::ifstream in(log);
-        std::string line;
-        int kept_lines = 0;
-        while (std::getline(in, line) && kept_lines < 6) {
-          detail += "\n    " + line;
-          ++kept_lines;
-        }
-      }
-      slots[idx].push_back({include_dir + "/" + header, 1, "R5",
-                            "header is not self-contained (fails to compile as its own "
-                            "translation unit):" + detail});
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(jobs);
-  for (std::size_t t = 0; t < jobs; ++t) pool.emplace_back(probe);
-  for (std::thread& t : pool) t.join();
-
-  std::vector<Finding> findings;
-  for (std::vector<Finding>& slot : slots) {
-    findings.insert(findings.end(), std::make_move_iterator(slot.begin()),
-                    std::make_move_iterator(slot.end()));
-  }
-  return findings;
-}
-
-namespace {
-
-/// Runs the engine over one fixture and reports whether `rule` fired.
-bool fires(const std::string& path, const std::string& content, const std::string& rule,
-           const Options& options) {
-  std::vector<Suppression> none;
-  std::vector<Finding> findings = run_lint({{path, content}}, options, none);
-  return std::any_of(findings.begin(), findings.end(),
-                     [&](const Finding& f) { return f.rule == rule; });
-}
-
-/// Like `fires`, but with a hot-path manifest installed first.
-bool fires_hot(const std::string& content, const std::string& manifest, const std::string& rule,
-               Options options) {
-  options.hotpaths = manifest;
-  options.have_hotpaths = true;
-  return fires("src/lp/fixture.cpp", content, rule, options);
-}
-
-}  // namespace
-
-bool run_self_test(std::ostream& out) {
-  Options options;
-  options.metrics_doc = "| `gpumip.test.documented.total` | — | — | fixture |\n"
-                        "| `gpumip.test.labeled.total{method}` | — | — | fixture |\n";
-  options.have_metrics_doc = true;
-  options.tracing_doc = "| `gpumip.test.documented.event` | i | — | fixture |\n";
-  options.have_tracing_doc = true;
-  int failed = 0;
-  auto expect = [&](bool ok, const std::string& what) {
-    out << "    [" << (ok ? "ok" : "FAIL") << "] " << what << "\n";
-    if (!ok) ++failed;
-  };
-  // Per-rule wall time: `mark("Rn")` closes the section that started at
-  // the previous mark (or at entry) and prints its elapsed time.
-  auto section_start = std::chrono::steady_clock::now();
-  auto mark = [&](const char* rule) {
-    const auto now = std::chrono::steady_clock::now();
-    const auto us =
-        std::chrono::duration_cast<std::chrono::microseconds>(now - section_start).count();
-    out << "    [time] " << rule << " fixtures: " << (static_cast<double>(us) / 1000.0)
-        << " ms\n";
-    section_start = now;
-  };
-
-  // R1: raw device access fires outside the device context, is quiet
-  // inside it, and the inline annotation waives it.
-  const std::string r1 = "void f(B& b) { auto s = b.as<double>(); }\n";
-  expect(fires("src/mip/fixture.cpp", r1, "R1", options), "R1 fires outside device context");
-  expect(!fires("src/linalg/device_blas.cpp", r1, "R1", options),
-         "R1 quiet in a device-context file");
-  expect(!fires("src/mip/fixture.cpp",
-                "// gpumip-lint: device-context(fixture kernel body)\n" + r1, "R1", options),
-         "R1 waived by device-context annotation");
-  mark("R1");
-
-  // R2a: raw byte copies fire outside the transfer engine only.
-  const std::string r2 = "void f() { std::memcpy(d, s, n); }\n";
-  expect(fires("src/lp/fixture.cpp", r2, "R2", options), "R2 fires on memcpy outside engine");
-  expect(!fires("src/gpu/device.cpp", r2, "R2", options), "R2 quiet in the transfer engine");
-  expect(!fires("src/lp/fixture.cpp",
-                "// gpumip-lint: host-only(fixture serializer)\n" + r2, "R2", options),
-         "R2 waived by host-only annotation");
-  // R2b: typed algorithms over a device span.
-  expect(fires("src/lp/fixture.cpp",
-               "void f(B& b) { std::copy(v.begin(), v.end(), b.as<double>().data()); }\n", "R2",
-               options),
-         "R2 fires on std::copy into a device span");
-  expect(!fires("src/lp/fixture.cpp", "void f() { std::copy(v.begin(), v.end(), w.begin()); }\n",
-                "R2", options),
-         "R2 quiet on host-to-host std::copy");
-  mark("R2");
-
-  // R3: raw std exceptions fire; locally declared Error subclasses do not.
-  expect(fires("src/lp/fixture.cpp", "void f() { throw std::runtime_error(\"x\"); }\n", "R3",
-               options),
-         "R3 fires on std::runtime_error");
-  expect(fires("src/lp/fixture.cpp", "void f() { throw \"bare literal\"; }\n", "R3", options),
-         "R3 fires on a literal throw");
-  expect(!fires("src/lp/fixture.cpp",
-                "struct FixtureError : Error {};\n"
-                "void f() { throw FixtureError(); }\n",
-                "R3", options),
-         "R3 quiet on a declared Error subclass");
-  expect(!fires("src/lp/fixture.cpp", "void f() { try { g(); } catch (...) { throw; } }\n", "R3",
-                options),
-         "R3 quiet on rethrow");
-  mark("R3");
-
-  // R4: grammar violations and undocumented names fire; documented
-  // conforming names do not.
-  expect(fires("src/lp/fixture.cpp", "void f() { GPUMIP_OBS_COUNT(\"lp.fixture.calls\"); }\n",
-               "R4", options),
-         "R4 fires on a name outside the gpumip. namespace");
-  expect(fires("src/lp/fixture.cpp",
-               "void f() { GPUMIP_OBS_COUNT(\"gpumip.fixture.undocumented\"); }\n", "R4", options),
-         "R4 fires on an undocumented name");
-  expect(!fires("src/lp/fixture.cpp",
-                "void f() { GPUMIP_OBS_COUNT(\"gpumip.test.documented.total\"); }\n", "R4",
-                options),
-         "R4 quiet on a documented conforming name");
-
-  // R4 trace-event surface: GPUMIP_TRACE_* sites check the same grammar
-  // against the docs/TRACING.md catalog instead of docs/METRICS.md.
-  expect(fires("src/lp/fixture.cpp", "void f() { GPUMIP_TRACE_INSTANT(\"lp.fixture.event\", 0); }\n",
-               "R4", options),
-         "R4 fires on a trace name outside the gpumip. namespace");
-  expect(fires("src/lp/fixture.cpp",
-               "void f() { GPUMIP_TRACE_BEGIN(\"gpumip.fixture.undocumented\", 0); }\n", "R4",
-               options),
-         "R4 fires on an undocumented trace name");
-  expect(fires("src/lp/fixture.cpp",
-               "void f() { GPUMIP_TRACE_INSTANT(\"gpumip.test.documented.total\", 0); }\n", "R4",
-               options),
-         "R4 keeps the trace and metric catalogs separate");
-  expect(!fires("src/lp/fixture.cpp",
-                "void f() { GPUMIP_TRACE_INSTANT(\"gpumip.test.documented.event\", 0); }\n", "R4",
-                options),
-         "R4 quiet on a documented trace name");
-  expect(!fires("src/lp/fixture.cpp",
-                "// gpumip-lint: metric-name(fixture dynamic event)\n"
-                "void f() { GPUMIP_TRACE_INSTANT(\"gpumip.fixture.undocumented\", 0); }\n",
-                "R4", options),
-         "R4 trace finding waived by metric-name annotation");
-
-  // R4 labeled surface: *_L macros and labeled registry lookups check the
-  // key grammar and document the key-only family form (docs/METRICS.md
-  // "Labels"); label values stay free-form, including runtime expressions.
-  expect(fires("src/lp/fixture.cpp",
-               "void f() { GPUMIP_OBS_COUNT_L(\"gpumip.test.labeled.total\","
-               " {\"Method\", \"x\"}); }\n",
-               "R4", options),
-         "R4 fires on a label key outside the [a-z_]+ grammar");
-  expect(fires("src/lp/fixture.cpp",
-               "void f() { GPUMIP_OBS_COUNT_L(\"gpumip.test.documented.total\","
-               " {\"method\", \"x\"}); }\n",
-               "R4", options),
-         "R4 fires on an undocumented labeled family (bare name is not enough)");
-  expect(!fires("src/lp/fixture.cpp",
-                "void f() { GPUMIP_OBS_COUNT_L(\"gpumip.test.labeled.total\","
-                " {\"method\", \"x\"}); }\n",
-                "R4", options),
-         "R4 quiet on a documented labeled family");
-  expect(!fires("src/lp/fixture.cpp",
-                "void f(const std::string& r) {"
-                " obs::counter(\"gpumip.test.labeled.total\", {{\"method\", r}}).add(1); }\n",
-                "R4", options),
-         "R4 quiet on a registry lookup with a literal key and a runtime value");
-  mark("R4");
-
-  // Suppression round trip: a matching entry silences the finding and is
-  // marked used; an unmatched entry is reported stale.
-  {
-    std::vector<Finding> parse_findings;
-    std::vector<Suppression> sups = parse_suppressions(
-        "R2 lp/fixture.cpp std::memcpy -- fixture: host-only serialization\n", "(suppressions)",
-        parse_findings);
-    std::vector<Finding> findings = run_lint({{"src/lp/fixture.cpp", r2}}, options, sups);
-    expect(parse_findings.empty() && findings.empty() && sups.size() == 1 && sups[0].used,
-           "suppression with justification silences the finding");
-  }
-  {
-    std::vector<Finding> parse_findings;
-    std::vector<Suppression> sups = parse_suppressions(
-        "R2 lp/fixture.cpp std::memcpy -- excuse without offender\n", "(suppressions)",
-        parse_findings);
-    std::vector<Finding> findings =
-        run_lint({{"src/lp/clean.cpp", "void f() {}\n"}}, options, sups);
-    expect(findings.size() == 1 && findings[0].rule == "SUP",
-           "stale suppression is itself a finding");
-  }
-  {
-    std::vector<Finding> parse_findings;
-    parse_suppressions("R2 lp/fixture.cpp std::memcpy\n", "(suppressions)", parse_findings);
-    expect(parse_findings.size() == 1 && parse_findings[0].rule == "SUP",
-           "suppression without justification is rejected");
-  }
-  mark("SUP");
-
-  // ---- hot-path rules R6-R9 (call-graph-rooted, manifest-driven) ----
-  const std::string manifest =
-      "root hot_loop -- fixture: the iteration loop\n"
-      "wave wave_loop -- fixture: device-wave critical section\n"
-      "stop cold_setup -- fixture: once-per-solve setup path\n"
-      "payload Payload -- fixture: message payloads must not copy\n"
-      "blocking blocking_recv -- fixture: simulated blocking receive\n";
-  const std::string instrumented =
-      "void hot_loop() { GPUMIP_OBS_COUNT(\"gpumip.test.documented.total\"); body(); }\n";
-
-  // R6: allocation in the root fires; transitive allocation through a
-  // callee fires; preallocated indexing stays quiet; throw statements and
-  // the hot-alloc annotation waive.
-  expect(fires_hot("void hot_loop() {\n"
-                   "  GPUMIP_OBS_COUNT(\"gpumip.test.documented.total\");\n"
-                   "  buf.push_back(1.0);\n"
-                   "}\n",
-                   manifest, "R6", options),
-         "R6 fires on container growth in a root");
-  expect(fires_hot("void helper() { auto* p = new int(3); use(p); }\n"
-                   "void hot_loop() {\n"
-                   "  GPUMIP_OBS_COUNT(\"gpumip.test.documented.total\");\n"
-                   "  helper();\n"
-                   "}\n",
-                   manifest, "R6", options),
-         "R6 fires transitively through the call graph");
-  expect(!fires_hot("void hot_loop() {\n"
-                    "  GPUMIP_OBS_COUNT(\"gpumip.test.documented.total\");\n"
-                    "  buf[i] = buf[i] * 2.0;\n"
-                    "}\n",
-                    manifest, "R6", options),
-         "R6 quiet on preallocated indexing");
-  expect(!fires_hot("void cold_setup() { buf.push_back(1.0); }\n"
-                    "void hot_loop() {\n"
-                    "  GPUMIP_OBS_COUNT(\"gpumip.test.documented.total\");\n"
-                    "  cold_setup();\n"
-                    "}\n",
-                    manifest, "R6", options),
-         "R6 quiet past a stop entry (traversal prunes)");
-  expect(!fires_hot("void hot_loop() {\n"
-                    "  GPUMIP_OBS_COUNT(\"gpumip.test.documented.total\");\n"
-                    "  if (bad) throw FixtureError(std::string(\"context\"));\n"
-                    "}\n",
-                    manifest, "R6", options),
-         "R6 quiet on allocation inside a throw statement");
-  expect(!fires_hot("void hot_loop() {\n"
-                    "  GPUMIP_OBS_COUNT(\"gpumip.test.documented.total\");\n"
-                    "  buf.push_back(1.0);  // gpumip-lint: hot-alloc(fixture amortized)\n"
-                    "}\n",
-                    manifest, "R6", options),
-         "R6 waived by hot-alloc annotation");
-  expect(fires_hot("void target_fn() { auto* p = new int(1); use(p); }\n"
-                   "void hot_loop() {\n"
-                   "  GPUMIP_OBS_COUNT(\"gpumip.test.documented.total\");\n"
-                   "  std::function<void()> cb = target_fn;  "
-                   "// gpumip-lint: hot-alloc(fixture dispatch setup)\n"
-                   "  cb();\n"
-                   "}\n",
-                   manifest, "R6", options),
-         "R6 follows conservative std::function edges to address-taken functions");
-  mark("R6");
-
-  // R7: by-value payload parameters and returns fire; references, views,
-  // and the hot-copy annotation stay quiet.
-  expect(fires_hot("void handle(Payload p) { use(p); }\n" + instrumented +
-                       "void body() { handle(x); }\n",
-                   manifest, "R7", options),
-         "R7 fires on a by-value payload parameter");
-  expect(fires_hot("Payload make() { return y; }\n" + instrumented +
-                       "void body() { auto m = make(); }\n",
-                   manifest, "R7", options),
-         "R7 fires on a by-value payload return");
-  expect(!fires_hot("void handle(const Payload& p) { use(p); }\n" + instrumented +
-                        "void body() { handle(x); }\n",
-                    manifest, "R7", options),
-         "R7 quiet on a payload reference");
-  expect(!fires_hot("// gpumip-lint: hot-copy(fixture: NRVO, payload is moved)\n"
-                    "Payload make() { return y; }\n" +
-                        instrumented + "void body() { auto m = make(); }\n",
-                    manifest, "R7", options),
-         "R7 waived by hot-copy annotation");
-  expect(!fires_hot("void unreachable(Payload p) { use(p); }\n" + instrumented +
-                        "void body() { work(); }\n",
-                    manifest, "R7", options),
-         "R7 quiet on functions unreachable from any root");
-  mark("R7");
-
-  // R8: blocking sites fire under a wave root only; the hot-block
-  // annotation and manifest-declared blocking names behave.
-  const std::string wave_instrumented =
-      "void wave_loop() { GPUMIP_TRACE_BEGIN(\"gpumip.test.documented.event\", 0); step(); }\n";
-  expect(fires_hot(wave_instrumented +
-                       "void step() { std::lock_guard<std::mutex> g(mu); work(); }\n",
-                   manifest, "R8", options),
-         "R8 fires on a lock inside a device-wave critical section");
-  expect(fires_hot(wave_instrumented + "void step() { blocking_recv(); }\n", manifest, "R8",
-                   options),
-         "R8 fires on a manifest-declared blocking call");
-  expect(!fires_hot("void hot_loop() {\n"
-                    "  GPUMIP_OBS_COUNT(\"gpumip.test.documented.total\");\n"
-                    "  std::lock_guard<std::mutex> g(mu);\n"
-                    "}\n",
-                    manifest, "R8", options),
-         "R8 quiet outside wave roots (plain roots may lock)");
-  expect(!fires_hot(wave_instrumented +
-                        "void step() {\n"
-                        "  std::lock_guard<std::mutex> g(mu);  "
-                        "// gpumip-lint: hot-block(fixture: uncontended stats lock)\n"
-                        "}\n",
-                    manifest, "R8", options),
-         "R8 waived by hot-block annotation");
-  mark("R8");
-
-  // R9: an uninstrumented root fires; any GPUMIP_OBS_/GPUMIP_TRACE_/obs::
-  // site in its extent satisfies the rule.
-  expect(fires_hot("void hot_loop() { work(); }\n", manifest, "R9", options),
-         "R9 fires on an uninstrumented root");
-  expect(!fires_hot(instrumented + "void body() { work(); }\n", manifest, "R9", options),
-         "R9 quiet on an instrumented root");
-  mark("R9");
-
-  // HOT: stale and malformed manifest entries are findings. The fixture
-  // defines every root/wave/stop the base manifest names, so any HOT
-  // finding comes from the entry under test.
-  const std::string complete =
-      "void hot_loop() { GPUMIP_OBS_COUNT(\"gpumip.test.documented.total\"); }\n"
-      "void wave_loop() { GPUMIP_TRACE_BEGIN(\"gpumip.test.documented.event\", 0); }\n"
-      "void cold_setup() { setup(); }\n";
-  expect(fires_hot(complete, manifest + "root vanished_fn -- fixture: stale entry\n", "HOT",
-                   options),
-         "HOT fires on a root entry matching no function");
-  expect(fires_hot(complete, manifest + "root orphan_entry_without_reason\n", "HOT", options),
-         "HOT fires on an entry missing its justification");
-  expect(!fires_hot(complete, manifest, "HOT", options),
-         "HOT quiet on a manifest that matches the code");
-  mark("HOT");
-
-  // ---- lifetime dataflow rules R10-R12 (CFG + fixpoint, lifetime.hpp) ----
-
-  // R10: use-after-move on some path; reassignment kills; branches that
-  // divert (early return) keep moved and used paths apart.
-  expect(fires("src/lp/fixture.cpp",
-               "void f() { auto v = make(); sink(std::move(v)); use(v.size()); }\n", "R10",
-               options),
-         "R10 fires on a straight-line use after move");
-  expect(!fires("src/lp/fixture.cpp",
-                "void f() { auto v = make(); sink(std::move(v)); v = make(); use(v.size()); }\n",
-                "R10", options),
-         "R10 quiet when the local is reassigned after the move");
-  expect(!fires("src/lp/fixture.cpp",
-                "void f() {\n"
-                "  auto v = make();\n"
-                "  if (c) { sink(std::move(v)); return; }\n"
-                "  use(v.size());\n"
-                "}\n",
-                "R10", options),
-         "R10 quiet when an early return keeps the moved path apart");
-  expect(fires("src/lp/fixture.cpp",
-               "void f() { auto v = make(); while (go()) { use(v.size()); sink(std::move(v)); } }\n",
-               "R10", options),
-         "R10 fires through a loop back edge (moved last iteration)");
-  expect(fires("src/lp/fixture.cpp",
-               "void f() { auto v = make(); sink(std::move(v)); auto cb = [v]() { return 0; }; cb(); }\n",
-               "R10", options),
-         "R10 fires on a lambda capturing a moved-from local");
-  expect(!fires("src/lp/fixture.cpp",
-                "void f() { auto v = make(); sink(std::move(v));\n"
-                "  use(v.size());  // gpumip-lint: moved-ok(fixture: intentional reuse)\n"
-                "}\n",
-                "R10", options),
-         "R10 waived by moved-ok annotation");
-  mark("R10");
-
-  // R11: a derived arena block/span is stale after its source resets —
-  // directly, on only one branch (may-analysis), or through a call-graph-
-  // proven resetter. Re-deriving kills the stale bit.
-  expect(fires("src/lp/fixture.cpp",
-               "void f(Arena& arena) { auto blk = arena.allot(64); arena.reset(); use(blk); }\n",
-               "R11", options),
-         "R11 fires on use after a direct arena reset");
-  expect(!fires("src/lp/fixture.cpp",
-                "void f(Arena& arena) {\n"
-                "  auto blk = arena.allot(64);\n"
-                "  arena.reset();\n"
-                "  blk = arena.allot(64);\n"
-                "  use(blk);\n"
-                "}\n",
-                "R11", options),
-         "R11 quiet when the block is re-derived after the reset");
-  expect(fires("src/lp/fixture.cpp",
-               "void f(Arena& arena) { auto blk = arena.allot(64); if (c) arena.reset(); use(blk); }\n",
-               "R11", options),
-         "R11 fires when only one branch resets (may-analysis)");
-  expect(fires("src/lp/fixture.cpp",
-               "void shrink(Arena& a) { a.reset(); }\n"
-               "void f(Arena& arena) { auto blk = arena.allot(64); shrink(arena); use(blk); }\n",
-               "R11", options),
-         "R11 fires through a call-graph-proven resetter");
-  expect(!fires("src/lp/fixture.cpp",
-                "void f(Arena& arena) { auto blk = arena.allot(64); arena.reset();\n"
-                "  use(blk);  // gpumip-lint: arena-ok(fixture: slab persists)\n"
-                "}\n",
-                "R11", options),
-         "R11 waived by arena-ok annotation");
-  mark("R11");
-
-  // R12: raw GPUMIP_TRACE_BEGIN/END balance over every path. RAII forms
-  // are exempt; lambda bodies are separate graphs.
-  const std::string beg = "GPUMIP_TRACE_BEGIN(\"gpumip.test.documented.event\", 0);";
-  const std::string fin = "GPUMIP_TRACE_END(\"gpumip.test.documented.event\", 0);";
-  expect(fires("src/lp/fixture.cpp",
-               "void f() { " + beg + " if (c) return; " + fin + " }\n", "R12", options),
-         "R12 fires on an early return inside an open span");
-  expect(!fires("src/lp/fixture.cpp",
-                "void f() { if (c) return; " + beg + " work(); " + fin + " }\n", "R12", options),
-         "R12 quiet on a balanced span (early return before it opens)");
-  expect(fires("src/lp/fixture.cpp", "void f() { " + beg + " work(); }\n", "R12", options),
-         "R12 fires on a span left open when falling off the end");
-  expect(fires("src/lp/fixture.cpp",
-               "void f(int k) {\n"
-               "  switch (k) {\n"
-               "    case 0: " + beg + " case 1: " + fin + " break;\n"
-               "  }\n"
-               "}\n",
-               "R12", options),
-         "R12 fires on switch fallthrough unbalancing a span");
-  expect(fires("src/lp/fixture.cpp",
-               "void f() { " + beg + " if (bad) throw Error(); " + fin + " }\n", "R12", options),
-         "R12 fires on a throw escaping an open span");
-  expect(fires("src/lp/fixture.cpp",
-               "[[noreturn]] void die();\n"
-               "void f() { " + beg + " if (bad) die(); " + fin + " }\n",
-               "R12", options),
-         "R12 fires on a noreturn call escaping an open span");
-  expect(!fires("src/lp/fixture.cpp",
-                "void f() { GPUMIP_TRACE_SCOPE(\"gpumip.test.documented.event\", 0); work(); }\n",
-                "R12", options),
-         "R12 quiet on the RAII span forms");
-  expect(!fires("src/lp/fixture.cpp",
-                "void f() {\n"
-                "  auto cb = []() { " + beg + " work(); " + fin + " };\n"
-                "  " + beg + " cb(); " + fin + "\n"
-                "}\n",
-                "R12", options),
-         "R12 quiet when function and lambda each balance their own span");
-  expect(fires("src/lp/fixture.cpp",
-               "void f() { auto cb = []() { " + beg + " }; cb(); }\n", "R12", options),
-         "R12 fires on a span left open inside a lambda body");
-  expect(!fires("src/lp/fixture.cpp",
-                "void f() { " + beg + "\n"
-                "  if (c) return;  // gpumip-lint: span-ok(fixture: caller closes)\n"
-                "  " + fin + " }\n",
-                "R12", options),
-         "R12 waived by span-ok annotation");
-  mark("R12");
-
-  // ---- protocol rules R13-R14 (wire-format + tags, protocol.hpp) ----
-
-  // R13: a serializer/deserializer pair (encode_/decode_ convention) whose
-  // typed op sequences disagree fires; matching sequences (deduced-type
-  // writes are wildcards), mirrored loops, and the wire-ok waiver behave.
-  const std::string decode_ok =
-      "Item decode_item(std::span<const std::byte> p) {\n"
-      "  ByteReader r(p);\n"
-      "  Item it;\n"
-      "  it.a = r.read<double>();\n"
-      "  it.b = r.read<int>();\n"
-      "  check_arg(r.exhausted(), \"trailing bytes\");\n"
-      "  return it;\n"
-      "}\n";
-  expect(fires("src/lp/fixture.cpp",
-               "void encode_item(const Item& it, ByteWriter& w) {\n"
-               "  w.write<double>(it.a);\n"
-               "  w.write<double>(it.b);\n"
-               "}\n" + decode_ok,
-               "R13", options),
-         "R13 fires on a write<double>/read<int> type mismatch");
-  expect(fires("src/lp/fixture.cpp",
-               "void encode_item(const Item& it, ByteWriter& w) {\n"
-               "  w.write<double>(it.a);\n"
-               "}\n" + decode_ok,
-               "R13", options),
-         "R13 fires on a field-count mismatch");
-  expect(!fires("src/lp/fixture.cpp",
-                "void encode_item(const Item& it, ByteWriter& w) {\n"
-                "  w.write<double>(it.a);\n"
-                "  w.write(it.b);\n"
-                "}\n" + decode_ok,
-                "R13", options),
-         "R13 quiet on matching sequences (deduced write matches any scalar)");
-  expect(fires("src/lp/fixture.cpp",
-               "void encode_item(const Item& it, ByteWriter& w) {\n"
-               "  w.write<double>(it.a);\n"
-               "  if (it.extended) { w.write<int>(it.b); }\n"
-               "}\n" + decode_ok,
-               "R13", options),
-         "R13 fires on branch asymmetry (writer branches, reader does not)");
-  expect(!fires("src/lp/fixture.cpp",
-                "void encode_list(const L& l, ByteWriter& w) {\n"
-                "  w.write<std::uint64_t>(l.count);\n"
-                "  for (const auto& v : l.items) { w.write_doubles(v); }\n"
-                "}\n"
-                "L decode_list(std::span<const std::byte> p) {\n"
-                "  ByteReader r(p);\n"
-                "  L l;\n"
-                "  l.count = r.read<std::uint64_t>();\n"
-                "  for (std::uint64_t i = 0; i < l.count; ++i) { l.items.push_back(r.read_doubles()); }\n"
-                "  check_arg(r.exhausted(), \"trailing bytes\");\n"
-                "  return l;\n"
-                "}\n",
-                "R13", options),
-         "R13 quiet on mirrored count-prefixed loops");
-  expect(!fires("src/lp/fixture.cpp",
-                "// gpumip-lint: wire-ok(fixture: versioned decode accepts the legacy layout)\n"
-                "void encode_item(const Item& it, ByteWriter& w) {\n"
-                "  w.write<double>(it.a);\n"
-                "}\n" + decode_ok,
-                "R13", options),
-         "R13 waived by wire-ok annotation");
-  mark("R13");
-
-  // R14a: a tag only ever sent fires; an ==/case/filtered-recv handler
-  // anywhere in the set satisfies it. R14b: constructing a ByteReader
-  // without an exhausted() check fires.
-  const std::string send_site = "void p(Comm& c) { c.send(1, kTagPing, payload); }\n";
-  expect(fires("src/lp/fixture.cpp", send_site, "R14", options),
-         "R14 fires on a tag no handler examines");
-  expect(!fires("src/lp/fixture.cpp",
-                send_site +
-                    "void q(Comm& c) { Message m = c.recv(); if (m.tag == kTagPing) { on(m); } }\n",
-                "R14", options),
-         "R14 quiet when a dispatch site compares the tag");
-  expect(!fires("src/lp/fixture.cpp",
-                send_site + "void q(int t) { switch (t) { case kTagPing: on(); break; } }\n",
-                "R14", options),
-         "R14 quiet when a case label matches the tag");
-  expect(!fires("src/lp/fixture.cpp",
-                "// gpumip-lint: wire-ok(fixture: peer handles it in another repo)\n" + send_site,
-                "R14", options),
-         "R14 tag finding waived by wire-ok annotation");
-  expect(fires("src/lp/fixture.cpp",
-               "int decode_one(std::span<const std::byte> p) { ByteReader r(p); return r.read<int>(); }\n",
-               "R14", options),
-         "R14 fires on a deserializer that never checks exhausted()");
-  expect(!fires("src/lp/fixture.cpp",
-                "int decode_one(std::span<const std::byte> p) {\n"
-                "  ByteReader r(p);\n"
-                "  int v = r.read<int>();\n"
-                "  check_arg(r.exhausted(), \"trailing bytes\");\n"
-                "  return v;\n"
-                "}\n",
-                "R14", options),
-         "R14 quiet when the deserializer checks exhausted()");
-  expect(!fires("src/lp/fixture.cpp",
-                "int decode_one(std::span<const std::byte> p) {\n"
-                "  // gpumip-lint: wire-ok(fixture: framing layer validates length)\n"
-                "  ByteReader r(p);\n"
-                "  return r.read<int>();\n"
-                "}\n",
-                "R14", options),
-         "R14 exhausted finding waived by wire-ok annotation");
-  mark("R14");
-
-  // ---- determinism rules R15-R16 (determinism.hpp) ----
-
-  // R15: wall clocks, unseeded randomness, and unordered iteration fire
-  // inside the determinism scope; out-of-scope files and ordered
-  // containers stay quiet; determinism-ok waives.
-  const std::string clock_use =
-      "double now_s() { return std::chrono::steady_clock::now().time_since_epoch().count(); }\n";
-  expect(fires("src/lp/fixture.cpp", clock_use, "R15", options),
-         "R15 fires on a wall-clock read in replay-relevant code");
-  expect(!fires("bench/fixture.cpp", clock_use, "R15", options),
-         "R15 quiet outside the determinism scope");
-  expect(fires("src/lp/fixture.cpp", "void f() { std::random_device rd; use(rd()); }\n", "R15",
-               options),
-         "R15 fires on random_device entropy");
-  expect(fires("src/lp/fixture.cpp",
-               "std::unordered_map<int, double> table_;\n"
-               "void dump() { for (const auto& kv : table_) { emit(kv); } }\n",
-               "R15", options),
-         "R15 fires on iteration over an unordered container");
-  expect(!fires("src/lp/fixture.cpp",
-                "std::map<int, double> table_;\n"
-                "void dump() { for (const auto& kv : table_) { emit(kv); } }\n",
-                "R15", options),
-         "R15 quiet on iteration over an ordered map");
-  expect(!fires("src/lp/fixture.cpp",
-                "std::unordered_map<int, double> table_;\n"
-                "void dump() {\n"
-                "  // gpumip-lint: determinism-ok(fixture: debug dump, never feeds the solve)\n"
-                "  for (const auto& kv : table_) { emit(kv); }\n"
-                "}\n",
-                "R15", options),
-         "R15 waived by determinism-ok annotation");
-  mark("R15");
-
-  // R16: default-constructed engines fire; explicitly seeded engines and
-  // ctor-init-seeded members stay quiet; determinism-ok waives.
-  expect(fires("src/lp/fixture.cpp", "void f() { std::mt19937_64 gen; use(gen()); }\n", "R16",
-               options),
-         "R16 fires on a default-constructed std engine");
-  expect(fires("src/lp/fixture.cpp", "void f() { Rng rng; use(rng.uniform(0.0, 1.0)); }\n",
-               "R16", options),
-         "R16 fires on a default-constructed Rng wrapper");
-  expect(!fires("src/lp/fixture.cpp",
-                "void f(std::uint64_t seed) { std::mt19937_64 gen(seed); use(gen()); }\n", "R16",
-                options),
-         "R16 quiet on an explicitly seeded engine");
-  expect(!fires("src/lp/fixture.cpp",
-                "struct S {\n"
-                "  explicit S(std::uint64_t seed) : engine_(seed) {}\n"
-                "  std::mt19937_64 engine_;\n"
-                "};\n",
-                "R16", options),
-         "R16 quiet on a member seeded in the constructor init list");
-  expect(!fires("src/lp/fixture.cpp",
-                "void f() {\n"
-                "  std::mt19937_64 gen;  // gpumip-lint: determinism-ok(fixture: self-test only)\n"
-                "  use(gen());\n"
-                "}\n",
-                "R16", options),
-         "R16 waived by determinism-ok annotation");
-  mark("R16");
-
-  out << (failed == 0 ? "    self-test: all fixtures behaved\n"
-                      : "    self-test: FIXTURE FAILURES\n");
-  return failed == 0;
 }
 
 }  // namespace gpumip::lint

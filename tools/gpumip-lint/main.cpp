@@ -1,98 +1,45 @@
 // gpumip-lint CLI — scripts/check.sh gate 7 entry point.
 //
-//   gpumip-lint --self-test
 //   gpumip-lint [--metrics-doc docs/METRICS.md]
 //               [--tracing-doc docs/TRACING.md]
 //               [--suppressions tools/gpumip-lint/suppressions.txt]
 //               [--hotpaths tools/gpumip-lint/hotpaths.txt]
-//               [--header-check --include-dir src --compiler c++ --scratch DIR]
-//               [--jobs N]
 //               file.cpp file.hpp ...
 //
-// Exit status: 0 clean, 1 unsuppressed findings (or failed self-test),
-// 2 usage/environment error. Findings print as `file:line: [Rn] message`,
-// one per line, so editors and CI logs can jump straight to the site.
-#include <cstdio>
+// Exit status: 0 clean, 1 unsuppressed findings, 2 usage/environment
+// error. Findings print as `file:line: [Rn] message`, one per line, so
+// editors and CI logs can jump straight to the site.
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lint.hpp"
 
 namespace {
 
-bool read_file(const std::string& path, std::string& out) {
+std::optional<std::string> read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
+  if (!in) return std::nullopt;
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  out = buffer.str();
-  return true;
+  return buffer.str();
 }
 
-void print_findings(const std::vector<gpumip::lint::Finding>& findings) {
-  for (const gpumip::lint::Finding& f : findings) {
-    std::cerr << f.file << ":" << f.line << ": [" << f.rule << "] " << f.message << "\n";
+/// Reads `path` unless no path was given; exits with status 2 when the
+/// file cannot be read.
+std::optional<std::string> load_optional(const std::string& path, const char* what) {
+  if (path.empty()) return std::nullopt;
+  std::optional<std::string> text = read_file(path);
+  if (!text) {
+    std::cerr << "gpumip-lint: cannot read " << what << " " << path << "\n";
+    std::exit(2);
   }
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c) & 0xFF);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// Machine-readable report, schema `gpumip.lint.v1`: every finding
-/// (including suppression-waived ones, flagged `"waived": true`) plus the
-/// per-phase wall times. Stable field set; consumers must ignore unknown
-/// fields.
-void print_json(std::ostream& out, const std::vector<gpumip::lint::Finding>& findings,
-                const std::vector<gpumip::lint::Finding>& waived,
-                const gpumip::lint::RunStats& stats) {
-  out << "{\n  \"schema\": \"gpumip.lint.v1\",\n"
-      << "  \"clean\": " << (findings.empty() ? "true" : "false") << ",\n"
-      << "  \"findings\": [";
-  bool first = true;
-  auto emit = [&](const gpumip::lint::Finding& f, bool is_waived) {
-    out << (first ? "" : ",") << "\n    {\"rule\": \"" << json_escape(f.rule)
-        << "\", \"file\": \"" << json_escape(f.file) << "\", \"line\": " << f.line
-        << ", \"waived\": " << (is_waived ? "true" : "false") << ", \"message\": \""
-        << json_escape(f.message) << "\"}";
-    first = false;
-  };
-  for (const auto& f : findings) emit(f, false);
-  for (const auto& f : waived) emit(f, true);
-  // The scan phase reports its parallelism: scan_serial_ms is the sum of
-  // per-file scan times (what one thread would have paid), so
-  // scan_serial_ms / scan_ms is the realized speedup at scan_jobs threads.
-  out << (first ? "" : "\n  ") << "],\n"
-      << "  \"stats\": {\"files\": " << stats.files << ", \"functions\": " << stats.functions
-      << ", \"scan_ms\": " << stats.scan_ms << ", \"scan_serial_ms\": " << stats.scan_serial_ms
-      << ", \"scan_jobs\": " << stats.scan_jobs << ", \"rules_ms\": " << stats.rules_ms
-      << ", \"index_ms\": " << stats.index_ms << ", \"hotpath_ms\": " << stats.hotpath_ms
-      << ", \"lifetime_ms\": " << stats.lifetime_ms << ", \"protocol_ms\": " << stats.protocol_ms
-      << ", \"determinism_ms\": " << stats.determinism_ms << "}\n}\n";
+  return text;
 }
 
 }  // namespace
@@ -104,13 +51,6 @@ int main(int argc, char** argv) {
   std::string tracing_doc_path;
   std::string suppressions_path;
   std::string hotpaths_path;
-  std::string include_dir;
-  std::string compiler = "c++";
-  std::string scratch = "build-lint-scratch";
-  std::size_t jobs = 0;  // 0 = hardware concurrency (capped in the engine)
-  bool header_check = false;
-  bool self_test = false;
-  std::string format = "text";
   std::vector<std::string> paths;
 
   for (int i = 1; i < argc; ++i) {
@@ -122,9 +62,7 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--self-test") {
-      self_test = true;
-    } else if (arg == "--metrics-doc") {
+    if (arg == "--metrics-doc") {
       metrics_doc_path = value("--metrics-doc");
     } else if (arg == "--tracing-doc") {
       tracing_doc_path = value("--tracing-doc");
@@ -132,35 +70,10 @@ int main(int argc, char** argv) {
       suppressions_path = value("--suppressions");
     } else if (arg == "--hotpaths") {
       hotpaths_path = value("--hotpaths");
-    } else if (arg == "--jobs") {
-      jobs = static_cast<std::size_t>(std::strtoul(value("--jobs").c_str(), nullptr, 10));
-    } else if (arg == "--header-check") {
-      header_check = true;
-    } else if (arg == "--include-dir") {
-      include_dir = value("--include-dir");
-    } else if (arg == "--compiler") {
-      compiler = value("--compiler");
-    } else if (arg == "--scratch") {
-      scratch = value("--scratch");
-    } else if (arg == "--format") {
-      format = value("--format");
-      if (format != "text" && format != "json") {
-        std::cerr << "gpumip-lint: --format must be 'text' or 'json'\n";
-        return 2;
-      }
-    } else if (arg.rfind("--format=", 0) == 0) {
-      format = arg.substr(9);
-      if (format != "text" && format != "json") {
-        std::cerr << "gpumip-lint: --format must be 'text' or 'json'\n";
-        return 2;
-      }
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: gpumip-lint [--self-test] [--metrics-doc FILE] "
-                   "[--tracing-doc FILE] [--suppressions FILE]\n"
-                   "                   [--hotpaths FILE] [--jobs N] [--format text|json]\n"
-                   "                   [--header-check --include-dir DIR [--compiler CXX] "
-                   "[--scratch DIR]]\n"
-                   "                   files...\n";
+      std::cout << "usage: gpumip-lint [--metrics-doc FILE] [--tracing-doc FILE] "
+                   "[--suppressions FILE]\n"
+                   "                   [--hotpaths FILE] files...\n";
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "gpumip-lint: unknown option " << arg << "\n";
@@ -170,105 +83,43 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (self_test) {
-    std::cout << "==> gpumip-lint self-test (seeded-violation fixtures)\n";
-    return run_self_test(std::cout) ? 0 : 1;
-  }
-
   Options options;
-  options.jobs = jobs;
-  if (!metrics_doc_path.empty()) {
-    if (!read_file(metrics_doc_path, options.metrics_doc)) {
-      std::cerr << "gpumip-lint: cannot read metrics doc " << metrics_doc_path << "\n";
-      return 2;
-    }
-    options.have_metrics_doc = true;
-  }
-  if (!tracing_doc_path.empty()) {
-    if (!read_file(tracing_doc_path, options.tracing_doc)) {
-      std::cerr << "gpumip-lint: cannot read tracing doc " << tracing_doc_path << "\n";
-      return 2;
-    }
-    options.have_tracing_doc = true;
-  }
-  if (!hotpaths_path.empty()) {
-    if (!read_file(hotpaths_path, options.hotpaths)) {
-      std::cerr << "gpumip-lint: cannot read hot-path manifest " << hotpaths_path << "\n";
-      return 2;
-    }
-    options.have_hotpaths = true;
-    options.hotpaths_path = hotpaths_path;
-  }
+  options.metrics_doc = load_optional(metrics_doc_path, "metrics doc");
+  options.tracing_doc = load_optional(tracing_doc_path, "tracing doc");
+  options.hotpaths = load_optional(hotpaths_path, "hot-path manifest");
+  if (options.hotpaths) options.hotpaths_path = hotpaths_path;
 
   std::vector<Finding> findings;
   std::vector<Suppression> suppressions;
-  if (!suppressions_path.empty()) {
-    std::string text;
-    if (!read_file(suppressions_path, text)) {
-      std::cerr << "gpumip-lint: cannot read suppression file " << suppressions_path << "\n";
-      return 2;
-    }
-    suppressions = parse_suppressions(text, suppressions_path, findings);
+  if (const auto text = load_optional(suppressions_path, "suppression file")) {
+    suppressions = parse_suppressions(*text, suppressions_path, findings);
   }
 
   std::vector<SourceFile> files;
-  std::vector<std::string> headers;  // include_dir-relative, for --header-check
   for (const std::string& path : paths) {
-    SourceFile file;
-    file.path = path;
-    if (!read_file(path, file.content)) {
+    std::optional<std::string> content = read_file(path);
+    if (!content) {
       std::cerr << "gpumip-lint: cannot read " << path << "\n";
       return 2;
     }
-    if (header_check && path.size() > 4 && path.compare(path.size() - 4, 4, ".hpp") == 0) {
-      std::string rel = path;
-      const std::string prefix = include_dir + "/";
-      if (rel.compare(0, prefix.size(), prefix) == 0) rel = rel.substr(prefix.size());
-      headers.push_back(rel);
-    }
-    files.push_back(std::move(file));
+    files.push_back({path, std::move(*content)});
   }
   if (files.empty()) {
     std::cerr << "gpumip-lint: no input files (see --help)\n";
     return 2;
   }
 
-  RunStats stats;
-  std::vector<Finding> waived;
-  std::vector<Finding> lint_findings = run_lint(files, options, suppressions, &stats, &waived);
+  std::vector<Finding> lint_findings = run_lint(files, options, suppressions);
   findings.insert(findings.end(), lint_findings.begin(), lint_findings.end());
 
-  if (header_check) {
-    if (include_dir.empty()) {
-      std::cerr << "gpumip-lint: --header-check needs --include-dir\n";
-      return 2;
-    }
-    std::vector<Finding> header_findings =
-        check_headers_standalone(headers, include_dir, compiler, scratch, jobs);
-    findings.insert(findings.end(), header_findings.begin(), header_findings.end());
+  for (const Finding& f : findings) {
+    std::cerr << f.file << ":" << f.line << ": [" << f.rule << "] " << f.message << "\n";
   }
-
-  print_findings(findings);
-  if (format == "json") {
-    // Findings went to stderr above; stdout carries only the JSON document
-    // so scripts can redirect it whole.
-    print_json(std::cout, findings, waived, stats);
-    return findings.empty() ? 0 : 1;
-  }
-  std::cout << "gpumip-lint: timing scan " << stats.scan_ms << "ms ("
-            << stats.scan_jobs << " jobs, serial-equivalent " << stats.scan_serial_ms
-            << "ms), token rules " << stats.rules_ms << "ms, index+graph " << stats.index_ms
-            << "ms, hotpath " << stats.hotpath_ms << "ms, lifetime " << stats.lifetime_ms
-            << "ms, protocol " << stats.protocol_ms << "ms, determinism "
-            << stats.determinism_ms << "ms (" << stats.files << " files, " << stats.functions
-            << " functions)\n";
   if (findings.empty()) {
     std::cout << "gpumip-lint: " << files.size() << " files clean"
               << (suppressions.empty()
                       ? std::string()
                       : " (" + std::to_string(suppressions.size()) + " justified suppressions)")
-              << (header_check ? ", " + std::to_string(headers.size()) + " headers standalone"
-                               : std::string())
               << "\n";
     return 0;
   }
