@@ -14,7 +14,6 @@
 #include "bench/common.hpp"
 #include "linalg/batched.hpp"
 #include "lp/batched_lp.hpp"
-#include "obs/sampler.hpp"
 #include "problems/generators.hpp"
 #include "support/strings.hpp"
 
@@ -156,7 +155,6 @@ void first_order_lockstep() {
   popts.tol = 1e-4;
   lp::LpModel base = problems::sparse_lp(48, 72, 0.05, rng);
   const lp::StandardForm base_form = lp::build_standard_form(base);
-  double pdhg_prev_sim = 0.0;
   for (int k : {16, 64, 192}) {
     std::vector<std::unique_ptr<lp::StandardForm>> storage;
     std::vector<const lp::StandardForm*> views;
@@ -171,30 +169,7 @@ void first_order_lockstep() {
     }
     gpu::Device d1, d2;
     const auto spx = lp::solve_batched(views, d1, lp::BatchMode::Lockstep);
-    lp::BatchedLpReport pdhg;
-    if (k == 192) {
-      // The wave-size-over-time curve for EXPERIMENTS.md E7: sample the
-      // registry on the simulated device clock while the largest PDHG
-      // batch runs, exporting when GPUMIP_TIMESERIES_OUT is set. Default
-      // (registry-wide) columns resolve at construction, which is why the
-      // sampler is built only now — after the earlier sections and the
-      // smaller K have registered every batch/method family. Each
-      // gpu::Device clock starts at 0, so the sampler wraps exactly one
-      // solve. The period scales off the previous K's makespan so the row
-      // count stays resolution-independent of the simulated cost model.
-      obs::SamplerOptions sopts;
-      sopts.period = pdhg_prev_sim > 0.0 ? pdhg_prev_sim / 64.0 : 1e-4;
-      obs::Sampler sampler(sopts);
-      obs::Sampler::Bind bind(sampler);
-      pdhg = lp::solve_batched_pdhg(views, d2, popts);
-      const std::string path = sampler.export_if_requested();
-      if (!path.empty()) {
-        bench::row("  time series: %zu rows -> %s", sampler.rows().size(), path.c_str());
-      }
-    } else {
-      pdhg = lp::solve_batched_pdhg(views, d2, popts);
-    }
-    pdhg_prev_sim = pdhg.sim_seconds;
+    const lp::BatchedLpReport pdhg = lp::solve_batched_pdhg(views, d2, popts);
     bench::row("  %-7d %-14s %-14s %-12ld %-12ld %llu/%llu", k,
                human_seconds(spx.sim_seconds).c_str(), human_seconds(pdhg.sim_seconds).c_str(),
                spx.waves, pdhg.waves, static_cast<unsigned long long>(spx.kernels),

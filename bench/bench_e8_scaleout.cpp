@@ -4,11 +4,9 @@
 // count, ramp-up share, load-balance quality, message volume, and the cost
 // of periodic checkpointing.
 #include <cmath>
-#include <memory>
 
 #include "bench/common.hpp"
 #include "obs/metrics.hpp"
-#include "obs/sampler.hpp"
 #include "parallel/supervisor.hpp"
 #include "problems/generators.hpp"
 #include "support/strings.hpp"
@@ -51,29 +49,8 @@ void print_experiment() {
     opts.ramp_up_nodes = 4L * workers;
     opts.mip.enable_cuts = false;
     opts.model_worker_device = true;  // arena-backed per-node LP residency
-    // The tree-growth-over-time curve for EXPERIMENTS.md: at one
-    // representative worker count, attach a sampler ticked on the
-    // supervisor rank's sim clock (bit-identical under schedule replay)
-    // and export it when GPUMIP_TIMESERIES_OUT is set. Constructed here —
-    // after the smaller worker counts have registered every supervisor
-    // and simmpi family — so the default registry-wide columns are
-    // complete. The period scales off the single-worker makespan.
-    std::unique_ptr<obs::Sampler> sampler;
-    if (workers == 8 && base > 0.0) {
-      obs::SamplerOptions sopts;
-      sopts.period = base / 128.0;
-      sampler = std::make_unique<obs::Sampler>(sopts);
-      opts.sampler = sampler.get();
-    }
     parallel::SupervisorResult r = parallel::solve_supervised(model, opts);
     if (workers == 1) base = r.makespan;
-    if (sampler) {
-      const std::string path = sampler->export_if_requested();
-      if (!path.empty()) {
-        bench::row("  time series (workers=8): %zu rows -> %s", sampler->rows().size(),
-                   path.c_str());
-      }
-    }
     bench::row("  %-9d %-10.3f %-12s %-9.2f %-10.1f %-10.2f %-9llu %-10s", workers,
                r.result.objective, human_seconds(r.makespan).c_str(), base / r.makespan,
                100.0 * r.ramp_up_seconds / r.makespan, balance_cv(r.worker_nodes),

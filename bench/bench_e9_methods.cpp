@@ -16,7 +16,6 @@
 #include "lp/path_chooser.hpp"
 #include "lp/pdhg.hpp"
 #include "lp/simplex.hpp"
-#include "obs/sampler.hpp"
 #include "problems/generators.hpp"
 #include "support/strings.hpp"
 #include "support/timer.hpp"
@@ -133,30 +132,7 @@ void three_way_batched() {
     }
     {
       gpu::Device device;
-      // The method-crossover time series for EXPERIMENTS.md E9: at the
-      // largest sparse cell, sample every registered instrument on this
-      // device's simulated clock through the PDHG lockstep (exported when
-      // GPUMIP_TIMESERIES_OUT is set; default columns resolve at
-      // construction, after earlier cells registered every family). The
-      // period scales off the simplex makespan of the same cell so the
-      // two backends' curves share a resolution.
-      std::unique_ptr<obs::Sampler> sampler;
-      std::unique_ptr<obs::Sampler::Bind> bind;
-      if (cell.batch == 192 && cell.density < 0.3 && s_spx > 0) {
-        obs::SamplerOptions sopts;
-        sopts.period = s_spx / 64.0;
-        sampler = std::make_unique<obs::Sampler>(sopts);
-        bind = std::make_unique<obs::Sampler::Bind>(*sampler);
-      }
       lp::BatchedLpReport r = lp::solve_batched_pdhg(views, device, popts);
-      if (sampler) {
-        bind.reset();
-        const std::string path = sampler->export_if_requested();
-        if (!path.empty()) {
-          bench::row("  time series (K=192 pdhg): %zu rows -> %s", sampler->rows().size(),
-                     path.c_str());
-        }
-      }
       s_pdhg = r.sim_seconds;
       for (const lp::LpResult& res : r.results) {
         pdhg_iters = std::max(pdhg_iters, res.ops.iterations);

@@ -191,11 +191,6 @@ double Device::synchronize() {
   return clock_;
 }
 
-double Device::stream_clock(StreamId stream) const {
-  validate_stream(stream);
-  return streams_[stream];
-}
-
 void Device::reset_stats() {
   const auto allocated = stats_.allocated_bytes;
   const auto double_frees = stats_.double_frees;  // correctness flag, not activity

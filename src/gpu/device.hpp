@@ -154,9 +154,6 @@ class Device {
   /// Current device clock (time of last synchronize()).
   double now() const noexcept { return clock_; }
 
-  /// Completion frontier of one stream without synchronizing the device.
-  double stream_clock(StreamId stream) const;
-
   /// Zeroes the activity statistics (allocation accounting is preserved)
   /// and rewinds all timelines; used between benchmark phases.
   void reset_stats();

@@ -93,7 +93,13 @@ void gemm(double alpha, const Matrix& a, const Matrix& b, double beta, Matrix& c
   }
 }
 
-void trsv_lower(const Matrix& l, std::span<double> b, bool unit_diagonal) {
+// The two triangular solves below are the inner loops of every dense LU
+// solve in the simplex method, about half of a branch-and-bound run's host
+// time. Their entry is pinned to a 64-byte boundary so the placement of
+// their loops does not depend on the size of unrelated code linked before
+// them: unpinned, deleting unrelated code elsewhere made the
+// branch-and-bound benchmark about 20% slower on a 4-core Xeon.
+[[gnu::aligned(64)]] void trsv_lower(const Matrix& l, std::span<double> b, bool unit_diagonal) {
   const int n = l.rows();
   check_arg(l.cols() == n && static_cast<int>(b.size()) == n, "trsv_lower: shape mismatch");
   for (int i = 0; i < n; ++i) {
@@ -109,7 +115,7 @@ void trsv_lower(const Matrix& l, std::span<double> b, bool unit_diagonal) {
   }
 }
 
-void trsv_upper(const Matrix& u, std::span<double> b) {
+[[gnu::aligned(64)]] void trsv_upper(const Matrix& u, std::span<double> b) {
   const int n = u.rows();
   check_arg(u.cols() == n && static_cast<int>(b.size()) == n, "trsv_upper: shape mismatch");
   for (int i = n - 1; i >= 0; --i) {

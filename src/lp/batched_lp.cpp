@@ -4,7 +4,6 @@
 
 #include "linalg/device_blas.hpp"
 #include "obs/obs.hpp"
-#include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 
 namespace gpumip::lp {
@@ -136,9 +135,6 @@ BatchedLpReport solve_batched(const std::vector<const StandardForm*>& problems,
                                      (2.0 / 3.0 + 1.0) * m_avg * m_avg * m_avg, m_avg * m_avg),
                         {});
         }
-        // Time-series hook: a bound sampler sees the occupancy curve wave
-        // by wave on the device stream clock (no-op when unbound).
-        GPUMIP_OBS_SAMPLE_TICK(device.stream_clock(0));
       }
       break;
     }
@@ -252,7 +248,6 @@ BatchedLpReport solve_batched_pdhg(const std::vector<const StandardForm*>& probl
       device.launch(0, sparse_wave_cost(nnz_sum, m_sum), {});
       device.launch(0, sparse_wave_cost(nnz_sum, n_sum), {});
     }
-    GPUMIP_OBS_SAMPLE_TICK(device.stream_clock(0));
   }
   report.sim_seconds = device.synchronize();
   report.kernels = device.stats().kernels - kernels_before;

@@ -11,6 +11,7 @@
 #include <mutex>
 #include <shared_mutex>
 #include <sstream>
+#include <vector>
 
 #include "support/error.hpp"
 
@@ -236,15 +237,6 @@ Metric& find_or_create(std::shared_mutex& mutex, Map& map, std::string_view name
   return *it->second;
 }
 
-template <typename Map>
-std::vector<std::string> sorted_names(std::shared_mutex& mutex, const Map& map) {
-  std::shared_lock lock(mutex);
-  std::vector<std::string> out;
-  out.reserve(map.size());
-  for (const auto& [name, metric] : map) out.push_back(name);
-  return out;  // std::map iterates in sorted order
-}
-
 /// Shortest round-trippable representation of a double, JSON-safe (no
 /// inf/nan reach this: instruments only ever hold finite values, and the
 /// exporters clamp just in case).
@@ -331,21 +323,6 @@ Histogram& Registry::histogram(std::string_view name, std::initializer_list<Labe
   return find_or_create_labeled(im.mutex, im.histograms, im.families, name, labels);
 }
 
-std::vector<std::string> Registry::counter_names() const {
-  Impl& im = impl();
-  return sorted_names(im.mutex, im.counters);
-}
-
-std::vector<std::string> Registry::gauge_names() const {
-  Impl& im = impl();
-  return sorted_names(im.mutex, im.gauges);
-}
-
-std::vector<std::string> Registry::histogram_names() const {
-  Impl& im = impl();
-  return sorted_names(im.mutex, im.histograms);
-}
-
 namespace {
 
 template <typename Map>
@@ -372,15 +349,6 @@ const Gauge* Registry::find_gauge(std::string_view name) const {
 const Histogram* Registry::find_histogram(std::string_view name) const {
   Impl& im = impl();
   return find_no_create(im.mutex, im.histograms, name);
-}
-
-std::vector<std::string> Registry::family_names() const {
-  Impl& im = impl();
-  std::shared_lock lock(im.mutex);
-  std::vector<std::string> out;
-  out.reserve(im.families.size());
-  for (const auto& [family, combos] : im.families) out.push_back(family);
-  return out;
 }
 
 void Registry::reset() {

@@ -19,7 +19,6 @@
 #include <limits>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace gpumip::obs {
 
@@ -139,19 +138,9 @@ class Registry {
   Gauge& gauge(std::string_view name, std::initializer_list<Label> labels);
   Histogram& histogram(std::string_view name, std::initializer_list<Label> labels);
 
-  /// Sorted names of all registered instruments of each kind (labeled
-  /// instruments appear under their flattened `name{k=v,...}` form).
-  std::vector<std::string> counter_names() const;
-  std::vector<std::string> gauge_names() const;
-  std::vector<std::string> histogram_names() const;
-
-  /// Sorted `name{key,...}` family strings of every labeled instrument
-  /// registered so far.
-  std::vector<std::string> family_names() const;
-
   /// Lookup by flattened name *without* creating (nullptr when absent).
-  /// Readers like the time-series sampler use these so probing a name can
-  /// never register a phantom instrument.
+  /// The benchmark's per-layer tracer (perfbench/tracer.cpp) reads through
+  /// these so probing a name can never register a phantom instrument.
   const Counter* find_counter(std::string_view name) const;
   const Gauge* find_gauge(std::string_view name) const;
   const Histogram* find_histogram(std::string_view name) const;

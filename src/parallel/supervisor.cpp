@@ -9,7 +9,6 @@
 #include "gpu/arena.hpp"
 #include "gpu/device.hpp"
 #include "obs/obs.hpp"
-#include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 #include "support/assert.hpp"
 #include "support/log.hpp"
@@ -187,14 +186,7 @@ SupervisorResult run_supervised(const mip::MipModel& model,
   auto body = [&](Comm& comm) {
     if (comm.rank() == 0) {
       // ------------- supervisor -------------
-      // The sampler (if any) lives on this rank's thread and is ticked
-      // with the supervisor's sim clock: every sampled row is stamped at
-      // a deterministic boundary of the simulated timeline.
-      std::optional<obs::Sampler::Bind> sampler_bind;
-      // gpumip-lint: hot-alloc(in-place optional::emplace of the Bind guard, once before the dispatch loop)
-      if (options.sampler != nullptr) sampler_bind.emplace(*options.sampler);
       comm.advance(out.ramp_up_seconds);
-      GPUMIP_OBS_SAMPLE_TICK(comm.now());
       int outstanding = 0;
       std::vector<int> waiting;  // idle workers with no work yet
       int stopped = 0;
@@ -251,7 +243,6 @@ SupervisorResult run_supervised(const mip::MipModel& model,
 
       while (stopped < options.workers) {
         Message msg = comm.recv();
-        GPUMIP_OBS_SAMPLE_TICK(comm.now());
         if (msg.tag == kTagResult) {
           --outstanding;
           ++completed;

@@ -18,7 +18,6 @@
 #include <string>
 
 #include "mip/solver.hpp"
-#include "obs/sampler.hpp"
 #include "parallel/simmpi.hpp"
 
 namespace gpumip::parallel {
@@ -41,11 +40,6 @@ struct SupervisorOptions {
   /// Checkpoint every N completed assignments (0 = never).
   int checkpoint_interval = 0;
   std::function<void(const mip::ConsistentSnapshot&)> on_checkpoint;
-  /// Optional time-series sampler, bound on the supervisor rank's thread
-  /// and ticked with its sim clock on every received message — sim-stamped
-  /// rows are bit-identical under schedule replay (the supervisor rank
-  /// owns the sampled progress counters deterministically).
-  obs::Sampler* sampler = nullptr;
   /// Model per-node LP device residency on the workers: each worker rank
   /// gets a gpu::Device and (worker_arena) a DeviceArena threaded into its
   /// BnbSolver, so the e8 bench witnesses the per-node alloc-vs-arena

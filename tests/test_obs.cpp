@@ -4,7 +4,6 @@
 // the clean-failure path of export_json.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -100,8 +99,7 @@ TEST(ObsRegistry, SameNameSameInstrumentDistinctKinds) {
   EXPECT_DOUBLE_EQ(g.value(), 1.25);
   EXPECT_EQ(h.count(), 1u);
 
-  std::vector<std::string> names = obs::Registry::instance().counter_names();
-  EXPECT_NE(std::find(names.begin(), names.end(), "test.obs.registry.shared"), names.end());
+  EXPECT_EQ(obs::Registry::instance().find_counter("test.obs.registry.shared"), &c1);
 }
 
 TEST(ObsRegistry, ReferencesSurviveFurtherRegistration) {
@@ -150,14 +148,15 @@ TEST(ObsLabels, LabeledLookupIsStableAndOrderInsensitive) {
   other.add(1);
   EXPECT_EQ(c2.value(), 4u);
 
-  // Labeled instruments appear under their flattened names, and the family
-  // index records the documentation form.
-  const auto names = obs::Registry::instance().counter_names();
-  EXPECT_NE(std::find(names.begin(), names.end(), "test.obs.labeled.c{method=pdhg,rank=1}"),
-            names.end());
-  const auto families = obs::Registry::instance().family_names();
-  EXPECT_NE(std::find(families.begin(), families.end(), "test.obs.labeled.c{method,rank}"),
-            families.end());
+  // Labeled instruments are found under their flattened names, and the
+  // export's family index records the documentation form.
+  EXPECT_EQ(obs::Registry::instance().find_counter("test.obs.labeled.c{method=pdhg,rank=1}"),
+            &c1);
+  const std::string json = obs::Registry::instance().to_json();
+  const std::size_t family = json.find("\"test.obs.labeled.c{method,rank}\"");
+  ASSERT_NE(family, std::string::npos) << json;
+  EXPECT_GT(family, json.find("\"families\": ["));
+  EXPECT_LT(family, json.find("\"counters\": {"));
 }
 
 TEST(ObsLabels, ReferencesSurviveLabelSetChurn) {

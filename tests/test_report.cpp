@@ -1,18 +1,15 @@
 // Tests for the gpumip-report engine (tools/gpumip-report/report.hpp):
-// document parsing (metrics v2, bench baselines, time series), the
-// claim-category mapping with its exclusion list, the baseline comparator's
-// tolerance classes, single-run profiles, two-run attribution ranking, and
-// the live round trip — a real metrics export from the registry parsed
-// back and attributed.
+// document parsing (metrics v2, bench baselines), the claim-category
+// mapping with its exclusion list, the baseline comparator's tolerance
+// classes, two-run attribution ranking, and the live round trip — a real
+// metrics export from the registry parsed back and attributed.
 #include <gtest/gtest.h>
 
 #include <map>
-#include <sstream>
 #include <string>
 #include <utility>
 
 #include "obs/metrics.hpp"
-#include "obs/sampler.hpp"
 #include "report.hpp"
 
 namespace gpumip {
@@ -22,8 +19,6 @@ using reporttool::Attribution;
 using reporttool::BenchDoc;
 using reporttool::Comparison;
 using reporttool::MetricsSnapshot;
-using reporttool::Profile;
-using reporttool::TimeSeries;
 
 BenchDoc one_bench(std::map<std::string, double> counters,
                    std::map<std::string, double> gauges = {},
@@ -32,7 +27,6 @@ BenchDoc one_bench(std::map<std::string, double> counters,
   MetricsSnapshot snap;
   snap.counters = std::move(counters);
   snap.gauges = std::move(gauges);
-  snap.enabled = true;
   doc.benches[bench] = std::move(snap);
   return doc;
 }
@@ -55,12 +49,46 @@ TEST(ReportParse, MetricsV2DecodesAndV1IsRejected) {
   EXPECT_FALSE(reporttool::parse_metrics(v1, snap, error));
   EXPECT_NE(error.find("gpumip.metrics.v1"), std::string::npos) << error;
   ASSERT_TRUE(reporttool::parse_metrics(v2, snap, error)) << error;
+  EXPECT_EQ(snap.counters.size(), 1u);
   EXPECT_DOUBLE_EQ(snap.counters.at("gpumip.lp.solves{method=pdhg}"), 3.0);
-  EXPECT_DOUBLE_EQ(snap.histograms.at("gpumip.lp.solve.seconds{method=pdhg}").first, 3.0);
 
   EXPECT_FALSE(reporttool::parse_metrics(
       R"({"schema": "gpumip.metrics.v3", "counters": {}})", snap, error));
   EXPECT_FALSE(reporttool::parse_metrics("[1, 2]", snap, error));
+}
+
+TEST(ReportParse, BenchDocDecodesEveryBenchAndNeedsOne) {
+  const std::string doc = R"({
+    "schema": "gpumip.bench-baseline.v1",
+    "benches": {
+      "e1": {"counters": {"gpumip.gpu.xfer.h2d.bytes": 1000, "gpumip.lp.ops.refactor": 40},
+             "gauges": {"gpumip.mip.reuse.hit_rate": 0.5}},
+      "e8": {"counters": {"gpumip.simmpi.sent.bytes{rank=0}": 2048},
+             "gauges": {"gpumip.simmpi.recv.idle_seconds{rank=1}": 1.25}}
+    }
+  })";
+  BenchDoc parsed;
+  std::string error;
+  ASSERT_TRUE(reporttool::parse_bench_doc(doc, parsed, error)) << error;
+  ASSERT_EQ(parsed.benches.size(), 2u);
+  EXPECT_EQ(parsed.benches.at("e1").counters.size(), 2u);
+  EXPECT_DOUBLE_EQ(parsed.benches.at("e1").counters.at("gpumip.gpu.xfer.h2d.bytes"), 1000.0);
+  EXPECT_DOUBLE_EQ(parsed.benches.at("e1").gauges.at("gpumip.mip.reuse.hit_rate"), 0.5);
+  EXPECT_DOUBLE_EQ(parsed.benches.at("e8").counters.at("gpumip.simmpi.sent.bytes{rank=0}"),
+                   2048.0);
+  EXPECT_DOUBLE_EQ(
+      parsed.benches.at("e8").gauges.at("gpumip.simmpi.recv.idle_seconds{rank=1}"), 1.25);
+  // A decoded document compares clean against itself.
+  EXPECT_TRUE(reporttool::compare(parsed, parsed).failures.empty());
+
+  // No benches at all is rejected, not read as an empty (always-clean) run.
+  for (const char* empty : {R"({"schema": "gpumip.bench-baseline.v1"})",
+                            R"({"schema": "gpumip.bench-baseline.v1", "benches": {}})"}) {
+    EXPECT_FALSE(reporttool::parse_bench_doc(empty, parsed, error)) << empty;
+    EXPECT_NE(error.find("benches"), std::string::npos) << error;
+  }
+  EXPECT_FALSE(reporttool::parse_bench_doc(
+      R"({"schema": "gpumip.metrics.v2", "benches": {"e1": {}}})", parsed, error));
 }
 
 TEST(ReportCategories, MappingAndExclusions) {
@@ -70,13 +98,13 @@ TEST(ReportCategories, MappingAndExclusions) {
   EXPECT_EQ(reporttool::category_of("gpumip.gpu.alloc.calls"), "c5_memory");
   EXPECT_EQ(reporttool::category_of("gpumip.mip.reuse.hit_rate"), "c5_memory");
   EXPECT_EQ(reporttool::category_of("gpumip.lp.method.chosen{method=pdhg}"), "c6_method");
+  EXPECT_EQ(reporttool::category_of("gpumip.lp.solves{method=pdhg}"), "c6_method");
   EXPECT_EQ(reporttool::category_of("gpumip.lp.batch.waves{method=simplex}"), "c7_batch");
   EXPECT_EQ(reporttool::category_of("gpumip.supervisor.dispatched{rank=2}"), "c8_scale");
   EXPECT_EQ(reporttool::category_of("gpumip.mip.incumbents"), "other");
-  // Exclusions: the sampler can never trip attribution, nor can
-  // host-timing noise.
+  // Exclusions: observability bookkeeping can never trip attribution,
+  // nor can host-timing noise.
   EXPECT_EQ(reporttool::category_of("gpumip.obs.trace.dropped"), "");
-  EXPECT_EQ(reporttool::category_of("gpumip.obs.sampler.dropped"), "");
   EXPECT_EQ(reporttool::category_of("gpumip.simmpi.recv.idle_seconds{rank=3}"), "");
   EXPECT_EQ(reporttool::category_of("gpumip.supervisor.checkpoints"), "");
 }
@@ -169,11 +197,24 @@ TEST(ReportCompare, EverythingElseGetsTheLooseTolerance) {
 TEST(ReportCompare, ScaleoutBenchIsLooseForEveryMetric) {
   // Incumbent discovery order under the supervisor changes pruning, so
   // even the MIP ledger gets 25% in e8_scaleout.
-  const std::string name = "gpumip.mip.tree.pruned";
+  const std::string name = "gpumip.mip.tree.pushed";
   EXPECT_EQ(reporttool::compare_tolerance("e8_scaleout", name), 0.25);
   EXPECT_TRUE(compare_one("e8_scaleout", name, 200.0, 250.0).failures.empty());
   EXPECT_EQ(compare_one("e8_scaleout", name, 200.0, 251.0).failures.size(), 1u);
   EXPECT_EQ(compare_one("e1_strategies", name, 200.0, 250.0).failures.size(), 1u);
+
+  // The pruned count itself leaves that band between correct runs, so
+  // e8_scaleout skips it; every other bench still holds it to 2%.
+  const std::string pruned = "gpumip.mip.tree.pruned";
+  EXPECT_FALSE(reporttool::compare_tolerance("e8_scaleout", pruned).has_value());
+  const Comparison skipped = compare_one("e8_scaleout", pruned, 226.0, 110.0);
+  EXPECT_TRUE(skipped.failures.empty());
+  EXPECT_EQ(skipped.compared, 0);
+  EXPECT_EQ(reporttool::compare_tolerance("e1_strategies", pruned), 0.02);
+  for (const char* other : {"gpumip.mip.incumbent.updates", "gpumip.gpu.arena.grows",
+                            "gpumip.simmpi.bytes"}) {
+    EXPECT_EQ(reporttool::compare_tolerance("e8_scaleout", other), 0.25) << other;
+  }
 }
 
 TEST(ReportCompare, AbsoluteFloorAppliesNearZero) {
@@ -183,6 +224,8 @@ TEST(ReportCompare, AbsoluteFloorAppliesNearZero) {
 }
 
 TEST(ReportCompare, NoiseAndRankSplitsAreSkipped) {
+  // gpumip.obs.sampler.samples is a stale key of the committed baseline:
+  // its exporter is gone, and the obs.* noise rule is what skips it.
   for (const char* name :
        {"gpumip.obs.trace.dropped", "gpumip.obs.sampler.samples",
         "gpumip.simmpi.recv.idle_seconds", "gpumip.simmpi.recv.idle_seconds{rank=1}",
@@ -231,50 +274,6 @@ TEST(ReportCompare, MissingFailsAndNewOnlyWarns) {
   EXPECT_NE(text.find("1 metrics within tolerance (1 warning(s))"), std::string::npos) << text;
 }
 
-TEST(ReportProfile, CategoryMassAndFormatting) {
-  const BenchDoc run = one_bench({{"gpumip.gpu.xfer.h2d.bytes", 600.0},
-                                  {"gpumip.gpu.xfer.d2h.bytes", 400.0}},
-                                 {{"gpumip.mip.reuse.hit_rate", 0.5}});
-  const Profile profile = reporttool::build_profile(run, nullptr, nullptr);
-  double transfer = -1.0;
-  double memory = -1.0;
-  for (const auto& ct : profile.categories) {
-    if (ct.category == "transfer") transfer = ct.total;
-    if (ct.category == "c5_memory") memory = ct.total;
-  }
-  EXPECT_DOUBLE_EQ(transfer, 1000.0);
-  EXPECT_DOUBLE_EQ(memory, 0.5);
-  const std::string text = reporttool::format_profile(profile);
-  EXPECT_NE(text.find("transfer"), std::string::npos);
-}
-
-TEST(ReportTimeSeries, SamplerExportRoundTrips) {
-  obs::counter("gpumip.test_report.rt.c").reset();
-  obs::SamplerOptions options;
-  options.period = 1.0;
-  options.columns = {"gpumip.test_report.rt.c"};
-  obs::Sampler sampler(options);
-  obs::counter("gpumip.test_report.rt.c").add(4);
-  sampler.sample_now(1.0, true);
-  sampler.sample_now(2.0, true);
-
-  TimeSeries series;
-  std::string error;
-  ASSERT_TRUE(reporttool::parse_timeseries(sampler.to_json(), series, error)) << error;
-  ASSERT_EQ(series.columns.size(), 1u);
-  EXPECT_EQ(series.columns[0], "gpumip.test_report.rt.c:counter");
-  ASSERT_EQ(series.rows.size(), 2u);
-  if (obs::kObsEnabled) {
-    EXPECT_DOUBLE_EQ(series.rows[0][0], 4.0);
-    EXPECT_DOUBLE_EQ(series.rows[1][0], 0.0);
-  }
-
-  const BenchDoc empty_run;
-  const Profile profile = reporttool::build_profile(empty_run, nullptr, &series);
-  EXPECT_TRUE(profile.has_timeseries);
-  EXPECT_DOUBLE_EQ(profile.timeseries_span, 1.0);
-}
-
 TEST(ReportLive, RegistryExportParsesAndAttributes) {
   // A real registry export (v2, labeled names included) must flow through
   // parse_run -> attribute without hand-editing.
@@ -298,12 +297,6 @@ TEST(ReportLive, RegistryExportParsesAndAttributes) {
     }
     EXPECT_TRUE(found) << reporttool::format_attribution(a);
   }
-}
-
-TEST(ReportSelfCheck, KnownAnswerFixturesPass) {
-  std::ostringstream out;
-  EXPECT_TRUE(reporttool::run_self_check(out)) << out.str();
-  EXPECT_NE(out.str().find("doubled H2D volume ranks transfer first"), std::string::npos);
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 #include <array>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <map>
-#include <ostream>
 #include <sstream>
 #include <utility>
 
@@ -15,7 +15,7 @@ namespace gpumip::tracetool {
 
 namespace {
 
-// The JSON DOM lives in json.{hpp,cpp}, shared with gpumip-report.
+// The JSON DOM lives in json.{hpp,cpp}, shared with the report engine.
 
 // ---- interval arithmetic ---------------------------------------------------
 
@@ -117,6 +117,24 @@ std::vector<Interval> span_intervals(const std::vector<AnalyzerEvent>& events,
 
 constexpr double kMicro = 1e-6;  // exported ts/dur are microseconds
 
+/// Reads the number at `key` of `obj` (`fallback` when absent or not a
+/// number) into `out`, truncated toward zero. Fails with an error naming
+/// `field` when the value is outside T's range, where the conversion would
+/// be undefined behaviour (`"pid": 1e300`, `"dropped": -1`).
+template <typename T>
+bool read_integral(const JsonValue* obj, const char* key, double fallback,
+                   const std::string& field, T& out, std::string& error) {
+  const double value = std::trunc(number_or(obj == nullptr ? nullptr : obj->find(key), fallback));
+  // Both bounds are exact doubles: min is 0 or -2^k, and max + 1 is 2^k.
+  if (!(value >= static_cast<double>(std::numeric_limits<T>::min()) &&
+        value < static_cast<double>(std::numeric_limits<T>::max()) + 1.0)) {
+    error = field + " is out of range";
+    return false;
+  }
+  out = static_cast<T>(value);
+  return true;
+}
+
 }  // namespace
 
 bool parse_trace(const std::string& json, Trace& out, std::string& error) {
@@ -129,8 +147,9 @@ bool parse_trace(const std::string& json, Trace& out, std::string& error) {
     events = &root;  // bare-array form of the trace-event format
   } else if (root.type == JsonValue::Type::kObject) {
     events = root.find("traceEvents");
-    if (const JsonValue* other = root.find("otherData"); other != nullptr) {
-      out.dropped = static_cast<std::uint64_t>(number_or(other->find("dropped"), 0.0));
+    if (!read_integral(root.find("otherData"), "dropped", 0.0, "otherData.dropped", out.dropped,
+                       error)) {
+      return false;
     }
   }
   if (events == nullptr || events->type != JsonValue::Type::kArray) {
@@ -148,13 +167,17 @@ bool parse_trace(const std::string& json, Trace& out, std::string& error) {
     ev.name = string_or(e.find("name"), "");
     const std::string ph = string_or(e.find("ph"), "?");
     ev.ph = ph.empty() ? '?' : ph[0];
-    ev.pid = static_cast<int>(number_or(e.find("pid"), 0.0));
-    ev.tid = static_cast<long long>(number_or(e.find("tid"), 0.0));
+    const std::string where = "traceEvents[" + std::to_string(out.events.size()) + "].";
+    const JsonValue* args = e.find("args");
+    if (!read_integral(&e, "pid", 0.0, where + "pid", ev.pid, error) ||
+        !read_integral(&e, "tid", 0.0, where + "tid", ev.tid, error) ||
+        !read_integral(args, "rank", -1.0, where + "args.rank", ev.rank, error)) {
+      return false;
+    }
     ev.ts = number_or(e.find("ts"), 0.0);
     ev.dur = number_or(e.find("dur"), 0.0);
     ev.flow_id = string_or(e.find("id"), "");
-    if (const JsonValue* args = e.find("args"); args != nullptr) {
-      ev.rank = static_cast<int>(number_or(args->find("rank"), -1.0));
+    if (args != nullptr) {
       ev.lane = string_or(args->find("lane"), "");
       ev.arg = number_or(args->find("arg"), 0.0);
       // Metadata events label the processes; remember which pid carries the
@@ -360,117 +383,6 @@ std::string format_report(const Report& report) {
         << "s, max " << report.cut_latency_max_seconds << "s\n";
   }
   return out.str();
-}
-
-std::string verify_nontrivial(const Report& report) {
-  if (report.events < 10) return "fewer than 10 events";
-  if (report.ranks.size() < 2) return "fewer than 2 ranks in the timeline";
-  if (report.flows_matched < 1) return "no matched cross-rank flow";
-  if (report.flows_total > 0 && report.flows_matched < report.flows_total) {
-    return "unmatched flow halves (" + std::to_string(report.flows_matched) + "/" +
-           std::to_string(report.flows_total) + ")";
-  }
-  if (report.critical_path.empty()) return "critical path has no cross-rank hop";
-  if (report.makespan_seconds <= 0.0) return "zero makespan";
-  for (const RankBreakdown& rb : report.ranks) {
-    if (rb.idle_seconds < -1e-9 || rb.busy_seconds < -1e-9 || rb.blocked_seconds < -1e-9) {
-      return "negative time in rank " + std::to_string(rb.rank) + " breakdown";
-    }
-  }
-  return "";
-}
-
-// ---- self-check fixtures ---------------------------------------------------
-
-namespace {
-
-/// Hand-written two-rank trace with exactly known answers: rank 0 works
-/// [0,10]µs then sends; rank 1 blocks [2,11]µs, receives at 11, works to
-/// 20, sends back; rank 0 receives at 25. One kernel [0,8]µs overlapping an
-/// h2d transfer [4,12]µs by 4µs. One cut round [1,5]µs.
-const char* kFixture = R"json({
-  "traceEvents": [
-    {"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"simulated time"}},
-    {"name":"gpumip.mip.solve","ph":"B","ts":0.0,"pid":1,"tid":4,"args":{"rank":0,"lane":"cpu","arg":0}},
-    {"name":"gpumip.mip.cuts.round","ph":"B","ts":1.0,"pid":1,"tid":4,"args":{"rank":0,"lane":"cpu","arg":0}},
-    {"name":"gpumip.mip.cuts.round","ph":"E","ts":5.0,"pid":1,"tid":4,"args":{"rank":0,"lane":"cpu","arg":0}},
-    {"name":"gpumip.mip.solve","ph":"E","ts":10.0,"pid":1,"tid":4,"args":{"rank":0,"lane":"cpu","arg":0}},
-    {"name":"gpumip.simmpi.send","ph":"i","s":"t","ts":10.0,"pid":1,"tid":4,"args":{"rank":0,"lane":"cpu","arg":16}},
-    {"name":"gpumip.simmpi.msg","ph":"s","cat":"gpumip.flow","id":"0x1","ts":10.0,"pid":1,"tid":4,"args":{"rank":0,"lane":"cpu","arg":0}},
-    {"name":"gpumip.simmpi.msg","ph":"f","bp":"e","cat":"gpumip.flow","id":"0x2","ts":25.0,"pid":1,"tid":4,"args":{"rank":0,"lane":"cpu","arg":0}},
-    {"name":"gpumip.simmpi.recv","ph":"i","s":"t","ts":25.0,"pid":1,"tid":4,"args":{"rank":0,"lane":"cpu","arg":16}},
-    {"name":"gpumip.simmpi.recv.wait","ph":"B","ts":2.0,"pid":1,"tid":8,"args":{"rank":1,"lane":"cpu","arg":0}},
-    {"name":"gpumip.simmpi.msg","ph":"f","bp":"e","cat":"gpumip.flow","id":"0x1","ts":11.0,"pid":1,"tid":8,"args":{"rank":1,"lane":"cpu","arg":0}},
-    {"name":"gpumip.simmpi.recv.wait","ph":"E","ts":11.0,"pid":1,"tid":8,"args":{"rank":1,"lane":"cpu","arg":0}},
-    {"name":"gpumip.mip.solve","ph":"B","ts":11.0,"pid":1,"tid":8,"args":{"rank":1,"lane":"cpu","arg":0}},
-    {"name":"gpumip.mip.solve","ph":"E","ts":20.0,"pid":1,"tid":8,"args":{"rank":1,"lane":"cpu","arg":0}},
-    {"name":"gpumip.simmpi.msg","ph":"s","cat":"gpumip.flow","id":"0x2","ts":20.0,"pid":1,"tid":8,"args":{"rank":1,"lane":"cpu","arg":0}},
-    {"name":"gpumip.gpu.kernel","ph":"X","ts":0.0,"dur":8.0,"pid":1,"tid":7,"args":{"rank":0,"lane":"kernel","arg":0}},
-    {"name":"gpumip.gpu.h2d","ph":"X","ts":4.0,"dur":8.0,"pid":1,"tid":5,"args":{"rank":0,"lane":"h2d","arg":256}}
-  ],
-  "otherData": {"schema": "gpumip.trace.v1", "dropped": 3}
-})json";
-
-bool near(double a, double b) { return std::fabs(a - b) < 1e-12; }
-
-}  // namespace
-
-bool run_self_check(std::ostream& out) {
-  bool ok = true;
-  auto expect = [&](bool cond, const std::string& what) {
-    out << "  [" << (cond ? "PASS" : "FAIL") << "] " << what << "\n";
-    if (!cond) ok = false;
-  };
-
-  Trace trace;
-  std::string error;
-  expect(parse_trace(kFixture, trace, error), "fixture parses (" + error + ")");
-  expect(trace.dropped == 3, "otherData.dropped decoded");
-  const Report report = analyze(trace);
-  expect(report.events == 16, "16 non-metadata events");
-  expect(report.flows_total == 2 && report.flows_matched == 2, "both flows matched");
-  expect(near(report.makespan_seconds, 25.0 * 1e-6), "makespan 25us");
-  expect(report.critical_path.size() == 2, "critical path has 2 hops");
-  if (report.critical_path.size() == 2) {
-    expect(report.critical_path[0].from_rank == 0 && report.critical_path[0].to_rank == 1 &&
-               report.critical_path[1].from_rank == 1 && report.critical_path[1].to_rank == 0,
-           "hops chain 0 -> 1 -> 0");
-    expect(near(report.critical_start_seconds, 0.0) && near(report.critical_end_seconds, 25e-6),
-           "path spans the whole run");
-  }
-  expect(report.ranks.size() == 2, "two ranks in breakdown");
-  for (const RankBreakdown& rb : report.ranks) {
-    if (rb.rank == 0) {
-      expect(near(rb.busy_seconds, 10e-6) && near(rb.blocked_seconds, 0.0) &&
-                 near(rb.idle_seconds, 15e-6),
-             "rank 0: busy 10us, idle 15us");
-    }
-    if (rb.rank == 1) {
-      expect(near(rb.busy_seconds, 9e-6) && near(rb.blocked_seconds, 9e-6) &&
-                 near(rb.idle_seconds, 0.0),
-             "rank 1: busy 9us, blocked 9us");
-    }
-  }
-  expect(report.devices.size() == 1, "one device rank");
-  if (report.devices.size() == 1) {
-    const DeviceBreakdown& db = report.devices.front();
-    expect(near(db.kernel_seconds, 8e-6) && near(db.h2d_seconds, 8e-6) &&
-               near(db.overlap_seconds, 4e-6),
-           "kernel 8us, h2d 8us, overlap 4us");
-  }
-  expect(report.cut_rounds == 1 && near(report.cut_latency_max_seconds, 4e-6),
-         "one cut round of 4us");
-  expect(verify_nontrivial(report).empty(), "fixture verdict: non-trivial");
-
-  // Degenerate inputs must be rejected, not misreported.
-  Trace bad;
-  expect(!parse_trace("{\"traceEvents\": 7}", bad, error), "non-array traceEvents rejected");
-  expect(!parse_trace("{\"traceEvents\": [", bad, error), "truncated document rejected");
-  Trace empty;
-  expect(parse_trace("{\"traceEvents\": []}", empty, error) &&
-             !verify_nontrivial(analyze(empty)).empty(),
-         "empty trace parses but is trivial");
-  return ok;
 }
 
 }  // namespace gpumip::tracetool

@@ -1,6 +1,5 @@
 // Timeline analyzer for the Chrome trace-event JSON written by
-// obs/trace.hpp (gpumip-report --trace; scripts/check.sh gate 9;
-// docs/TRACING.md).
+// obs/trace.hpp (gpumip-report --trace; docs/TRACING.md).
 //
 // Metrics (docs/METRICS.md) aggregate totals; the exported trace keeps the
 // order. This tool turns the order back into the numbers the paper's
@@ -13,12 +12,11 @@
 //   * H2D/D2H transfer overlap vs. kernel compute per rank (paper C5/C7),
 //   * cut round-trip latency (paper C4) from the cuts.round spans.
 //
-// Engine is a static library (tests/test_trace.cpp drives it with in-memory
-// traces); the gpumip-report CLI (tools/gpumip-report) wraps it.
+// Part of the gpumip-report engine library (tests/test_trace.cpp drives it
+// with in-memory traces); the gpumip-report CLI wraps it.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -47,7 +45,9 @@ struct Trace {
 
 /// Decodes a trace-event JSON document (object form with "traceEvents", as
 /// obs::trace::to_json writes, or a bare event array). Returns false and
-/// sets `error` on malformed JSON or a missing/ill-typed traceEvents list.
+/// sets `error` on malformed JSON, a missing/ill-typed traceEvents list, or
+/// an integral field (pid, tid, args.rank, otherData.dropped) outside the
+/// range of its type.
 bool parse_trace(const std::string& json, Trace& out, std::string& error);
 
 struct RankBreakdown {
@@ -98,16 +98,5 @@ Report analyze(const Trace& trace);
 
 /// Human-readable multi-section report (what `gpumip-report --trace` prints).
 std::string format_report(const Report& report);
-
-/// Empty string when the trace exercises the analyses (matched flows, a
-/// critical path with at least one hop, two or more ranks); otherwise the
-/// reason it is trivial. Gate 9 runs this against the committed fixture.
-std::string verify_nontrivial(const Report& report);
-
-/// Built-in fixtures with known-by-construction answers: parses and
-/// analyzes synthetic traces, checks exact interval arithmetic, flow
-/// matching, critical-path chaining, and malformed-input rejection.
-/// Prints one line per fixture; returns false if any expectation fails.
-bool run_self_check(std::ostream& out);
 
 }  // namespace gpumip::tracetool

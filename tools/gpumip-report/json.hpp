@@ -1,7 +1,7 @@
-// Minimal JSON DOM shared by the trace analyzer and gpumip-report. All
-// inputs are machine-written — metrics exports, time-series exports,
-// trace-event files, bench baselines — so a small recursive-descent reader
-// keeps the tools dependency-free (same stance as gpumip-lint's lexer).
+// Minimal JSON DOM shared by the trace analyzer and the report engine. All
+// inputs are machine-written — metrics exports, trace-event files, bench
+// baselines — so a small recursive-descent reader keeps the tool
+// dependency-free (same stance as gpumip-lint's lexer).
 #pragma once
 
 #include <cstddef>

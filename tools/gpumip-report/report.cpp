@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <ostream>
 #include <sstream>
 
 #include "json.hpp"
@@ -14,7 +13,6 @@ namespace {
 
 using tracetool::JsonReader;
 using tracetool::JsonValue;
-using tracetool::number_or;
 using tracetool::string_or;
 
 bool number_map(const JsonValue* obj, std::map<std::string, double>& out, std::string& error,
@@ -36,32 +34,12 @@ bool number_map(const JsonValue* obj, std::map<std::string, double>& out, std::s
 }
 
 bool snapshot_from(const JsonValue& root, MetricsSnapshot& out, std::string& error) {
-  out = MetricsSnapshot{};
   if (root.type != JsonValue::Type::kObject) {
     error = "metrics document is not an object";
     return false;
   }
-  out.schema = string_or(root.find("schema"), "");
-  if (const JsonValue* enabled = root.find("enabled");
-      enabled != nullptr && enabled->type == JsonValue::Type::kBool) {
-    out.enabled = enabled->boolean;
-  }
-  if (!number_map(root.find("counters"), out.counters, error, "counters")) return false;
-  if (!number_map(root.find("gauges"), out.gauges, error, "gauges")) return false;
-  if (const JsonValue* hists = root.find("histograms"); hists != nullptr) {
-    if (hists->type != JsonValue::Type::kObject) {
-      error = "histograms is not an object";
-      return false;
-    }
-    for (const auto& [name, h] : hists->object) {
-      if (h.type != JsonValue::Type::kObject) {
-        error = "histogram '" + name + "' is not an object";
-        return false;
-      }
-      out.histograms[name] = {number_or(h.find("count"), 0.0), number_or(h.find("sum"), 0.0)};
-    }
-  }
-  return true;
+  return number_map(root.find("counters"), out.counters, error, "counters") &&
+         number_map(root.find("gauges"), out.gauges, error, "gauges");
 }
 
 constexpr double kAbsFloor = 1e-9;  // slack for baselines at or near zero
@@ -90,8 +68,8 @@ bool ends_with(const std::string& s, const char* suffix) {
 /// comparator skips them and attribution never blames them.
 bool is_noise(const std::string& metric_name) {
   const std::string name = strip_labels(metric_name);
-  // Trace-ring drops and sampler-row counts depend on how much tracing and
-  // sampling ran; idle seconds are wall-clock blocking time; quiesced-point
+  // Observability bookkeeping (trace-ring drops) depends on how much
+  // tracing ran; idle seconds are wall-clock blocking time; quiesced-point
   // hits depend on timing.
   return starts_with(name, "gpumip.obs.") || ends_with(name, ".idle_seconds") ||
          name == "gpumip.supervisor.checkpoints";
@@ -134,12 +112,12 @@ std::map<std::string, double> aggregate_rank_splits(
 bool parse_metrics(const std::string& json, MetricsSnapshot& out, std::string& error) {
   JsonValue root;
   if (!JsonReader(json).parse(root, error)) return false;
-  if (!snapshot_from(root, out, error)) return false;
-  if (out.schema != "gpumip.metrics.v2") {
-    error = "unexpected metrics schema '" + out.schema + "'";
+  const std::string schema = string_or(root.find("schema"), "");
+  if (schema != "gpumip.metrics.v2") {
+    error = "unexpected metrics schema '" + schema + "'";
     return false;
   }
-  return true;
+  return snapshot_from(root, out, error);
 }
 
 bool parse_bench_doc(const std::string& json, BenchDoc& out, std::string& error) {
@@ -161,7 +139,6 @@ bool parse_bench_doc(const std::string& json, BenchDoc& out, std::string& error)
       error = "bench '" + bench + "': " + error;
       return false;
     }
-    snap.enabled = true;  // the merge script refuses disabled exports
     out.benches[bench] = std::move(snap);
   }
   if (out.benches.empty()) {
@@ -181,56 +158,6 @@ bool parse_run(const std::string& json, BenchDoc& out, std::string& error) {
   out.benches.clear();
   out.benches["run"] = std::move(snap);
   return true;
-}
-
-bool parse_timeseries(const std::string& json, TimeSeries& out, std::string& error) {
-  JsonValue root;
-  if (!JsonReader(json).parse(root, error)) return false;
-  if (string_or(root.find("schema"), "") != "gpumip.timeseries.v1") {
-    error = "unexpected time-series schema '" + string_or(root.find("schema"), "") + "'";
-    return false;
-  }
-  out = TimeSeries{};
-  out.period = number_or(root.find("period"), 0.0);
-  out.dropped = static_cast<std::uint64_t>(number_or(root.find("dropped"), 0.0));
-  const JsonValue* columns = root.find("columns");
-  if (columns == nullptr || columns->type != JsonValue::Type::kArray) {
-    error = "document has no columns array";
-    return false;
-  }
-  for (const JsonValue& col : columns->array) {
-    out.columns.push_back(string_or(col.find("name"), "?") + ":" +
-                          string_or(col.find("kind"), "?"));
-  }
-  const JsonValue* rows = root.find("rows");
-  if (rows == nullptr || rows->type != JsonValue::Type::kArray) {
-    error = "document has no rows array";
-    return false;
-  }
-  for (const JsonValue& row : rows->array) {
-    out.ts.push_back(number_or(row.find("ts"), 0.0));
-    std::vector<double> values;
-    if (const JsonValue* vs = row.find("values");
-        vs != nullptr && vs->type == JsonValue::Type::kArray) {
-      for (const JsonValue& v : vs->array) values.push_back(v.number);
-    }
-    if (values.size() != out.columns.size()) {
-      error = "row " + std::to_string(out.rows.size()) + " has " +
-              std::to_string(values.size()) + " values for " +
-              std::to_string(out.columns.size()) + " columns";
-      return false;
-    }
-    out.rows.push_back(std::move(values));
-  }
-  return true;
-}
-
-const std::vector<std::string>& category_ids() {
-  static const std::vector<std::string> kIds = {
-      "transfer", "c3_basis", "c4_cuts", "c5_memory",
-      "c6_method", "c7_batch", "c8_scale", "other",
-  };
-  return kIds;
 }
 
 std::string category_of(const std::string& metric_name) {
@@ -256,39 +183,6 @@ std::string category_of(const std::string& metric_name) {
     return "c8_scale";
   }
   return "other";
-}
-
-Profile build_profile(const BenchDoc& run, const tracetool::Trace* trace,
-                      const TimeSeries* series) {
-  Profile profile;
-  std::map<std::string, CategoryTotal> totals;
-  for (const std::string& id : category_ids()) totals[id].category = id;
-  for (const auto& [bench, snap] : run.benches) {
-    auto account = [&totals](const std::map<std::string, double>& values) {
-      for (const auto& [name, value] : values) {
-        const std::string cat = category_of(name);
-        if (cat.empty()) continue;
-        ++totals[cat].metrics;
-        totals[cat].total += value;
-      }
-    };
-    account(snap.counters);
-    account(snap.gauges);
-  }
-  for (const std::string& id : category_ids()) profile.categories.push_back(totals[id]);
-
-  if (trace != nullptr) {
-    profile.has_trace = true;
-    profile.trace = tracetool::analyze(*trace);
-  }
-  if (series != nullptr) {
-    profile.has_timeseries = true;
-    profile.timeseries_rows = series->ts.size();
-    if (series->ts.size() >= 2) {
-      profile.timeseries_span = series->ts.back() - series->ts.front();
-    }
-  }
-  return profile;
 }
 
 Attribution attribute(const BenchDoc& base, const BenchDoc& current) {
@@ -362,8 +256,14 @@ std::optional<double> compare_tolerance(const std::string& bench, const std::str
   // world-total counters carry the comparable signal.
   if (is_noise(name) || drop_rank_label(name) != name) return std::nullopt;
   // Incumbent discovery order under the thread-per-rank supervisor changes
-  // pruning, so even the MIP ledgers there legitimately wobble.
-  if (bench == "e8_scaleout") return kLooseTolerance;
+  // pruning, so even the MIP ledgers there legitimately wobble. Pruning
+  // itself wobbles past any useful tolerance: 64 runs on a 4-core host
+  // gave 220-314 against a baseline of 226, and earlier runs as low as
+  // 110. Every other e8 metric stayed within 25% of its baseline.
+  if (bench == "e8_scaleout") {
+    if (name == "gpumip.mip.tree.pruned") return std::nullopt;
+    return kLooseTolerance;
+  }
   const bool ledger = starts_with(name, "gpumip.gpu.") || starts_with(name, "gpumip.lp.") ||
                       starts_with(name, "gpumip.mip.");
   return ledger ? kTightTolerance : kLooseTolerance;
@@ -430,31 +330,6 @@ std::string format_comparison(const Comparison& comparison) {
   return out.str();
 }
 
-std::string format_profile(const Profile& profile) {
-  std::ostringstream out;
-  out.setf(std::ios::fixed);
-  out.precision(6);
-  out << "claim categories (counter/gauge mass per paper claim):\n";
-  for (const CategoryTotal& ct : profile.categories) {
-    out << "  " << ct.category << ": " << ct.metrics << " metric(s), total " << ct.total
-        << "\n";
-  }
-  if (profile.has_trace) {
-    out << "timeline (gpumip-trace analysis):\n";
-    out << "  makespan " << profile.trace.makespan_seconds << "s, "
-        << profile.trace.critical_path.size() << " critical hop(s)\n";
-    for (const tracetool::RankBreakdown& rb : profile.trace.ranks) {
-      out << "  rank " << rb.rank << ": busy " << rb.busy_seconds << "s, blocked "
-          << rb.blocked_seconds << "s, idle " << rb.idle_seconds << "s\n";
-    }
-  }
-  if (profile.has_timeseries) {
-    out << "time series: " << profile.timeseries_rows << " row(s) spanning "
-        << profile.timeseries_span << "s\n";
-  }
-  return out.str();
-}
-
 std::string format_attribution(const Attribution& attribution) {
   std::ostringstream out;
   out.setf(std::ios::fixed);
@@ -471,238 +346,6 @@ std::string format_attribution(const Attribution& attribution) {
   }
   if (attribution.ranked.empty()) out << "  (no attributable metric moved)\n";
   return out.str();
-}
-
-// ---- self-check fixtures ---------------------------------------------------
-
-namespace {
-
-/// Metrics v2 export exercising labels, families, and every histogram
-/// field the parser folds away.
-const char* kMetricsV2Fixture = R"json({
-  "schema": "gpumip.metrics.v2",
-  "enabled": true,
-  "families": [
-    "gpumip.lp.solves{method}"
-  ],
-  "counters": {
-    "gpumip.gpu.xfer.h2d.bytes": 4096,
-    "gpumip.lp.solves{method=pdhg}": 7,
-    "gpumip.lp.solves{method=simplex}": 21,
-    "gpumip.obs.trace.dropped": 5
-  },
-  "gauges": {
-    "gpumip.mip.reuse.hit_rate": 0.75
-  },
-  "histograms": {
-    "gpumip.lp.solve.seconds{method=simplex}": {"count": 21, "sum": 0.42, "min": 0.01,
-      "max": 0.05, "mean": 0.02, "p50": 0.02, "p90": 0.04, "p99": 0.05}
-  }
-})json";
-
-/// Two-bench baseline with known category masses.
-const char* kBaselineFixture = R"json({
-  "schema": "gpumip.bench-baseline.v1",
-  "benches": {
-    "e1": {
-      "counters": {
-        "gpumip.gpu.xfer.h2d.bytes": 1000,
-        "gpumip.gpu.xfer.d2h.bytes": 500,
-        "gpumip.lp.ops.refactor": 40,
-        "gpumip.mip.cuts.generated": 12,
-        "gpumip.obs.trace.dropped": 9
-      },
-      "gauges": {"gpumip.mip.reuse.hit_rate": 0.5}
-    },
-    "e8": {
-      "counters": {
-        "gpumip.simmpi.sent.bytes{rank=0}": 2048,
-        "gpumip.supervisor.checkpoints": 3
-      },
-      "gauges": {"gpumip.simmpi.recv.idle_seconds{rank=1}": 1.25}
-    }
-  }
-})json";
-
-/// The committed-drill shape: same run with H2D volume doubled and one
-/// benign 1% wobble elsewhere. Attribution must rank transfer first.
-const char* kRegressionFixture = R"json({
-  "schema": "gpumip.bench-baseline.v1",
-  "benches": {
-    "e1": {
-      "counters": {
-        "gpumip.gpu.xfer.h2d.bytes": 2000,
-        "gpumip.gpu.xfer.d2h.bytes": 500,
-        "gpumip.lp.ops.refactor": 40,
-        "gpumip.mip.cuts.generated": 12,
-        "gpumip.obs.trace.dropped": 999
-      },
-      "gauges": {"gpumip.mip.reuse.hit_rate": 0.505}
-    },
-    "e8": {
-      "counters": {
-        "gpumip.simmpi.sent.bytes{rank=0}": 2048,
-        "gpumip.supervisor.checkpoints": 30
-      },
-      "gauges": {"gpumip.simmpi.recv.idle_seconds{rank=1}": 99.0}
-    }
-  }
-})json";
-
-/// Rank-aggregation pair: the per-rank byte split shuffles (race-dependent
-/// dispatch) while the family total stays put; only the H2D move is real.
-const char* kRankJitterBase = R"json({
-  "schema": "gpumip.bench-baseline.v1",
-  "benches": {
-    "e8": {
-      "counters": {
-        "gpumip.simmpi.sent.bytes{rank=0}": 49,
-        "gpumip.simmpi.sent.bytes{rank=1}": 322,
-        "gpumip.gpu.xfer.h2d.bytes": 1000
-      }
-    }
-  }
-})json";
-
-const char* kRankJitterCurrent = R"json({
-  "schema": "gpumip.bench-baseline.v1",
-  "benches": {
-    "e8": {
-      "counters": {
-        "gpumip.simmpi.sent.bytes{rank=0}": 322,
-        "gpumip.simmpi.sent.bytes{rank=1}": 49,
-        "gpumip.gpu.xfer.h2d.bytes": 1100
-      }
-    }
-  }
-})json";
-
-const char* kTimeSeriesFixture = R"json({
-  "schema": "gpumip.timeseries.v1",
-  "period": 0.001,
-  "dropped": 0,
-  "columns": [
-    {"name": "gpumip.supervisor.dispatched", "kind": "counter"}
-  ],
-  "rows": [
-    {"ts": 0.001, "sim": true, "values": [2]},
-    {"ts": 0.002, "sim": true, "values": [3]},
-    {"ts": 0.004, "sim": true, "values": [1]}
-  ]
-})json";
-
-bool near(double a, double b) { return std::fabs(a - b) < 1e-12; }
-
-}  // namespace
-
-bool run_self_check(std::ostream& out) {
-  bool ok = true;
-  auto expect = [&](bool cond, const std::string& what) {
-    out << "  [" << (cond ? "PASS" : "FAIL") << "] " << what << "\n";
-    if (!cond) ok = false;
-  };
-
-  std::string error;
-
-  MetricsSnapshot snap;
-  expect(parse_metrics(kMetricsV2Fixture, snap, error), "metrics v2 parses (" + error + ")");
-  expect(snap.enabled && snap.schema == "gpumip.metrics.v2", "v2 schema + enabled decoded");
-  expect(snap.counters.size() == 4 &&
-             near(snap.counters.at("gpumip.lp.solves{method=pdhg}"), 7.0),
-         "labeled counters decoded");
-  expect(snap.histograms.size() == 1 &&
-             near(snap.histograms.at("gpumip.lp.solve.seconds{method=simplex}").second, 0.42),
-         "histogram folded to (count, sum)");
-
-  expect(category_of("gpumip.gpu.xfer.h2d.bytes") == "transfer" &&
-             category_of("gpumip.lp.ops.refactor") == "c3_basis" &&
-             category_of("gpumip.mip.cuts.generated") == "c4_cuts" &&
-             category_of("gpumip.gpu.alloc.calls") == "c5_memory" &&
-             category_of("gpumip.lp.solves{method=pdhg}") == "c6_method" &&
-             category_of("gpumip.lp.batch.occupancy") == "c7_batch" &&
-             category_of("gpumip.simmpi.sent.bytes{rank=0}") == "c8_scale" &&
-             category_of("gpumip.mip.nodes") == "other",
-         "category mapping covers the claim families");
-  expect(category_of("gpumip.obs.trace.dropped").empty() &&
-             category_of("gpumip.obs.sampler.samples").empty() &&
-             category_of("gpumip.simmpi.recv.idle_seconds{rank=1}").empty() &&
-             category_of("gpumip.supervisor.checkpoints").empty(),
-         "obs bookkeeping and host-timing noise excluded");
-
-  BenchDoc base;
-  BenchDoc regression;
-  expect(parse_bench_doc(kBaselineFixture, base, error), "baseline parses (" + error + ")");
-  expect(parse_bench_doc(kRegressionFixture, regression, error),
-         "regression parses (" + error + ")");
-  expect(base.benches.size() == 2, "two benches decoded");
-
-  const Profile profile = build_profile(base, nullptr, nullptr);
-  double transfer_mass = 0.0;
-  for (const CategoryTotal& ct : profile.categories) {
-    if (ct.category == "transfer") transfer_mass = ct.total;
-  }
-  expect(near(transfer_mass, 1500.0), "profile sums transfer mass 1500");
-
-  const Attribution attribution = attribute(base, regression);
-  expect(!attribution.ranked.empty(), "attribution found moved categories");
-  expect(!attribution.ranked.empty() && attribution.ranked.front().category == "transfer",
-         "doubled H2D volume ranks transfer first");
-  expect(!attribution.ranked.empty() && !attribution.ranked.front().top.empty() &&
-             attribution.ranked.front().top.front().name == "gpumip.gpu.xfer.h2d.bytes",
-         "top contributor is the H2D byte counter");
-  for (const CategoryDelta& cd : attribution.ranked) {
-    for (const MetricDelta& md : cd.top) {
-      expect(category_of(md.name) != "", "no excluded metric leaked into attribution");
-    }
-  }
-
-  const Attribution clean = attribute(base, base);
-  expect(clean.ranked.empty(), "identical runs attribute to nothing");
-
-  // The comparator sees only the doubled H2D counter: the 1% reuse wobble
-  // is inside the 2% ledger tolerance and every other move is noise.
-  const Comparison drill = compare(base, regression);
-  expect(drill.failures.size() == 1 &&
-             drill.failures.front().find("gpumip.gpu.xfer.h2d.bytes") != std::string::npos,
-         "compare fails the doubled H2D counter and nothing else");
-  expect(compare(base, base).failures.empty(), "compare passes identical runs");
-
-  // Rank shuffles between two correct runs must cancel in the family
-  // total: opposing per-rank jitter scores zero, the real H2D move wins.
-  BenchDoc jitter_base, jitter_cur;
-  expect(parse_bench_doc(kRankJitterBase, jitter_base, error) &&
-             parse_bench_doc(kRankJitterCurrent, jitter_cur, error),
-         "rank-jitter fixtures parse (" + error + ")");
-  const Attribution jittered = attribute(jitter_base, jitter_cur);
-  expect(jittered.ranked.size() == 1 && jittered.ranked.front().category == "transfer",
-         "opposing rank jitter aggregates away; only transfer moves");
-  bool c8_seen = false;
-  for (const CategoryDelta& cd : jittered.ranked) c8_seen |= cd.category == "c8_scale";
-  expect(!c8_seen, "race-shuffled rank splits do not move c8_scale");
-
-  TimeSeries series;
-  expect(parse_timeseries(kTimeSeriesFixture, series, error),
-         "time series parses (" + error + ")");
-  expect(series.columns.size() == 1 && series.rows.size() == 3 && near(series.ts.back(), 0.004),
-         "time-series columns and rows decoded");
-  const Profile with_series = build_profile(base, nullptr, &series);
-  expect(with_series.has_timeseries && near(with_series.timeseries_span, 0.003),
-         "profile reports time-series span");
-
-  // Degenerate inputs must be rejected, not misreported.
-  MetricsSnapshot bad;
-  expect(!parse_metrics("{\"schema\": \"gpumip.metrics.v1\", \"counters\": {}}", bad, error),
-         "retired metrics v1 schema rejected");
-  BenchDoc bad_doc;
-  expect(!parse_bench_doc("{\"schema\": \"gpumip.bench-baseline.v1\"}", bad_doc, error),
-         "baseline without benches rejected");
-  TimeSeries bad_series;
-  expect(!parse_timeseries(
-             "{\"schema\": \"gpumip.timeseries.v1\", \"columns\": [], "
-             "\"rows\": [{\"ts\": 0, \"values\": [1]}]}",
-             bad_series, error),
-         "row/column arity mismatch rejected");
-  return ok;
 }
 
 }  // namespace gpumip::reporttool

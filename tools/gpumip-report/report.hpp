@@ -1,14 +1,12 @@
 // gpumip-report: the one profile and regression tool over the
-// observability exports (scripts/check.sh gates 8 and 9; docs/TRACING.md
+// observability exports (scripts/check.sh gate 8; docs/TRACING.md
 // "Report workflow").
 //
-// The observability layer exports three complementary documents — a
-// metrics snapshot (docs/METRICS.md, gpumip.metrics.v2), a sim-clock
-// time series (gpumip.timeseries.v1, src/obs/sampler.hpp), and a
-// trace-event timeline (gpumip.trace.v1, analyzed by the tracetool engine
-// in tools/gpumip-trace). This tool merges them into one profile that
-// attributes where the makespan went in terms of the paper's claim
-// categories:
+// It reads two of the observability layer's documents: metrics snapshots
+// (docs/METRICS.md, gpumip.metrics.v2), merged per bench into
+// bench-baseline documents by scripts/bench.sh, and trace-event timelines
+// (gpumip.trace.v1, analyzed by the tracetool engine in analyze.hpp).
+// Metric deltas are attributed to the paper's claim categories:
 //
 //   transfer  — H2D/D2H volume and staging      (gpumip.gpu.xfer.*)
 //   c3_basis  — basis maintenance / refactors   (gpumip.lp.ops.*)
@@ -27,28 +25,20 @@
 // in-memory documents); the CLI in main.cpp wraps it.
 #pragma once
 
-#include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
-
-#include "analyze.hpp"  // tracetool::Trace / Report for the timeline leg
 
 namespace gpumip::reporttool {
 
 // ---- input documents -------------------------------------------------------
 
-/// Flattened gpumip.metrics.v2 snapshot: one map per instrument kind,
-/// histogram values folded to (count, sum).
+/// The counters and gauges of a gpumip.metrics.v2 snapshot. Histograms
+/// record host wall time; neither comparison nor attribution reads them.
 struct MetricsSnapshot {
   std::map<std::string, double> counters;
   std::map<std::string, double> gauges;
-  std::map<std::string, std::pair<double, double>> histograms;  ///< count, sum
-  std::string schema;
-  bool enabled = false;
 };
 
 bool parse_metrics(const std::string& json, MetricsSnapshot& out, std::string& error);
@@ -65,53 +55,16 @@ bool parse_bench_doc(const std::string& json, BenchDoc& out, std::string& error)
 /// document or a single metrics export (wrapped as one bench named "run").
 bool parse_run(const std::string& json, BenchDoc& out, std::string& error);
 
-/// A gpumip.timeseries.v1 document (src/obs/sampler.hpp export).
-struct TimeSeries {
-  double period = 0.0;
-  std::uint64_t dropped = 0;
-  std::vector<std::string> columns;        ///< flattened "name:kind"
-  std::vector<double> ts;                  ///< row timestamps
-  std::vector<std::vector<double>> rows;   ///< per-row column values
-};
-
-bool parse_timeseries(const std::string& json, TimeSeries& out, std::string& error);
-
 // ---- claim-category mapping ------------------------------------------------
 
 /// Category id for a metric name ("transfer", "c3_basis", ..., "other"),
 /// or "" for names excluded from attribution entirely: the observability
-/// layer's own bookkeeping (gpumip.obs.*, including trace-ring drops and
-/// sampler overhead) and host-timing noise (*.idle_seconds, checkpoint
-/// hits) — the same noise list `compare` skips. Labels are ignored for
+/// layer's own bookkeeping (gpumip.obs.*, such as trace-ring drops) and
+/// host-timing noise (*.idle_seconds, checkpoint hits) — the same noise
+/// list `compare` skips. Labels are ignored for
 /// categorization: `gpumip.lp.solves{method=pdhg}` maps where
 /// `gpumip.lp.solves` does.
 std::string category_of(const std::string& metric_name);
-
-/// All category ids in report order (excludes the "" exclusion marker).
-const std::vector<std::string>& category_ids();
-
-// ---- single-run profile ----------------------------------------------------
-
-struct CategoryTotal {
-  std::string category;
-  long metrics = 0;      ///< distinct counter/gauge names contributing
-  double total = 0.0;    ///< sum of counter/gauge values (mixed units; a
-                         ///< volume indicator, not a physical quantity)
-};
-
-/// One run's merged view: metric mass per category, plus (when present)
-/// the trace's makespan / per-rank split and the time-series shape.
-struct Profile {
-  std::vector<CategoryTotal> categories;  ///< report order, incl. zeros
-  bool has_trace = false;
-  tracetool::Report trace;                ///< valid when has_trace
-  bool has_timeseries = false;
-  std::size_t timeseries_rows = 0;
-  double timeseries_span = 0.0;           ///< last ts - first ts
-};
-
-Profile build_profile(const BenchDoc& run, const tracetool::Trace* trace,
-                      const TimeSeries* series);
 
 // ---- two-run attribution ---------------------------------------------------
 
@@ -148,8 +101,10 @@ Attribution attribute(const BenchDoc& base, const BenchDoc& current);
 /// compared instead. Tolerances: 2% on the paper-claim ledgers
 /// (gpumip.gpu.*, gpumip.lp.*, gpumip.mip.*), 25% on everything else, and
 /// 25% on every metric of the e8_scaleout bench, whose supervisor runs
-/// change pruning with incumbent discovery order. A change is in
-/// tolerance when |current - base| <= max(tolerance * |base|, 1e-9).
+/// change pruning with incumbent discovery order; its
+/// gpumip.mip.tree.pruned moves further than that between correct runs and
+/// is skipped. A change is in tolerance when
+/// |current - base| <= max(tolerance * |base|, 1e-9).
 std::optional<double> compare_tolerance(const std::string& bench, const std::string& name);
 
 struct Comparison {
@@ -167,15 +122,6 @@ Comparison compare(const BenchDoc& base, const BenchDoc& current);
 // ---- rendering -------------------------------------------------------------
 
 std::string format_comparison(const Comparison& comparison);
-
-std::string format_profile(const Profile& profile);
 std::string format_attribution(const Attribution& attribution);
-
-/// Built-in known-answer fixtures: document parsing (metrics v2, bench
-/// baselines, time series), category mapping, exclusion list, and
-/// an embedded doubled-H2D regression whose attribution must rank the
-/// transfer category first. Prints one line per expectation; returns
-/// false if any fails.
-bool run_self_check(std::ostream& out);
 
 }  // namespace gpumip::reporttool
