@@ -93,8 +93,10 @@ StreamId Device::create_stream() {
 }
 
 void Device::validate_stream(StreamId stream) const {
-  check_arg(stream >= 0 && stream < static_cast<StreamId>(streams_.size()),
-            "invalid stream id " + std::to_string(stream));
+  // Runs on every launch and copy: compose the message only on failure.
+  if (stream < 0 || stream >= static_cast<StreamId>(streams_.size())) {
+    check_arg(false, "invalid stream id " + std::to_string(stream));
+  }
 }
 
 void Device::copy_h2d(StreamId stream, DeviceBuffer& dst, const void* src, std::size_t bytes,

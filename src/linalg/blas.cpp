@@ -41,6 +41,21 @@ void scal(double alpha, std::span<double> x) {
   for (double& v : x) v *= alpha;
 }
 
+// The row update below is the inner loop of every simplex refactorization
+// (DenseLU::inverse), the largest share of a branch-and-bound run's host
+// time. Two lanes per step let GCC's -O2 pack the body into one mulpd and
+// one subpd. Its entry is pinned to a 64-byte boundary so the placement of
+// its loop does not depend on the size of unrelated code linked before it:
+// unpinned, deleting unrelated code elsewhere moved the branch-and-bound
+// benchmark by about 20% on a 4-core Xeon.
+[[gnu::aligned(64)]] void sub_scaled(double alpha, const double* __restrict x,
+                                     double* __restrict y, std::size_t n) {
+  for (std::size_t i = 0; i < n; i += 2) {
+    y[i] -= alpha * x[i];
+    y[i + 1] -= alpha * x[i + 1];
+  }
+}
+
 void gemv(double alpha, const Matrix& a, std::span<const double> x, double beta,
           std::span<double> y) {
   check_arg(static_cast<int>(x.size()) == a.cols(), "gemv: x size mismatch");
@@ -93,13 +108,7 @@ void gemm(double alpha, const Matrix& a, const Matrix& b, double beta, Matrix& c
   }
 }
 
-// The two triangular solves below are the inner loops of every dense LU
-// solve in the simplex method, about half of a branch-and-bound run's host
-// time. Their entry is pinned to a 64-byte boundary so the placement of
-// their loops does not depend on the size of unrelated code linked before
-// them: unpinned, deleting unrelated code elsewhere made the
-// branch-and-bound benchmark about 20% slower on a 4-core Xeon.
-[[gnu::aligned(64)]] void trsv_lower(const Matrix& l, std::span<double> b, bool unit_diagonal) {
+void trsv_lower(const Matrix& l, std::span<double> b, bool unit_diagonal) {
   const int n = l.rows();
   check_arg(l.cols() == n && static_cast<int>(b.size()) == n, "trsv_lower: shape mismatch");
   for (int i = 0; i < n; ++i) {
@@ -115,7 +124,7 @@ void gemm(double alpha, const Matrix& a, const Matrix& b, double beta, Matrix& c
   }
 }
 
-[[gnu::aligned(64)]] void trsv_upper(const Matrix& u, std::span<double> b) {
+void trsv_upper(const Matrix& u, std::span<double> b) {
   const int n = u.rows();
   check_arg(u.cols() == n && static_cast<int>(b.size()) == n, "trsv_upper: shape mismatch");
   for (int i = n - 1; i >= 0; --i) {

@@ -19,6 +19,9 @@ double asum(std::span<const double> x);
 int iamax(std::span<const double> x);
 void axpy(double alpha, std::span<const double> x, std::span<double> y);
 void scal(double alpha, std::span<double> x);
+/// y[i] -= alpha * x[i] for i < n; n even, x and y do not overlap. The row
+/// update of DenseLU::inverse's multi-right-hand-side substitution.
+void sub_scaled(double alpha, const double* __restrict x, double* __restrict y, std::size_t n);
 
 // ----- BLAS-2 -----
 /// y = alpha * A x + beta * y

@@ -1,6 +1,7 @@
 #include "linalg/lu.hpp"
 
 #include <cmath>
+#include <numeric>
 #include <utility>
 
 #include "linalg/blas.hpp"
@@ -74,13 +75,46 @@ Vector DenseLU::solve_transpose(std::span<const double> b) const {
 Matrix DenseLU::inverse() const {
   check_arg(valid(), "DenseLU::inverse on empty factorization");
   const int n = order();
+  // Solves A X = I for all n columns at once: X = P·I, then the forward
+  // and backward substitutions of solve() run row by row over X, stored
+  // row-major so each step is one contiguous row update. The row stride is
+  // padded to an even count for sub_scaled's two lanes.
+  //
+  // Every element sees the operations solve(e_c) applies to it, in the
+  // same order (ascending j in both sweeps, then the division), so the
+  // result is bit-identical to n column solves. Skipping an exact-zero L or
+  // U entry drops a `- 0·x` step, and that is exact while x is finite: the
+  // running difference it would act on is never -0 (it starts at +0, 1 or a
+  // forward result, and x - x rounds to +0).
+  const std::size_t stride = static_cast<std::size_t>(n + (n & 1));
+  std::vector<double> x(stride * static_cast<std::size_t>(n), 0.0);
+  auto row = [&](int i) { return x.data() + static_cast<std::size_t>(i) * stride; };
+  std::vector<int> perm(static_cast<std::size_t>(n));
+  std::iota(perm.begin(), perm.end(), 0);
+  for (int k = 0; k < n; ++k) {
+    std::swap(perm[static_cast<std::size_t>(k)],
+              perm[static_cast<std::size_t>(pivots_[static_cast<std::size_t>(k)])]);
+  }
+  for (int i = 0; i < n; ++i) row(i)[perm[static_cast<std::size_t>(i)]] = 1.0;
+  for (int i = 1; i < n; ++i) {
+    for (int j = 0; j < i; ++j) {
+      const double l = lu_(i, j);
+      if (l != 0.0) sub_scaled(l, row(j), row(i), stride);
+    }
+  }
+  for (int i = n - 1; i >= 0; --i) {
+    for (int j = i + 1; j < n; ++j) {
+      const double u = lu_(i, j);
+      if (u != 0.0) sub_scaled(u, row(j), row(i), stride);
+    }
+    const double d = lu_(i, i);
+    if (d == 0.0) throw NumericalError("DenseLU::inverse: zero diagonal");
+    double* xi = row(i);
+    for (std::size_t c = 0; c < stride; ++c) xi[c] /= d;
+  }
   Matrix inv(n, n);
-  Vector e(static_cast<std::size_t>(n), 0.0);
   for (int c = 0; c < n; ++c) {
-    e[static_cast<std::size_t>(c)] = 1.0;
-    Vector x = solve(e);
-    inv.set_col(c, x);
-    e[static_cast<std::size_t>(c)] = 0.0;
+    for (int i = 0; i < n; ++i) inv(i, c) = row(i)[c];
   }
   return inv;
 }

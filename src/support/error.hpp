@@ -8,6 +8,7 @@
 #include <source_location>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace gpumip {
 
@@ -52,20 +53,36 @@ class NumericalError : public Error {
       : Error(ErrorCode::kNumericalFailure, message) {}
 };
 
+namespace detail {
+/// The cold half of the check_* functions below: builds the message with
+/// the caller's [file:line] and throws Error(code). Only a failed check
+/// gets here, so a passing check costs one test and branch.
+[[noreturn, gnu::cold]] void check_failed(ErrorCode code, std::string_view message,
+                                         const std::source_location& loc);
+}  // namespace detail
+
 /// Throws Error(kInvalidArgument) with location info when `cond` is false.
-void check_arg(bool cond, const std::string& message,
-               std::source_location loc = std::source_location::current());
+/// A message composed at the call site ("x " + std::to_string(i)) is built
+/// on every call; on a hot path, test first and compose only on failure.
+inline void check_arg(bool cond, std::string_view message,
+                      std::source_location loc = std::source_location::current()) {
+  if (!cond) [[unlikely]] detail::check_failed(ErrorCode::kInvalidArgument, message, loc);
+}
 
 /// Throws Error(kInternal) with location info when `cond` is false.
 /// Used for invariants that indicate a library bug, not misuse.
-void check_internal(bool cond, const std::string& message,
-                    std::source_location loc = std::source_location::current());
+inline void check_internal(bool cond, std::string_view message,
+                           std::source_location loc = std::source_location::current()) {
+  if (!cond) [[unlikely]] detail::check_failed(ErrorCode::kInternal, message, loc);
+}
 
 /// Throws Error(kProtocolError) with location info when `cond` is false.
 /// Used by wire deserializers: a payload that fails structural validation
 /// (trailing bytes, impossible length header) is a protocol error, not a
 /// caller bug — it signals version skew or corruption between ranks.
-void check_protocol(bool cond, const std::string& message,
-                    std::source_location loc = std::source_location::current());
+inline void check_protocol(bool cond, std::string_view message,
+                           std::source_location loc = std::source_location::current()) {
+  if (!cond) [[unlikely]] detail::check_failed(ErrorCode::kProtocolError, message, loc);
+}
 
 }  // namespace gpumip

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "linalg/batched.hpp"
 #include "linalg/blas.hpp"
@@ -151,6 +152,72 @@ TEST(LU, InverseTimesAIsIdentity) {
   Matrix prod(8, 8);
   gemm(1.0, inv, a, 0.0, prod);
   EXPECT_LT(max_abs_diff(prod, Matrix::identity(8)), 1e-9);
+}
+
+// A basis-like matrix: each column is either a unit column (±1 in one row,
+// as slack and artificial columns are) or a sparse column of small integers
+// and -0.0 entries, rows shuffled so the factorization pivots.
+Matrix basis_like(int n, double density, Rng& rng) {
+  Matrix a(n, n);
+  for (int c = 0; c < n; ++c) {
+    if (rng.flip(0.4)) {
+      a(c, c) = rng.flip() ? 1.0 : -1.0;
+      continue;
+    }
+    for (int r = 0; r < n; ++r) {
+      if (!rng.flip(density)) continue;
+      a(r, c) = rng.flip(0.1) ? -0.0 : static_cast<double>(rng.uniform_int(-4, 4));
+    }
+    a(c, c) = rng.flip() ? 1.0 : -1.0;
+  }
+  const std::vector<int> perm = rng.permutation(n);
+  Matrix shuffled(n, n);
+  for (int r = 0; r < n; ++r) {
+    for (int c = 0; c < n; ++c) shuffled(perm[static_cast<std::size_t>(r)], c) = a(r, c);
+  }
+  return shuffled;
+}
+
+TEST(DenseLU, InverseIsBitIdenticalToColumnSolves) {
+  // The simplex method's search depends on every bit of B⁻¹, so inverse()
+  // must reproduce solve(e_c) exactly, signed zeros included.
+  Rng rng(97);
+  int compared = 0;
+  for (int n = 1; n <= 64; ++n) {
+    for (int family = 0; family < 4; ++family) {
+      Matrix a;
+      switch (family) {
+        case 0: a = Matrix::random(n, n, rng); break;
+        case 1: a = basis_like(n, 0.5, rng); break;
+        case 2: a = basis_like(n, 0.15, rng); break;
+        default:
+          a = Matrix::random(n, n, rng);
+          for (int r = 0; r < n; ++r) {
+            for (int c = 0; c < n; ++c) {
+              if (rng.flip(0.7)) a(r, c) = rng.flip(0.2) ? -0.0 : 0.0;
+            }
+            a(r, r) = rng.flip() ? 1.0 : -1.0;
+          }
+      }
+      DenseLU lu;
+      try {
+        lu = DenseLU(a);
+      } catch (const NumericalError&) {
+        continue;  // singular draw
+      }
+      const Matrix inv = lu.inverse();
+      Vector e(static_cast<std::size_t>(n), 0.0);
+      for (int c = 0; c < n; ++c) {
+        e[static_cast<std::size_t>(c)] = 1.0;
+        const Vector x = lu.solve(e);
+        e[static_cast<std::size_t>(c)] = 0.0;
+        ASSERT_EQ(std::memcmp(x.data(), inv.col(c).data(), x.size() * sizeof(double)), 0)
+            << "n=" << n << " family=" << family << " column=" << c;
+      }
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, 200);
 }
 
 TEST(Cholesky, SolvesSpdSystem) {

@@ -426,6 +426,28 @@ TEST(Strategies, AllFourReachTheSameOptimum) {
   }
 }
 
+TEST(Strategies, SeededBnbTreeReplayIsBitExact) {
+  // Golden values recorded before the multi-right-hand-side DenseLU
+  // inverse: a host-only speedup must leave the search and every
+  // simulated second unchanged, bit for bit.
+  struct Golden {
+    std::uint64_t seed;
+    long nodes;
+    long refactor;
+    double sim_seconds;
+  };
+  for (const Golden& g : {Golden{1, 653, 656, 0x1.722c6c83838cdp-4},
+                          Golden{2, 31, 33, 0x1.b1c3131b96643p-8}}) {
+    const mip::MipModel m = test_mip(g.seed, 16, 28);
+    const StrategyReport r = run_strategy(Strategy::S2_CpuOrchestrated, m, StrategyConfig{});
+    ASSERT_TRUE(r.completed) << r.failure;
+    EXPECT_EQ(r.result.status, mip::MipStatus::Optimal) << "seed " << g.seed;
+    EXPECT_EQ(r.result.stats.nodes_evaluated, g.nodes) << "seed " << g.seed;
+    EXPECT_EQ(r.result.stats.total_ops.refactor, g.refactor) << "seed " << g.seed;
+    EXPECT_EQ(r.sim_seconds, g.sim_seconds) << "seed " << g.seed;
+  }
+}
+
 TEST(Strategies, HybridNoSlowerThanCpuOrchestrated) {
   mip::MipModel m = test_mip(99, 12, 20);
   StrategyConfig cfg;

@@ -29,6 +29,31 @@ TEST(Error, CheckArgThrowsWithLocation) {
   }
 }
 
+TEST(Error, LiteralAndComposedMessagesCarryCallerLocation) {
+  auto what_of = [](auto&& fail) -> std::string {
+    try {
+      fail();
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument);
+      return e.what();
+    }
+    ADD_FAILURE() << "expected throw";
+    return "";
+  };
+  const int literal_line = __LINE__ + 1;
+  const std::string literal = what_of([] { check_arg(false, "literal message"); });
+  const int composed_line = __LINE__ + 1;
+  const std::string composed = what_of([] { check_arg(false, "item " + std::to_string(42)); });
+  EXPECT_NE(literal.find("literal message [" + std::string(__FILE__) + ":" +
+                         std::to_string(literal_line) + "]"),
+            std::string::npos)
+      << literal;
+  EXPECT_NE(composed.find("item 42 [" + std::string(__FILE__) + ":" +
+                          std::to_string(composed_line) + "]"),
+            std::string::npos)
+      << composed;
+}
+
 TEST(Error, DeviceOutOfMemoryIsAnError) {
   try {
     throw DeviceOutOfMemory("buffer too big");
