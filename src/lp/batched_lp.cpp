@@ -1,6 +1,12 @@
 #include "lp/batched_lp.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <system_error>
+#include <thread>
 
 #include "linalg/device_blas.hpp"
 #include "obs/obs.hpp"
@@ -28,6 +34,56 @@ gpu::KernelCost wave_cost(int active, int m, int n, double flops_each, double do
   cost.occupancy =
       linalg::occupancy_for_elements(static_cast<std::size_t>(active) * static_cast<std::size_t>(doubles_each));
   return cost;
+}
+
+/// CPUs the process may run on (its affinity mask), at least one.
+std::size_t usable_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0 && CPU_COUNT(&set) > 0) {
+    return static_cast<std::size_t>(CPU_COUNT(&set));
+  }
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+/// Runs solve_member(p) for every p in [0, count) on up to usable_cpus()
+/// threads spawned for this call, the calling thread included; the threads
+/// claim members in index order from a shared cursor. solve_member writes
+/// only slot p of its output, so the results do not depend on which thread
+/// solved what. A throwing member does not stop the others: once every
+/// thread has joined, the exception of the lowest failing index is
+/// rethrown (as simmpi::run_ranks does for ranks).
+template <class SolveMember>
+void solve_members(std::size_t count, const SolveMember& solve_member) {
+  // gpumip-lint: hot-alloc(one error slot per member; the host phase ends before the device timeline starts)
+  std::vector<std::exception_ptr> errors(count);
+  std::atomic<std::size_t> next{0};
+  const auto work = [&] {
+    for (std::size_t p = next++; p < count; p = next++) {
+      try {
+        solve_member(p);
+      } catch (...) {
+        errors[p] = std::current_exception();
+      }
+    }
+  };
+  std::vector<std::thread> helpers;
+  const std::size_t threads = std::min(count, usable_cpus());
+  for (std::size_t t = 1; t < threads; ++t) {
+    try {
+      // gpumip-lint: hot-alloc(host worker threads, spawned per batch; the host phase ends before the device timeline starts)
+      helpers.emplace_back(work);
+    } catch (const std::system_error&) {
+      break;  // out of threads: the ones already running share the batch
+    }
+  }
+  work();
+  for (std::thread& helper : helpers) {
+    helper.join();  // gpumip-lint: hot-block(joins the host worker threads; the host phase ends before the device timeline starts)
+  }
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
 }
 
 }  // namespace
@@ -61,11 +117,16 @@ BatchedLpReport solve_batched(const std::vector<const StandardForm*>& problems,
         static_cast<std::size_t>(dense_lp_device_bytes(form->num_rows, form->num_vars)));
   }
 
-  // Host numerics: exact solves, recording the per-problem recipes.
-  for (const StandardForm* form : problems) {
-    SimplexSolver solver(*form, options);
-    // gpumip-lint: hot-alloc(one result slot per problem in the batch report; sized by the batch, not the pivot count)
-    report.results.push_back(solver.solve_default());
+  // Host numerics: exact solves, recording the per-problem recipes; the
+  // concurrent host phase is timed as one sample.
+  // gpumip-lint: hot-alloc(one result slot per problem in the batch report; sized by the batch, not the pivot count)
+  report.results.resize(problems.size());
+  {
+    GPUMIP_OBS_SPAN_L("gpumip.lp.solve.seconds", {"method", "simplex"});
+    solve_members(problems.size(), [&](std::size_t p) {
+      SimplexSolver solver(*problems[p], options);
+      report.results[p] = solver.solve_default(SolveTiming::Caller);
+    });
   }
 
   device.synchronize();
@@ -193,11 +254,16 @@ BatchedLpReport solve_batched_pdhg(const std::vector<const StandardForm*>& probl
   }
 
   // Host numerics: the batched path is exact — bit-identical to sequential
-  // PdhgSolver calls (tests assert this under the schedule fuzzer).
-  for (const StandardForm* form : problems) {
-    PdhgSolver solver(*form, options);
-    // gpumip-lint: hot-alloc(one result slot per problem in the batch report; sized by the batch, not the iteration count)
-    report.results.push_back(solver.solve_default());
+  // PdhgSolver calls (tests assert this under the schedule fuzzer); the
+  // concurrent host phase is timed as one sample.
+  // gpumip-lint: hot-alloc(one result slot per problem in the batch report; sized by the batch, not the iteration count)
+  report.results.resize(problems.size());
+  {
+    GPUMIP_OBS_SPAN_L("gpumip.lp.solve.seconds", {"method", "pdhg"});
+    solve_members(problems.size(), [&](std::size_t p) {
+      PdhgSolver solver(*problems[p], options);
+      report.results[p] = solver.solve_default(SolveTiming::Caller);
+    });
   }
 
   device.synchronize();

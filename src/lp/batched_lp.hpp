@@ -10,9 +10,15 @@
 //    style. Occupancy grows with the number of active problems; stragglers
 //    keep iterating in later (smaller) waves.
 //
-// Numerics run on the host (SimplexSolver per problem); the device timeline
-// is replayed from each solve's per-iteration structure, so results are
-// exact and the timing model is consistent with the rest of the library.
+// Numerics run on the host (one SimplexSolver or PdhgSolver per problem),
+// concurrently: the member solves are spread over up to as many threads as
+// the process may run on, each writing its own result slot. The device
+// timeline is then replayed from the results in problem order, so results,
+// counters and simulated time are bit-identical to sequential solves by
+// construction, and the timing model is consistent with the rest of the
+// library. The host phase records one gpumip.lp.solve.seconds sample per
+// call; a member that throws is rethrown after all threads have joined
+// (lowest failing index first).
 #pragma once
 
 #include <vector>

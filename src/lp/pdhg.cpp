@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
@@ -47,6 +48,11 @@ void PdhgSolver::init_workspace(Workspace& ws, std::span<const double> lb,
   const StandardForm& form = *form_;
   const int m = form.num_rows;
   const int n = form.num_vars;
+  check_arg(static_cast<int>(lb.size()) == n && static_cast<int>(ub.size()) == n,
+            "solve: bound vector size mismatch");
+  for (int j = 0; j < n; ++j) {
+    if (!(lb[j] <= ub[j])) check_arg(false, "solve: lb > ub for variable " + std::to_string(j));
+  }
   ws.lb = lb;
   ws.ub = ub;
 
@@ -336,6 +342,11 @@ LpResult PdhgSolver::finish(Workspace& ws, LpStatus status) const {
 LpResult PdhgSolver::solve(std::span<const double> lb, std::span<const double> ub,
                            const PdhgWarmStart* warm) {
   GPUMIP_OBS_SPAN_L("gpumip.lp.solve.seconds", {"method", "pdhg"});
+  return run_pdhg(lb, ub, warm);
+}
+
+LpResult PdhgSolver::run_pdhg(std::span<const double> lb, std::span<const double> ub,
+                              const PdhgWarmStart* warm) {
   Workspace ws;
   init_workspace(ws, lb, ub, warm);
   const LpStatus status = iterate_loop(ws);

@@ -67,13 +67,18 @@ class PdhgSolver {
  public:
   explicit PdhgSolver(const StandardForm& form, PdhgOptions options = {});
 
-  /// Solves under the given variable bounds (sizes = form.num_vars),
-  /// optionally warm-started from a parent's primal/dual iterates.
+  /// Solves under the given variable bounds (sizes = form.num_vars, and
+  /// lb ≤ ub; throws Error otherwise), optionally warm-started from a
+  /// parent's primal/dual iterates.
   [[nodiscard]] LpResult solve(std::span<const double> lb, std::span<const double> ub,
                                const PdhgWarmStart* warm = nullptr);
 
-  /// Solve with the form's own bounds.
-  [[nodiscard]] LpResult solve_default() { return solve(form_->lb, form_->ub, nullptr); }
+  /// Solve with the form's own bounds. SolveTiming::Caller leaves out this
+  /// solve's gpumip.lp.solve.seconds sample (the caller times it).
+  [[nodiscard]] LpResult solve_default(SolveTiming timing = SolveTiming::Own) {
+    return timing == SolveTiming::Own ? solve(form_->lb, form_->ub, nullptr)
+                                      : run_pdhg(form_->lb, form_->ub, nullptr);
+  }
 
   const PdhgOptions& options() const noexcept { return options_; }
 
@@ -92,6 +97,9 @@ class PdhgSolver {
   /// Farkas-ray tests on the iterate drift since the last restart.
   std::optional<LpStatus> check_certificates(Workspace& ws) const;
   LpResult finish(Workspace& ws, LpStatus status) const;
+  /// solve() without its gpumip.lp.solve.seconds span.
+  LpResult run_pdhg(std::span<const double> lb, std::span<const double> ub,
+                    const PdhgWarmStart* warm);
 
   const StandardForm* form_;
   PdhgOptions options_;

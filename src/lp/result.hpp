@@ -19,6 +19,14 @@ enum class LpStatus {
 
 const char* lp_status_name(LpStatus status) noexcept;
 
+/// Who records a solve's gpumip.lp.solve.seconds sample: the solve itself,
+/// or a caller that times many solves as one host phase (the batched entry
+/// points of lp/batched_lp.hpp, whose members run on worker threads).
+enum class SolveTiming {
+  Own,
+  Caller,
+};
+
 struct LpResult {
   LpStatus status = LpStatus::NumericalTrouble;
   double objective = 0.0;          ///< minimization objective (standard form)

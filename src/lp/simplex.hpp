@@ -43,8 +43,12 @@ class SimplexSolver {
   [[nodiscard]] LpResult solve(std::span<const double> lb, std::span<const double> ub,
                  const Basis* warm = nullptr);
 
-  /// Solve with the form's own bounds.
-  [[nodiscard]] LpResult solve_default() { return solve(form_->lb, form_->ub, nullptr); }
+  /// Solve with the form's own bounds. SolveTiming::Caller leaves out this
+  /// solve's gpumip.lp.solve.seconds sample (the caller times it).
+  [[nodiscard]] LpResult solve_default(SolveTiming timing = SolveTiming::Own) {
+    return timing == SolveTiming::Own ? solve(form_->lb, form_->ub, nullptr)
+                                      : run_primal(form_->lb, form_->ub, nullptr);
+  }
 
   /// Dual-simplex re-solve from a basis that is dual feasible (typically a
   /// parent's optimal basis after branching tightened some bounds). Falls

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 #include <memory>
+#include <string>
+#include <thread>
 
 #include "lp/batched_lp.hpp"
+#include "obs/metrics.hpp"
 #include "problems/generators.hpp"
 
 namespace gpumip::lp {
@@ -23,6 +28,84 @@ Batch make_batch(int count, std::uint64_t seed) {
     batch.views.push_back(batch.storage.back().get());
   }
   return batch;
+}
+
+/// Members per batch in the bit-identity tests: four per thread the batch
+/// may fan out to, so every thread solves several members.
+int members_per_thread_batch() {
+  return 4 * static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+}
+
+/// Bitwise equality of two double vectors.
+void expect_same_bits(const linalg::Vector& got, const linalg::Vector& expect,
+                      const char* what, std::size_t problem) {
+  ASSERT_EQ(got.size(), expect.size()) << what << ", problem " << problem;
+  EXPECT_EQ(std::memcmp(got.data(), expect.data(), got.size() * sizeof(double)), 0)
+      << what << " differs, problem " << problem;
+}
+
+/// Exact equality of two results: every number bit for bit, the basis, the
+/// iteration count and every LpOpStats field.
+void expect_same_result(const LpResult& got, const LpResult& expect, std::size_t problem) {
+  EXPECT_EQ(got.status, expect.status) << "problem " << problem;
+  EXPECT_EQ(std::memcmp(&got.objective, &expect.objective, sizeof(double)), 0)
+      << "objective differs, problem " << problem;
+  expect_same_bits(got.x, expect.x, "x", problem);
+  expect_same_bits(got.duals, expect.duals, "duals", problem);
+  expect_same_bits(got.reduced_costs, expect.reduced_costs, "reduced costs", problem);
+  EXPECT_EQ(got.basis, expect.basis) << "problem " << problem;
+  EXPECT_EQ(got.iterations, expect.iterations) << "problem " << problem;
+  const LpOpStats& a = got.ops;
+  const LpOpStats& b = expect.ops;
+  const std::array<long, 14> fields_a = {a.m, a.n, a.nnz, a.ftran, a.btran, a.price_full,
+                                         a.eta_updates, a.refactor, a.iterations,
+                                         a.bound_flips, a.cholesky, a.matvec_n, a.spmv,
+                                         a.restarts};
+  const std::array<long, 14> fields_b = {b.m, b.n, b.nnz, b.ftran, b.btran, b.price_full,
+                                         b.eta_updates, b.refactor, b.iterations,
+                                         b.bound_flips, b.cholesky, b.matvec_n, b.spmv,
+                                         b.restarts};
+  EXPECT_EQ(fields_a, fields_b) << "LpOpStats differ, problem " << problem;
+}
+
+/// The solve counters a member solve bumps, read from the process registry.
+std::vector<std::uint64_t> solve_counters(const char* method) {
+  std::vector<std::uint64_t> values;
+  values.push_back(obs::counter(obs::labeled_name("gpumip.lp.solves", {{"method", method}})).value());
+  for (const char* name :
+       {"gpumip.lp.pdhg.iterations", "gpumip.lp.pdhg.restarts", "gpumip.lp.ops.ftran",
+        "gpumip.lp.ops.btran", "gpumip.lp.ops.price_full", "gpumip.lp.ops.eta_updates",
+        "gpumip.lp.ops.refactor", "gpumip.lp.ops.iterations", "gpumip.lp.ops.bound_flips",
+        "gpumip.lp.ops.cholesky", "gpumip.lp.ops.matvec_n", "gpumip.lp.ops.spmv",
+        "gpumip.lp.ops.restarts"}) {
+    values.push_back(obs::counter(name).value());
+  }
+  return values;
+}
+
+std::vector<std::uint64_t> counter_deltas(const std::vector<std::uint64_t>& before,
+                                          const std::vector<std::uint64_t>& after) {
+  std::vector<std::uint64_t> deltas(after.size());
+  for (std::size_t i = 0; i < after.size(); ++i) deltas[i] = after[i] - before[i];
+  return deltas;
+}
+
+/// Sets lb > ub on one variable of a member, which its solve rejects.
+void break_bounds(StandardForm& form, int var) {
+  form.lb[static_cast<std::size_t>(var)] = 1.0;
+  form.ub[static_cast<std::size_t>(var)] = 0.0;
+}
+
+/// Runs `call`, which must throw gpumip::Error, and returns its message.
+template <class Call>
+std::string error_message(const Call& call) {
+  try {
+    call();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "no gpumip::Error thrown";
+  return {};
 }
 
 TEST(BatchedLp, AllModesProduceIdenticalResults) {
@@ -123,6 +206,40 @@ TEST(BatchedLp, SingleProblemDegeneratesGracefully) {
   EXPECT_EQ(r.results[0].status, LpStatus::Optimal);
 }
 
+TEST(BatchedLp, BitIdenticalToSequentialSolves) {
+  for (const int count : {members_per_thread_batch(), 1}) {
+    Batch batch = make_batch(count, 59);
+    gpu::Device device;
+    const std::vector<std::uint64_t> before = solve_counters("simplex");
+    BatchedLpReport batched = solve_batched(batch.views, device, BatchMode::Lockstep);
+    const std::vector<std::uint64_t> batched_deltas =
+        counter_deltas(before, solve_counters("simplex"));
+    ASSERT_EQ(batched.results.size(), batch.views.size());
+    const std::vector<std::uint64_t> before_solo = solve_counters("simplex");
+    for (std::size_t i = 0; i < batch.views.size(); ++i) {
+      SimplexSolver solo(*batch.views[i]);
+      expect_same_result(batched.results[i], solo.solve_default(), i);
+    }
+    // Members publish the same counters a sequential solve does.
+    EXPECT_EQ(batched_deltas, counter_deltas(before_solo, solve_counters("simplex")))
+        << "batch of " << count;
+  }
+}
+
+TEST(BatchedLp, MemberErrorIsRethrownAfterJoin) {
+  Batch batch = make_batch(8, 61);
+  gpu::Device device;
+  break_bounds(*batch.storage[5], 3);
+  const std::string one = error_message(
+      [&] { (void)solve_batched(batch.views, device, BatchMode::Lockstep); });
+  EXPECT_NE(one.find("lb > ub for variable 3"), std::string::npos) << one;
+  // Two failing members: the lower index wins, whichever thread ran it.
+  break_bounds(*batch.storage[2], 1);
+  const std::string two = error_message(
+      [&] { (void)solve_batched(batch.views, device, BatchMode::Lockstep); });
+  EXPECT_NE(two.find("lb > ub for variable 1"), std::string::npos) << two;
+}
+
 // ---------------------------------------------------------------------------
 // solve_batched_pdhg — the first-order lockstep path. The suite name joins
 // scripts/check.sh gate 4's schedule-fuzzer filter: the device wave schedule
@@ -142,24 +259,37 @@ Batch make_sparse_batch(int count, std::uint64_t seed) {
 }
 
 TEST(BatchedPdhg, BitIdenticalToSequentialSolves) {
-  Batch batch = make_sparse_batch(12, 41);
-  gpu::Device device;
-  BatchedLpReport batched = solve_batched_pdhg(batch.views, device);
-  ASSERT_EQ(batched.results.size(), batch.views.size());
-  for (std::size_t i = 0; i < batch.views.size(); ++i) {
-    PdhgSolver solo(*batch.views[i]);
-    const LpResult expect = solo.solve_default();
-    const LpResult& got = batched.results[i];
-    EXPECT_EQ(got.status, expect.status) << "problem " << i;
-    // Exact equality, not NEAR: the batched path runs the same host
-    // arithmetic in the same order as a sequential solve.
-    EXPECT_EQ(got.objective, expect.objective) << "problem " << i;
-    EXPECT_EQ(got.ops.iterations, expect.ops.iterations) << "problem " << i;
-    ASSERT_EQ(got.x.size(), expect.x.size());
-    for (std::size_t j = 0; j < got.x.size(); ++j) {
-      EXPECT_EQ(got.x[j], expect.x[j]) << "problem " << i << " x[" << j << "]";
+  // Exact equality, not NEAR: each member runs the same host arithmetic in
+  // the same order as a sequential solve, whichever thread runs it.
+  for (const int count : {members_per_thread_batch(), 1}) {
+    Batch batch = make_sparse_batch(count, 41);
+    gpu::Device device;
+    const std::vector<std::uint64_t> before = solve_counters("pdhg");
+    BatchedLpReport batched = solve_batched_pdhg(batch.views, device);
+    const std::vector<std::uint64_t> batched_deltas =
+        counter_deltas(before, solve_counters("pdhg"));
+    ASSERT_EQ(batched.results.size(), batch.views.size());
+    const std::vector<std::uint64_t> before_solo = solve_counters("pdhg");
+    for (std::size_t i = 0; i < batch.views.size(); ++i) {
+      PdhgSolver solo(*batch.views[i]);
+      expect_same_result(batched.results[i], solo.solve_default(), i);
     }
+    EXPECT_EQ(batched_deltas, counter_deltas(before_solo, solve_counters("pdhg")))
+        << "batch of " << count;
   }
+}
+
+TEST(BatchedPdhg, MemberErrorIsRethrownAfterJoin) {
+  Batch batch = make_sparse_batch(8, 67);
+  gpu::Device device;
+  break_bounds(*batch.storage[6], 4);
+  const std::string one =
+      error_message([&] { (void)solve_batched_pdhg(batch.views, device); });
+  EXPECT_NE(one.find("lb > ub for variable 4"), std::string::npos) << one;
+  break_bounds(*batch.storage[1], 2);
+  const std::string two =
+      error_message([&] { (void)solve_batched_pdhg(batch.views, device); });
+  EXPECT_NE(two.find("lb > ub for variable 2"), std::string::npos) << two;
 }
 
 TEST(BatchedPdhg, WavesTrackTheSlowestInstance) {

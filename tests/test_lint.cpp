@@ -657,6 +657,17 @@ TEST(LintR8, BlockingFiresOnlyUnderWaveRoots) {
       has_rule(lint_one("src/fix.cpp", waived, hot_options("wave hot_wave -- fixture\n")), "R8"));
 }
 
+TEST(LintR8, ThreadJoinFiresAndWaiverQuiets) {
+  const std::string code =
+      "void hot_wave(std::thread& t) { " + std::string(kObs) + " t.join(); }\n";
+  EXPECT_TRUE(
+      has_rule(lint_one("src/fix.cpp", code, hot_options("wave hot_wave -- fixture\n")), "R8"));
+  const std::string waived = "void hot_wave(std::thread& t) { " + std::string(kObs) +
+                             "\n  t.join();  // gpumip-lint: hot-block(fixture: before the wave)\n}\n";
+  EXPECT_FALSE(
+      has_rule(lint_one("src/fix.cpp", waived, hot_options("wave hot_wave -- fixture\n")), "R8"));
+}
+
 TEST(LintR8, ManifestDeclaredBlockingPrimitiveFires) {
   const std::string code =
       "void hot_wave() { " + std::string(kObs) + " drain_all(); }\n"

@@ -269,6 +269,34 @@ TEST(Pdhg, UnboundedDetected) {
   EXPECT_EQ(solve_pdhg(m).status, LpStatus::Unbounded);
 }
 
+TEST(Pdhg, RejectsMalformedBounds) {
+  LpModel m;
+  m.add_col(1.0, 0.0, 4.0);
+  m.add_col(-1.0, 0.0, 3.0);
+  m.add_row_le({{0, 1.0}, {1, 1.0}}, 5.0);
+  const StandardForm form = build_standard_form(m);
+  const std::vector<double> lb(form.lb.begin(), form.lb.end());
+  const std::vector<double> ub(form.ub.begin(), form.ub.end());
+  PdhgSolver solver(form);
+  auto code_of = [&](std::span<const double> l, std::span<const double> u) {
+    try {
+      (void)solver.solve(l, u);
+    } catch (const Error& e) {
+      return e.code();
+    }
+    return ErrorCode::kInternal;
+  };
+  // Short spans would be read past their end without the size check.
+  const std::vector<double> short_lb(lb.begin(), lb.end() - 1);
+  const std::vector<double> short_ub(ub.begin(), ub.end() - 1);
+  EXPECT_EQ(code_of(short_lb, ub), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(code_of(lb, short_ub), ErrorCode::kInvalidArgument);
+  std::vector<double> crossed = lb;
+  crossed[0] = ub[0] + 1.0;
+  EXPECT_EQ(code_of(crossed, ub), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(solver.solve(lb, ub).status, LpStatus::Optimal);
+}
+
 TEST(Pdhg, IterationLimitReported) {
   Rng rng(31);
   LpModel m;

@@ -272,8 +272,9 @@ void scan_blocking(const Scanned& f, const FunctionDecl& d,
       report(at, std::string("'") + word + "'");
     }
   }
-  // Member-call waits and lock acquisitions: x.lock(), cv.wait(...).
-  for (const char* member : {"lock", "wait", "wait_for", "wait_until"}) {
+  // Member-call waits, joins and lock acquisitions: x.lock(), cv.wait(...),
+  // worker.join().
+  for (const char* member : {"lock", "wait", "wait_for", "wait_until", "join"}) {
     for (std::size_t at = find_word(clean, member, begin); at != std::string::npos && at < end;
          at = find_word(clean, member, at + 1)) {
       const bool is_member = (at >= 1 && clean[at - 1] == '.') ||
