@@ -125,19 +125,11 @@ void eta_advantage_sensitivity() {
   bench::note("update is latency-independent — E3's conclusion is robust.");
 }
 
-void BM_crossover(benchmark::State& state) {
-  gpu::CostModelConfig device;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(crossover_for(device));
-  }
-}
-BENCHMARK(BM_crossover)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   strategy_ordering();
   crossover_sensitivity();
   eta_advantage_sensitivity();
-  return gpumip::bench::run_benchmarks(argc, argv);
+  gpumip::bench::write_exports();
 }

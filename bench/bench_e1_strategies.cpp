@@ -91,31 +91,11 @@ void scenario_b() {
   bench::note("expected shape: S2/S3 fail on allocation; S4 shards columns and completes.");
 }
 
-void BM_run_strategy(benchmark::State& state) {
-  Rng rng(41);
-  problems::RandomMipConfig cfg;
-  cfg.rows = 12;
-  cfg.cols = 20;
-  cfg.bound = 3.0;
-  mip::MipModel model = problems::random_mip(cfg, rng);
-  parallel::StrategyConfig config;
-  config.mip.enable_cuts = false;
-  const auto strategy = static_cast<parallel::Strategy>(state.range(0));
-  double sim = 0.0;
-  for (auto _ : state) {
-    parallel::StrategyReport r = parallel::run_strategy(strategy, model, config);
-    sim = r.sim_seconds;
-    benchmark::DoNotOptimize(r.result.objective);
-  }
-  state.counters["sim_seconds"] = sim;
-}
-BENCHMARK(BM_run_strategy)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   scenario_a();
   scenario_a_small_device();
   scenario_b();
-  return gpumip::bench::run_benchmarks(argc, argv);
+  gpumip::bench::write_exports();
 }

@@ -9,7 +9,6 @@
 #include "parallel/supervisor.hpp"
 #include "problems/generators.hpp"
 #include "support/strings.hpp"
-#include "support/timer.hpp"
 
 namespace {
 
@@ -84,41 +83,10 @@ void parallel_checkpoints() {
   bench::note("naive snapshots that ignore in-flight work would drop exactly those nodes.");
 }
 
-void BM_capture_snapshot(benchmark::State& state) {
-  mip::MipModel model = instance(73);
-  mip::MipOptions opts;
-  opts.enable_cuts = false;
-  opts.enable_heuristics = false;
-  opts.max_nodes = state.range(0);
-  mip::BnbSolver solver(model, opts);
-  static_cast<void>(solver.solve());
-  for (auto _ : state) {
-    mip::ConsistentSnapshot snap = solver.capture_snapshot();
-    benchmark::DoNotOptimize(snap.frontier.size());
-  }
-  state.counters["frontier"] = static_cast<double>(solver.capture_snapshot().frontier.size());
-}
-BENCHMARK(BM_capture_snapshot)->Arg(10)->Arg(50)->Arg(200)->Unit(benchmark::kMicrosecond);
-
-void BM_serialize_snapshot(benchmark::State& state) {
-  mip::MipModel model = instance(74);
-  mip::MipOptions opts;
-  opts.enable_cuts = false;
-  opts.max_nodes = state.range(0);
-  mip::BnbSolver solver(model, opts);
-  static_cast<void>(solver.solve());
-  const mip::ConsistentSnapshot snap = solver.capture_snapshot();
-  for (auto _ : state) {
-    const std::string s = snap.to_string();
-    benchmark::DoNotOptimize(s.size());
-  }
-}
-BENCHMARK(BM_serialize_snapshot)->Arg(50)->Arg(200)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   sequential_snapshots();
   parallel_checkpoints();
-  return gpumip::bench::run_benchmarks(argc, argv);
+  gpumip::bench::write_exports();
 }

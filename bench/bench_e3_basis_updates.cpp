@@ -11,7 +11,6 @@
 #include "bench/common.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/device_blas.hpp"
-#include "linalg/lu.hpp"
 #include "support/strings.hpp"
 
 namespace {
@@ -56,8 +55,7 @@ Regime measure(int m, int iterations) {
     device.reset_stats();
     for (int it = 0; it < iterations; ++it) {
       DeviceMatrix work = DeviceMatrix::upload(device, 0, b);
-      auto pivots = linalg::dev_getrf(0, work);
-      benchmark::DoNotOptimize(pivots.size());
+      static_cast<void>(linalg::dev_getrf(0, work));
     }
     out.refactor = device.synchronize() / iterations;
   }
@@ -92,38 +90,9 @@ void print_experiment() {
   bench::note("with m; the host round trip pays a PCIe latency floor that dominates small m.");
 }
 
-void BM_eta_update_device(benchmark::State& state) {
-  const int m = static_cast<int>(state.range(0));
-  Rng rng(1);
-  gpu::Device device;
-  DeviceMatrix dbinv = DeviceMatrix::upload(device, 0, Matrix::identity(m));
-  Vector y(static_cast<std::size_t>(m));
-  for (auto& v : y) v = rng.uniform(-1, 1);
-  y[0] += 3.0;
-  const linalg::Eta eta = linalg::Eta::from_ftran(y, 0);
-  for (auto _ : state) {
-    linalg::dev_apply_eta(0, eta, dbinv);
-    benchmark::DoNotOptimize(dbinv.data());
-  }
-  state.counters["sim_us_per_op"] = 1e6 * device.synchronize() / state.iterations();
-}
-BENCHMARK(BM_eta_update_device)->Arg(64)->Arg(256)->Unit(benchmark::kMicrosecond);
-
-void BM_dense_lu_host(benchmark::State& state) {
-  const int m = static_cast<int>(state.range(0));
-  Rng rng(2);
-  Matrix a = Matrix::random(m, m, rng);
-  for (int i = 0; i < m; ++i) a(i, i) += 4.0;
-  for (auto _ : state) {
-    linalg::DenseLU lu(a);
-    benchmark::DoNotOptimize(lu.order());
-  }
-}
-BENCHMARK(BM_dense_lu_host)->Arg(64)->Arg(128)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_experiment();
-  return gpumip::bench::run_benchmarks(argc, argv);
+  gpumip::bench::write_exports();
 }

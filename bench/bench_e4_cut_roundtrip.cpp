@@ -103,24 +103,10 @@ void real_cut_rounds() {
   }
 }
 
-void BM_cut_round(benchmark::State& state) {
-  const int m = static_cast<int>(state.range(0));
-  const int cuts = static_cast<int>(state.range(1));
-  gpu::Device device;
-  double sim = 0.0;
-  for (auto _ : state) {
-    sim = cut_round(device, m, 2 * m, cuts).total();
-    benchmark::DoNotOptimize(sim);
-  }
-  state.counters["sim_us"] = sim * 1e6;
-}
-BENCHMARK(BM_cut_round)->Args({64, 1})->Args({64, 16})->Args({256, 16})
-    ->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_experiment();
   real_cut_rounds();
-  return gpumip::bench::run_benchmarks(argc, argv);
+  gpumip::bench::write_exports();
 }

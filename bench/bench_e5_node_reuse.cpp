@@ -60,31 +60,9 @@ void print_experiment() {
   bench::note("'qualitatively different scheduling' trade-off section 5.3 calls out.");
 }
 
-void BM_policy(benchmark::State& state) {
-  Rng rng(204);
-  problems::RandomMipConfig cfg;
-  cfg.rows = 10;
-  cfg.cols = 18;
-  cfg.bound = 3.0;
-  mip::MipModel model = problems::random_mip(cfg, rng);
-  parallel::StrategyConfig config;
-  config.mip.enable_cuts = false;
-  config.mip.node_selection = static_cast<mip::NodeSelection>(state.range(0));
-  double hot = 0.0;
-  for (auto _ : state) {
-    parallel::StrategyReport r =
-        parallel::run_strategy(parallel::Strategy::S2_CpuOrchestrated, model, config);
-    hot = static_cast<double>(r.result.stats.hot_nodes) /
-          std::max<long>(1, r.result.stats.nodes_evaluated);
-    benchmark::DoNotOptimize(r.sim_seconds);
-  }
-  state.counters["hot_fraction"] = hot;
-}
-BENCHMARK(BM_policy)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_experiment();
-  return gpumip::bench::run_benchmarks(argc, argv);
+  gpumip::bench::write_exports();
 }

@@ -124,25 +124,10 @@ void memory_comparison() {
   }
 }
 
-void BM_price_paths(benchmark::State& state) {
-  const lp::LpOpStats ops =
-      synthetic_recipe(256, 384, static_cast<double>(state.range(0)) / 100.0);
-  double dense = 0, sparse = 0;
-  for (auto _ : state) {
-    const PathTimes t = price_ops(ops);
-    dense = t.dense;
-    sparse = t.sparse;
-    benchmark::DoNotOptimize(t.iterations);
-  }
-  state.counters["sim_dense_us"] = dense * 1e6;
-  state.counters["sim_sparse_us"] = sparse * 1e6;
-}
-BENCHMARK(BM_price_paths)->Arg(5)->Arg(30)->Arg(100)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_experiment();
   memory_comparison();
-  return gpumip::bench::run_benchmarks(argc, argv);
+  gpumip::bench::write_exports();
 }

@@ -180,28 +180,12 @@ void first_order_lockstep() {
   bench::note("bench_e9_methods E9-d places this trade on the full method-crossover surface.");
 }
 
-void BM_mode(benchmark::State& state) {
-  Rng rng(402);
-  auto mats = make_batch(static_cast<int>(state.range(1)), 24, rng);
-  double sim = 0.0;
-  for (auto _ : state) {
-    switch (state.range(0)) {
-      case 0: sim = run_sequential(mats); break;
-      case 1: sim = run_streams(mats, 16); break;
-      default: sim = run_batched(mats); break;
-    }
-    benchmark::DoNotOptimize(sim);
-  }
-  state.counters["sim_problems_per_s"] = static_cast<double>(state.range(1)) / sim;
-}
-BENCHMARK(BM_mode)->Args({0, 64})->Args({1, 64})->Args({2, 64})->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_experiment();
   memory_ceiling();
   whole_relaxations();
   first_order_lockstep();
-  return gpumip::bench::run_benchmarks(argc, argv);
+  gpumip::bench::write_exports();
 }

@@ -127,28 +127,12 @@ void arena_ablation() {
   bench::note("it (ROADMAP item 4): alloc calls collapse from O(nodes) to O(workers).");
 }
 
-void BM_supervised(benchmark::State& state) {
-  mip::MipModel model = instance(504);
-  parallel::SupervisorOptions opts;
-  opts.workers = static_cast<int>(state.range(0));
-  opts.worker_node_budget = 15;
-  opts.mip.enable_cuts = false;
-  double makespan = 0.0;
-  for (auto _ : state) {
-    parallel::SupervisorResult r = parallel::solve_supervised(model, opts);
-    makespan = r.makespan;
-    benchmark::DoNotOptimize(r.result.objective);
-  }
-  state.counters["sim_makespan_us"] = makespan * 1e6;
-}
-BENCHMARK(BM_supervised)->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_experiment();
   checkpoint_overhead();
   budget_sweep();
   arena_ablation();
-  return gpumip::bench::run_benchmarks(argc, argv);
+  gpumip::bench::write_exports();
 }

@@ -214,51 +214,12 @@ void knapsack_comparison() {
   }
 }
 
-void BM_simplex(benchmark::State& state) {
-  Rng rng(604);
-  lp::LpModel model = problems::dense_lp(static_cast<int>(state.range(0)),
-                                         static_cast<int>(state.range(0)) * 3 / 2, rng);
-  const lp::StandardForm form = lp::build_standard_form(model);
-  for (auto _ : state) {
-    lp::SimplexSolver solver(form);
-    lp::LpResult r = solver.solve_default();
-    benchmark::DoNotOptimize(r.objective);
-  }
-}
-BENCHMARK(BM_simplex)->Arg(40)->Arg(80)->Unit(benchmark::kMillisecond);
-
-void BM_ipm(benchmark::State& state) {
-  Rng rng(605);
-  lp::LpModel model = problems::dense_lp(static_cast<int>(state.range(0)),
-                                         static_cast<int>(state.range(0)) * 3 / 2, rng);
-  const lp::StandardForm form = lp::build_standard_form(model);
-  for (auto _ : state) {
-    lp::InteriorPointSolver solver(form);
-    lp::LpResult r = solver.solve_default();
-    benchmark::DoNotOptimize(r.objective);
-  }
-}
-BENCHMARK(BM_ipm)->Arg(40)->Arg(80)->Unit(benchmark::kMillisecond);
-
-void BM_pdhg(benchmark::State& state) {
-  Rng rng(606);
-  lp::LpModel model = problems::sparse_lp(static_cast<int>(state.range(0)),
-                                          static_cast<int>(state.range(0)) * 3 / 2, 0.05, rng);
-  const lp::StandardForm form = lp::build_standard_form(model);
-  for (auto _ : state) {
-    lp::PdhgSolver solver(form);
-    lp::LpResult r = solver.solve_default();
-    benchmark::DoNotOptimize(r.objective);
-  }
-}
-BENCHMARK(BM_pdhg)->Arg(40)->Arg(80)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   three_way_sequential();
   ivm_comparison();
   knapsack_comparison();
   three_way_batched();
-  return gpumip::bench::run_benchmarks(argc, argv);
+  gpumip::bench::write_exports();
 }

@@ -56,27 +56,9 @@ void print_experiment() {
   std::printf("%s", solver.pool().render_ascii().c_str());
 }
 
-void BM_solve_random_mip(benchmark::State& state) {
-  Rng rng(static_cast<std::uint64_t>(state.range(0)));
-  problems::RandomMipConfig cfg;
-  cfg.rows = 10;
-  cfg.cols = static_cast<int>(state.range(0));
-  cfg.bound = 3.0;
-  mip::MipModel model = problems::random_mip(cfg, rng);
-  long nodes = 0;
-  for (auto _ : state) {
-    mip::BnbSolver solver(model, plain_options());
-    mip::MipResult r = solver.solve();
-    nodes = r.stats.nodes_evaluated;
-    benchmark::DoNotOptimize(r.objective);
-  }
-  state.counters["nodes"] = static_cast<double>(nodes);
-}
-BENCHMARK(BM_solve_random_mip)->Arg(12)->Arg(16)->Arg(20)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_experiment();
-  return gpumip::bench::run_benchmarks(argc, argv);
+  gpumip::bench::write_exports();
 }

@@ -1,15 +1,11 @@
 // Shared helpers for the experiment benches. Every bench binary prints its
-// experiment's series (the paper-shaped table) deterministically from the
-// simulated clocks, then runs google-benchmark wall-time measurements of
-// the underlying operations.
+// experiment's series (the paper-shaped table) from the simulated clocks,
+// then writes its observability exports. Host wall time is perfbench's job.
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <cstdarg>
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -32,21 +28,16 @@ inline void row(const char* fmt, ...) {
 
 inline void note(const std::string& text) { std::printf("  %s\n", text.c_str()); }
 
-/// Prints the table then hands over to google-benchmark. On exit, dumps the
-/// process-wide metrics registry to $GPUMIP_METRICS_OUT if set (this is how
-/// scripts/bench.sh harvests the observability counters; the simulated
-/// tables above are deterministic, so the export is too) and the event
-/// trace to $GPUMIP_TRACE_OUT if set (obs/trace.hpp).
-inline int run_benchmarks(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+/// Called after the tables: dumps the process-wide metrics registry to
+/// $GPUMIP_METRICS_OUT if set (this is how scripts/bench.sh harvests the
+/// observability counters; the simulated tables are deterministic, so the
+/// export is too) and the event trace to $GPUMIP_TRACE_OUT if set
+/// (obs/trace.hpp).
+inline void write_exports() {
   const std::string exported = obs::export_if_requested();
   if (!exported.empty()) std::printf("metrics written to %s\n", exported.c_str());
   const std::string traced = obs::trace::export_if_requested();
   if (!traced.empty()) std::printf("trace written to %s\n", traced.c_str());
-  return 0;
 }
 
 }  // namespace gpumip::bench

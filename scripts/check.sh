@@ -199,8 +199,7 @@ obs_gate() {
   local b
   for b in bench_e7_batching bench_e8_scaleout; do
     if ! GPUMIP_METRICS_OUT="$build_dir/$b.metrics.json" \
-         "./$build_dir/bench/$b" --benchmark_filter='$^' \
-         >"$build_dir/$b.out.log" 2>&1; then
+         "./$build_dir/bench/$b" >"$build_dir/$b.out.log" 2>&1; then
       echo "==> [obs] BENCH FAILED: $b (see $build_dir/$b.out.log)"
       FAILURES=$((FAILURES + 1))
       return

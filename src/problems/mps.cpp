@@ -1,6 +1,8 @@
 #include "problems/mps.hpp"
 
+#include <cerrno>
 #include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -13,6 +15,16 @@ namespace {
 
 [[noreturn]] void io_fail(const std::string& message) {
   throw Error(ErrorCode::kIoError, "MPS: " + message);
+}
+
+/// Parses a numeric field. The whole token must be a number in double range.
+double number(const std::string& tok) {
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(tok.c_str(), &end);
+  if (end == tok.c_str() || *end != '\0') io_fail("expected a number, got '" + tok + "'");
+  if (errno == ERANGE) io_fail("number out of range: '" + tok + "'");
+  return value;
 }
 
 struct RowInfo {
@@ -102,7 +114,7 @@ mip::MipModel read_mps(std::istream& in) {
       for (std::size_t k = 1; k + 1 < tok.size(); k += 2) {
         auto it = rows.find(tok[k]);
         if (it == rows.end()) io_fail("unknown row '" + tok[k] + "'");
-        const double value = std::stod(tok[k + 1]);
+        const double value = number(tok[k + 1]);
         if (it->second.index < 0) {
           if (tok[k] == objective_row) lp.col(j).obj = value;
           // other N rows are ignored (free rows)
@@ -116,7 +128,7 @@ mip::MipModel read_mps(std::istream& in) {
         auto it = rows.find(tok[k]);
         if (it == rows.end()) io_fail("unknown RHS row '" + tok[k] + "'");
         if (it->second.index < 0) continue;  // objective constant: ignore
-        const double value = std::stod(tok[k + 1]);
+        const double value = number(tok[k + 1]);
         lp::RowDef& row = lp.row(it->second.index);
         switch (it->second.type) {
           case 'L': row.ub = value; break;
@@ -131,7 +143,7 @@ mip::MipModel read_mps(std::istream& in) {
         auto it = rows.find(tok[k]);
         if (it == rows.end()) io_fail("unknown RANGES row '" + tok[k] + "'");
         if (it->second.index < 0) continue;
-        const double r = std::stod(tok[k + 1]);
+        const double r = number(tok[k + 1]);
         lp::RowDef& row = lp.row(it->second.index);
         switch (it->second.type) {
           case 'L': row.lb = row.ub - std::fabs(r); break;
@@ -152,7 +164,7 @@ mip::MipModel read_mps(std::istream& in) {
       auto it = cols.find(tok[2]);
       if (it == cols.end()) io_fail("unknown BOUNDS column '" + tok[2] + "'");
       lp::ColumnDef& col = lp.col(it->second);
-      const double value = tok.size() >= 4 ? std::stod(tok[3]) : 0.0;
+      const double value = tok.size() >= 4 ? number(tok[3]) : 0.0;
       if (type == "UP") {
         col.ub = value;
         // MPS quirk: UP with a negative value and no prior LO makes lb -inf.

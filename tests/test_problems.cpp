@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "mip/solver.hpp"
 #include "problems/generators.hpp"
@@ -144,6 +146,33 @@ TEST(Mps, MalformedInputsThrow) {
   EXPECT_THROW(read_mps_string("ROWS\n Z BAD\nENDATA\n"), Error);
   EXPECT_THROW(read_mps_string("COLUMNS\n X NOROW 1.0\nENDATA\n"), Error);
   EXPECT_THROW(read_mps_file("/nonexistent/path.mps"), Error);
+}
+
+TEST(Mps, MalformedNumbersThrowTypedError) {
+  // One valid file; each case swaps one numeric field for a bad token.
+  struct Fields {
+    std::string cost = "1.0", rhs = "3.0", range = "2.0", bound = "8.0";
+  };
+  const auto mps = [](const Fields& f) {
+    return "NAME N\nROWS\n N COST\n L R1\nCOLUMNS\n X COST " + f.cost +
+           " R1 1.0\nRHS\n RHS1 R1 " + f.rhs + "\nRANGES\n RNG1 R1 " + f.range +
+           "\nBOUNDS\n UP BND1 X " + f.bound + "\nENDATA\n";
+  };
+  EXPECT_NO_THROW(read_mps_string(mps({})));
+  const std::vector<Fields> cases = {
+      {.cost = "abc"},     {.cost = "1e999"},   {.cost = "1.5junk"},
+      {.rhs = "3.0x"},     {.range = "-1e999"}, {.bound = "nope"},
+      {.bound = "1e999"},
+  };
+  for (const Fields& f : cases) {
+    SCOPED_TRACE(mps(f));
+    try {
+      static_cast<void>(read_mps_string(mps(f)));
+      ADD_FAILURE() << "malformed number accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kIoError);
+    }
+  }
 }
 
 TEST(Mps, ObjsenseMaximize) {
