@@ -40,7 +40,10 @@ void Eta::apply_transpose(std::span<double> y) const {
   y[static_cast<std::size_t>(pivot_row)] = sum;
 }
 
-void Eta::apply_to_matrix(Matrix& m) const {
+// The per-pivot B⁻¹ update of the simplex. Its entry is pinned to a 64-byte
+// boundary so that the placement of its loop does not depend on the size of
+// unrelated code linked before it (see linalg::sub_scaled).
+[[gnu::aligned(64)]] void Eta::apply_to_matrix(Matrix& m) const {
   check_arg(m.rows() == static_cast<int>(column.size()), "Eta::apply_to_matrix: shape mismatch");
   for (int c = 0; c < m.cols(); ++c) {
     auto col = m.col(c);

@@ -227,7 +227,7 @@ LpResult InteriorPointSolver::solve(std::span<const double> lb, std::span<const 
   };
   auto matvec_t = [&](const linalg::Vector& y) {  // Aᵀ y
     linalg::Vector x(static_cast<std::size_t>(n), 0.0);
-    sparse::spmv_t(1.0, nf.a, y, 0.0, x);
+    sparse::spmv_t(1.0, nf.a_cols, y, 0.0, x);
     ++result.ops.matvec_n;
     return x;
   };

@@ -19,9 +19,9 @@ struct PdhgSolver::Workspace {
   std::span<const double> lb, ub;
 
   linalg::Vector x, y;        ///< current iterates
-  linalg::Vector x_next;      ///< primal update target (previous x after swap)
   linalg::Vector at_y;        ///< n scratch: Aᵀy, extrapolated primal, rays
-  linalg::Vector ax;          ///< m scratch: A·(candidate / extrapolated / ray)
+  linalg::Vector ax;          ///< m scratch: A·(candidate / ray)
+  linalg::Vector dx;          ///< n scratch: primal drift ray
   linalg::Vector dy;          ///< m scratch: dual drift ray
   linalg::Vector x_sum, y_sum;  ///< running iterate sums since last restart
   linalg::Vector x_avg, y_avg;  ///< average-iterate candidate
@@ -58,9 +58,9 @@ void PdhgSolver::init_workspace(Workspace& ws, std::span<const double> lb,
 
   ws.x.assign(n, 0.0);
   ws.y.assign(m, 0.0);
-  ws.x_next.assign(n, 0.0);
   ws.at_y.assign(n, 0.0);
   ws.ax.assign(m, 0.0);
+  ws.dx.assign(n, 0.0);
   ws.dy.assign(m, 0.0);
   ws.x_sum.assign(n, 0.0);
   ws.y_sum.assign(m, 0.0);
@@ -134,7 +134,7 @@ double PdhgSolver::evaluate_kkt(Workspace& ws, std::span<const double> x,
   // Dual objective with box bounds: d = bᵀy + Σ_j inf over [l,u] of r_j x_j
   // with r = c − Aᵀy. Where the needed bound is infinite the term is
   // clipped and the clipped magnitude IS the dual infeasibility.
-  sparse::spmv_t(1.0, form.a_rows, y, 0.0, ws.at_y);
+  sparse::spmv_t(1.0, form.a_cols, y, 0.0, ws.at_y);
   double dual_obj = 0.0;
   for (int i = 0; i < m; ++i) dual_obj += form.b[i] * y[i];
   double res_d = 0.0;
@@ -180,19 +180,19 @@ std::optional<LpStatus> PdhgSolver::check_certificates(Workspace& ws) const {
   // recession cone of the box, and cᵀdx < 0, the LP is unbounded below.
   double norm = 0.0;
   for (int j = 0; j < n; ++j) {
-    ws.x_next[j] = ws.x[j] - ws.x_anchor[j];
-    norm = std::max(norm, std::abs(ws.x_next[j]));
+    ws.dx[j] = ws.x[j] - ws.x_anchor[j];
+    norm = std::max(norm, std::abs(ws.dx[j]));
   }
   if (norm > 1e-3 * static_cast<double>(ws.since_restart)) {
     bool in_cone = true;
     double obj_dir = 0.0;
     for (int j = 0; j < n; ++j) {
-      ws.x_next[j] /= norm;
-      obj_dir += form.c[j] * ws.x_next[j];
-      if (ws.x_next[j] > ctol && ws.ub[j] < kInf) in_cone = false;
-      if (ws.x_next[j] < -ctol && ws.lb[j] > -kInf) in_cone = false;
+      ws.dx[j] /= norm;
+      obj_dir += form.c[j] * ws.dx[j];
+      if (ws.dx[j] > ctol && ws.ub[j] < kInf) in_cone = false;
+      if (ws.dx[j] < -ctol && ws.lb[j] > -kInf) in_cone = false;
     }
-    sparse::spmv(1.0, form.a_rows, ws.x_next, 0.0, ws.ax);
+    sparse::spmv(1.0, form.a_rows, ws.dx, 0.0, ws.ax);
     double ray_res = 0.0;
     for (int i = 0; i < m; ++i) ray_res = std::max(ray_res, std::abs(ws.ax[i]));
     ws.ops.spmv += 1;
@@ -216,7 +216,7 @@ std::optional<LpStatus> PdhgSolver::check_certificates(Workspace& ws) const {
       ws.dy[i] /= norm;
       value += form.b[i] * ws.dy[i];
     }
-    sparse::spmv_t(1.0, form.a_rows, ws.dy, 0.0, ws.at_y);
+    sparse::spmv_t(1.0, form.a_cols, ws.dy, 0.0, ws.at_y);
     bool bounded = true;
     for (int j = 0; j < n; ++j) {
       const double r = ws.at_y[j];
@@ -248,27 +248,32 @@ LpStatus PdhgSolver::iterate_loop(Workspace& ws) const {
   const int m = form.num_rows;
   const int n = form.num_vars;
 
+  // One iteration is one column pass and one row pass, the shape of the
+  // fused device kernel (docs/METHODS.md, "Fused waves").
   while (ws.iteration < options_.max_iterations) {
-    // x⁺ = proj_[l,u](x − τ ∘ (c − Aᵀy))
-    sparse::spmv_t(1.0, form.a_rows, ws.y, 0.0, ws.at_y);
+    // Column pass: x⁺_j = proj_[l,u](x_j − τ_j (c_j − (Aᵀy)_j)), then the
+    // extrapolation 2x⁺_j − x_j into the Aᵀy buffer. The gather starts from
+    // spmv_t's β·at_y_j with β = 0, not from 0.0, so a column with no
+    // nonzero y_i keeps the sign of zero the results are pinned with
+    // (Pdhg.SeededSolvesAreBitExact).
     for (int j = 0; j < n; ++j) {
-      const double step = ws.x[j] - ws.tau[j] * (form.c[j] - ws.at_y[j]);
-      ws.x_next[j] = std::min(std::max(step, ws.lb[j]), ws.ub[j]);
+      const double aty = sparse::gather_column(1.0, form.a_cols, j, ws.y, 0.0 * ws.at_y[j]);
+      const double step = ws.x[j] - ws.tau[j] * (form.c[j] - aty);
+      const double next = std::min(std::max(step, ws.lb[j]), ws.ub[j]);
+      ws.at_y[j] = 2.0 * next - ws.x[j];
+      ws.x[j] = next;
+      ws.x_sum[j] += next;
     }
-    // y⁺ = y + σ ∘ (b − A(2x⁺ − x)); the extrapolation reuses the Aᵀy buffer.
-    for (int j = 0; j < n; ++j) ws.at_y[j] = 2.0 * ws.x_next[j] - ws.x[j];
-    sparse::spmv(1.0, form.a_rows, ws.at_y, 0.0, ws.ax);
-    for (int i = 0; i < m; ++i) ws.y[i] += ws.sigma[i] * (form.b[i] - ws.ax[i]);
-    std::swap(ws.x, ws.x_next);
-
-    for (int j = 0; j < n; ++j) ws.x_sum[j] += ws.x[j];
-    for (int i = 0; i < m; ++i) ws.y_sum[i] += ws.y[i];
+    // Row pass: y⁺_i = y_i + σ_i (b_i − (A(2x⁺ − x))_i).
+    for (int i = 0; i < m; ++i) {
+      ws.y[i] += ws.sigma[i] * (form.b[i] - sparse::row_dot(form.a_rows, i, ws.at_y));
+      ws.y_sum[i] += ws.y[i];
+    }
     ++ws.iteration;
     ++ws.since_restart;
     ws.ops.iterations += 1;
     ws.ops.spmv += 2;
     ws.ops.matvec_n += 4;
-    GPUMIP_OBS_COUNT("gpumip.lp.pdhg.iterations");
 
     if (ws.since_restart % options_.check_interval != 0) continue;
 
@@ -324,7 +329,7 @@ LpResult PdhgSolver::finish(Workspace& ws, LpStatus status) const {
   result.x = std::move(ws.best_x);
   result.duals = std::move(ws.best_y);
   result.reduced_costs.assign(form.num_vars, 0.0);
-  sparse::spmv_t(1.0, form.a_rows, result.duals, 0.0, ws.at_y);
+  sparse::spmv_t(1.0, form.a_cols, result.duals, 0.0, ws.at_y);
   for (int j = 0; j < form.num_vars; ++j) {
     result.reduced_costs[j] = form.c[j] - ws.at_y[j];
   }
@@ -334,6 +339,10 @@ LpResult PdhgSolver::finish(Workspace& ws, LpStatus status) const {
   // No basis: PDHG is basis-free; result.basis stays empty and consumers
   // that need one (cut separators) must not be routed here (path_chooser).
   GPUMIP_OBS_COUNT_L("gpumip.lp.solves", {"method", "pdhg"});
+  // Added once per solve, not per iteration: one process-wide atomic bumped
+  // on every iteration from every batch fan-out thread makes the threads
+  // contend for its cache line.
+  if (ws.iteration > 0) GPUMIP_OBS_ADD("gpumip.lp.pdhg.iterations", ws.iteration);
   if (ws.warm) GPUMIP_OBS_COUNT("gpumip.lp.pdhg.warm_starts");
   publish_op_stats(result.ops);
   return result;

@@ -15,10 +15,11 @@
 // with diagonal step sizes from the matrix row/column 1-norms
 // (Chambolle–Pock diagonal preconditioning: τ_j = s/‖A_{·j}‖₁,
 // σ_i = s/‖A_{i·}‖₁, convergent for s ≤ 1). The only matrix operations are
-// SpMV and SpMVᵀ over the existing CSR — no factorization, no basis, no
-// fill-in — which is why hundreds of instances batch into lockstep device
-// waves (lp/batched_lp) and why the per-instance device footprint is
-// pdhg_lp_device_bytes, not dense_lp_device_bytes.
+// SpMV over the CSR and SpMVᵀ gathered over the CSC view of the same
+// matrix — no factorization, no basis, no fill-in — which is why hundreds
+// of instances batch into lockstep device waves (lp/batched_lp) and why the
+// per-instance device footprint is pdhg_lp_device_bytes, not
+// dense_lp_device_bytes.
 //
 // Restarts: the solver tracks the running average of the iterates (the
 // ergodic sequence, which converges faster than the last iterate) and

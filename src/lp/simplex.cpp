@@ -40,6 +40,7 @@ struct SimplexSolver::Workspace {
   linalg::Matrix binv;            // m x m explicit inverse
   int etas_since_refactor = 0;
   long iterations = 0;
+  long primal_pivots = 0;  // gpumip.lp.simplex.iterations, added once in finish
   int degenerate_streak = 0;
   LpOpStats ops;
   // Per-pivot scratch, sized once in init_workspace so the iteration loop
@@ -227,7 +228,11 @@ void SimplexSolver::recompute_basic_values(Workspace& ws) const {
   }
 }
 
-const linalg::Vector& SimplexSolver::ftran_column(Workspace& ws, int var) const {
+// The per-pivot FTRAN. Its entry is pinned to a 64-byte boundary so that the
+// placement of its loop does not depend on the size of unrelated code linked
+// before it (see linalg::sub_scaled).
+[[gnu::aligned(64)]] const linalg::Vector& SimplexSolver::ftran_column(Workspace& ws,
+                                                                     int var) const {
   // w = B⁻¹ a_var, exploiting sparsity of a_var. Fills ws.ftran_w in place
   // so the per-pivot path never allocates.
   linalg::Vector& w = ws.ftran_w;
@@ -293,6 +298,9 @@ SimplexSolver::PhaseResult SimplexSolver::primal_loop(Workspace& ws,
     const linalg::Vector& y = compute_duals(ws, cost);
     ++ws.ops.price_full;
     const bool bland = ws.degenerate_streak > options_.bland_threshold;
+    if (ws.degenerate_streak == options_.bland_threshold + 1) {
+      GPUMIP_TRACE_INSTANT("gpumip.lp.simplex.bland", ws.iterations);
+    }
 
     int entering = -1;
     double entering_d = 0.0;
@@ -378,7 +386,7 @@ SimplexSolver::PhaseResult SimplexSolver::primal_loop(Workspace& ws,
     ws.degenerate_streak = t_best <= tol ? ws.degenerate_streak + 1 : 0;
     ++ws.iterations;
     ++ws.ops.iterations;
-    GPUMIP_OBS_COUNT("gpumip.lp.simplex.iterations");
+    ++ws.primal_pivots;
 
     // Move basic variables.
     for (int i = 0; i < ws.m; ++i) {
@@ -432,6 +440,9 @@ SimplexSolver::PhaseResult SimplexSolver::primal_loop(Workspace& ws,
 
 LpResult SimplexSolver::finish(Workspace& ws, LpStatus status) const {
   GPUMIP_OBS_COUNT_L("gpumip.lp.solves", {"method", "simplex"});
+  // Once per solve, not per pivot: batch fan-out threads and supervised
+  // workers would otherwise contend for one shared atomic on every pivot.
+  if (ws.primal_pivots > 0) GPUMIP_OBS_ADD("gpumip.lp.simplex.iterations", ws.primal_pivots);
   GPUMIP_OBS_RECORD("gpumip.lp.simplex.eta_length", static_cast<double>(ws.etas_since_refactor));
   publish_op_stats(ws.ops);
   LpResult result;

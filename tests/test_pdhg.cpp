@@ -4,14 +4,22 @@
 // lp/path_chooser.hpp (docs/METHODS.md).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "lp/interior_point.hpp"
 #include "lp/model.hpp"
 #include "lp/path_chooser.hpp"
 #include "lp/pdhg.hpp"
 #include "lp/simplex.hpp"
 #include "lp/standard_form.hpp"
+#include "problems/generators.hpp"
 #include "support/rng.hpp"
 
 namespace gpumip::lp {
@@ -316,6 +324,148 @@ TEST(Pdhg, IterationLimitReported) {
   LpResult r = solve_pdhg(m, tiny);
   EXPECT_EQ(r.status, LpStatus::IterationLimit);
   EXPECT_EQ(r.iterations, 8);
+}
+
+// ---------- bit-exact replay ----------
+
+/// One solve's result, pinned bit for bit: the vectors by a 64-bit FNV-1a
+/// hash of their bytes, so any changed bit (a signed zero included) changes
+/// the pin.
+struct Pinned {
+  LpStatus status;
+  long iterations;
+  std::array<long, 14> ops;  ///< every LpOpStats field, declaration order
+  double objective;
+  std::uint64_t x, duals, reduced_costs;
+
+  bool operator==(const Pinned&) const = default;
+};
+
+std::uint64_t bits_hash(const Vector& v) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (double d : v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof bits);
+    for (int b = 0; b < 8; ++b) {
+      h ^= (bits >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+Pinned pin(const LpResult& r) {
+  const LpOpStats& o = r.ops;
+  return {r.status,
+          r.iterations,
+          {o.m, o.n, o.nnz, o.ftran, o.btran, o.price_full, o.eta_updates, o.refactor,
+           o.iterations, o.bound_flips, o.cholesky, o.matvec_n, o.spmv, o.restarts},
+          r.objective,
+          bits_hash(r.x),
+          bits_hash(r.duals),
+          bits_hash(r.reduced_costs)};
+}
+
+/// The pin as a table row, printed on a mismatch so a deliberate change of
+/// the numerics can re-record it.
+std::string describe(const Pinned& p) {
+  std::ostringstream out;
+  out << "{LpStatus::" << lp_status_name(p.status) << ", " << p.iterations << ", {";
+  for (std::size_t i = 0; i < p.ops.size(); ++i) out << (i ? ", " : "") << p.ops[i];
+  out << "}, " << std::hexfloat << p.objective << std::hex << ", 0x" << p.x << "ull, 0x"
+      << p.duals << "ull, 0x" << p.reduced_costs << "ull}";
+  return out.str();
+}
+
+TEST(Pdhg, SeededSolvesAreBitExact) {
+  // Golden values recorded with the CSR row-scatter Aᵀy and the seven-pass
+  // iteration: the fused column/row passes must reproduce every iterate,
+  // and so every result bit, of that reference.
+  PdhgOptions batch_options;
+  batch_options.tol = 1e-4;  // the lp_batch_pdhg benchmark's tolerance
+  std::vector<std::pair<std::string, Pinned>> got;
+
+  // Members of the lp_batch_pdhg shape: sparse 48x72 LPs at density 0.05.
+  std::vector<StandardForm> members;
+  for (std::uint64_t seed : {1, 2, 3}) {
+    Rng rng(seed);
+    members.push_back(build_standard_form(problems::sparse_lp(48, 72, 0.05, rng)));
+  }
+  std::vector<LpResult> member_results;
+  for (std::size_t k = 0; k < members.size(); ++k) {
+    member_results.push_back(PdhgSolver(members[k], batch_options).solve_default());
+    got.emplace_back("member " + std::to_string(k), pin(member_results.back()));
+  }
+
+  // A warm-started child of member 0: one upper bound cut to 80% of its
+  // range, as the benchmark's siblings are.
+  {
+    const StandardForm& form = members[0];
+    Vector ub = form.ub;
+    ub[5] = form.lb[5] + 0.8 * (ub[5] - form.lb[5]);
+    const PdhgWarmStart warm{member_results[0].x, member_results[0].duals};
+    got.emplace_back("warm child",
+                     pin(PdhgSolver(form, batch_options).solve(form.lb, ub, &warm)));
+  }
+
+  // The certificate paths. The infeasible instance maximizes, so the empty
+  // column's cost is -0.0 and its reduced cost carries the sign of a zero
+  // Aᵀy entry.
+  {
+    LpModel m;
+    m.set_sense(Sense::Maximize);
+    const int x = m.add_col(1.0, 0, 10);
+    m.add_col(0.0, -3.0, -1.0);
+    m.add_row_ge({{x, 1.0}}, 5.0);
+    m.add_row_le({{x, 1.0}}, 3.0);
+    const LpResult r = solve_pdhg(m);
+    ASSERT_EQ(r.status, LpStatus::Infeasible);
+    got.emplace_back("infeasible", pin(r));
+  }
+  {
+    LpModel m;
+    const int x = m.add_col(-1.0);
+    const int y = m.add_col(1.0);
+    m.add_row_ge({{x, 1.0}, {y, 1.0}}, 1.0);
+    const LpResult r = solve_pdhg(m);
+    ASSERT_EQ(r.status, LpStatus::Unbounded);
+    got.emplace_back("unbounded", pin(r));
+  }
+
+  // The interior-point method forms its Aᵀy with the same kernel.
+  got.emplace_back("interior point", pin(InteriorPointSolver(members[1]).solve_default()));
+
+  const std::array<Pinned, 7> golden = {{
+      // member 0, 1, 2
+      {LpStatus::Optimal, 280, {48, 120, 205, 0, 0, 0, 0, 0, 280, 0, 0, 1150, 591, 5},
+       -0x1.d1013f03a6924p+10, 0x52d917ffd4c97a95ull, 0xbd3a2c96b7bb2186ull,
+       0xcbd63c0c920b7404ull},
+      {LpStatus::Optimal, 280, {48, 120, 226, 0, 0, 0, 0, 0, 280, 0, 0, 1150, 591, 4},
+       -0x1.deb8c0b9f321bp+10, 0xf2b7683f0144ecd1ull, 0x3cdddcb15600745ull,
+       0x3b7621ae46116eb8ull},
+      {LpStatus::Optimal, 280, {48, 120, 211, 0, 0, 0, 0, 0, 280, 0, 0, 1150, 591, 4},
+       -0x1.bb19f9067cde8p+10, 0x5d982251d55f120dull, 0x15fa3d4b7b73a042ull,
+       0xa586ba6d09661759ull},
+      // warm child
+      {LpStatus::Optimal, 40, {48, 120, 205, 0, 0, 0, 0, 0, 40, 0, 0, 166, 87, 0},
+       -0x1.d100dc2e38d64p+10, 0x904434c0acd6c8f9ull, 0xa7c2c8d7e1c96ff7ull,
+       0x83202f65144f5f50ull},
+      // infeasible
+      {LpStatus::Infeasible, 120, {2, 4, 4, 0, 0, 0, 0, 0, 120, 0, 0, 496, 257, 0}, 0x0p+0,
+       0xff581b6b68d877d8ull, 0x88201fb960ff6465ull, 0x9bc64e4273c8dc38ull},
+      // unbounded
+      {LpStatus::Unbounded, 2320, {1, 3, 3, 0, 0, 0, 0, 0, 2320, 0, 0, 9578, 4939, 1}, 0x0p+0,
+       0x81d23fd7003c2305ull, 0xa8c7f832281a39c5ull, 0x56b502c9795494e5ull},
+      // interior point
+      {LpStatus::Optimal, 8, {120, 192, 370, 0, 0, 0, 0, 0, 8, 0, 15, 47, 0, 0},
+       -0x1.deb8aa2775f7fp+10, 0xccf00feb983e4657ull, 0x6c4be20140fed79dull,
+       0xa2028bceae255c62ull},
+  }};
+  ASSERT_EQ(got.size(), golden.size());
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    EXPECT_TRUE(got[k].second == golden[k])
+        << got[k].first << " differs; got " << describe(got[k].second);
+  }
 }
 
 // ---------- three-way method policy ----------

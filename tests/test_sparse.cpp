@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <span>
 
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
@@ -113,14 +115,52 @@ TEST(Ops, SpmvMatchesDenseGemv) {
   EXPECT_LT(max_abs_diff(y1, y2), 1e-12);
 }
 
-TEST(Ops, SpmvTransposeMatchesDense) {
+/// Reference Aᵀx by CSR row scatter: y = βy first, then each row's
+/// (αx_i)·a_ij added in ascending row order, rows with αx_i == 0 skipped.
+/// spmv_t's column gather must match it bit for bit.
+void scatter_spmv_t(double alpha, const Csr& a, std::span<const double> x, double beta,
+                    std::span<double> y) {
+  for (double& v : y) v *= beta;
+  for (int r = 0; r < a.rows; ++r) {
+    const double xr = alpha * x[static_cast<std::size_t>(r)];
+    if (xr == 0.0) continue;
+    for (int k = a.row_start[static_cast<std::size_t>(r)];
+         k < a.row_start[static_cast<std::size_t>(r) + 1]; ++k) {
+      y[static_cast<std::size_t>(a.col_index[static_cast<std::size_t>(k)])] +=
+          xr * a.values[static_cast<std::size_t>(k)];
+    }
+  }
+}
+
+TEST(Ops, SpmvTransposeIsBitIdenticalToRowScatter) {
   Rng rng(17);
-  Csr a = random_sparse(18, 0.2, rng);
-  Vector x(18), y1(18, 0.0), y2(18, 0.0);
-  for (auto& v : x) v = rng.uniform(-1, 1);
-  spmv_t(1.0, a, x, 0.0, y1);
-  linalg::gemv_t(1.0, to_dense(a), x, 0.0, y2);
-  EXPECT_LT(max_abs_diff(y1, y2), 1e-12);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int rows = 1 + static_cast<int>(rng.index(40));
+    const int cols = 1 + static_cast<int>(rng.index(40));
+    std::vector<Triplet> triplets;
+    for (int r = 0; r < rows; ++r) {
+      // Column 0 stays empty, so its entry is β·y_0 alone.
+      for (int c = 1; c < cols; ++c) {
+        if (rng.flip(0.3)) triplets.push_back({r, c, rng.uniform(-2.0, 2.0)});
+      }
+    }
+    const Csr a = csr_from_triplets(rows, cols, triplets);
+    const Csc a_cols = csr_to_csc(a);
+    Vector x(static_cast<std::size_t>(rows));
+    for (double& v : x) v = rng.flip(0.3) ? 0.0 : rng.uniform(-1.0, 1.0);
+    Vector y0(static_cast<std::size_t>(cols));
+    for (double& v : y0) v = rng.flip(0.2) ? -0.0 : rng.uniform(-1.0, 1.0);
+    // β = 0 turns negative y entries into −0.0, which survives only where
+    // every αx_i of the column is skipped.
+    const double alpha = trial % 5 == 0 ? 1.0 : rng.uniform(-3.0, 3.0);
+    const double beta = trial % 3 == 0 ? 0.0 : rng.uniform(-2.0, 2.0);
+    Vector gathered = y0, scattered = y0;
+    spmv_t(alpha, a_cols, x, beta, gathered);
+    scatter_spmv_t(alpha, a, x, beta, scattered);
+    EXPECT_EQ(std::memcmp(gathered.data(), scattered.data(), gathered.size() * sizeof(double)), 0)
+        << "trial " << trial << " (" << rows << "x" << cols << ", alpha " << alpha << ", beta "
+        << beta << ")";
+  }
 }
 
 TEST(Ops, SpmmMatchesGemm) {
