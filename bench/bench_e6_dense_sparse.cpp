@@ -87,7 +87,7 @@ void print_experiment() {
   }
   if (crossover > 0) {
     bench::row("  measured crossover ~ %.2f (chooser threshold %.2f)", crossover,
-               lp::PathChooserOptions{}.density_threshold);
+               lp::kDensityThreshold);
   }
   bench::note("expected shape: sparse path wins at low density, dense at high; the runtime");
   bench::note("chooser's threshold sits near the measured crossover.");

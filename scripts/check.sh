@@ -266,7 +266,7 @@ timed obs obs_gate
 
 # Gate 6b: LP-method documentation cross-check. Parses the return-string
 # literals of lp_method_name in src/lp/path_chooser.cpp (the authoritative
-# name mapping the GPUMIP_LP_METHOD parser mirrors) and requires each to be
+# method-name mapping) and requires each to be
 # documented — backticked — in docs/METHODS.md. Pure text analysis: no
 # build, runs in milliseconds, and fails the sweep the moment someone adds
 # an LpMethod enumerator without extending the method contract.

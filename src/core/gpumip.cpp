@@ -35,6 +35,7 @@ SolveReport Solver::solve(const mip::MipModel& model) const {
   }
 
   // ---- solve ----
+  mip::MipResult result;
   if (options_.workers > 0) {
     parallel::SupervisorOptions sup = options_.supervisor;
     sup.workers = options_.workers;
@@ -42,12 +43,7 @@ SolveReport Solver::solve(const mip::MipModel& model) const {
     parallel::SupervisorResult sr = parallel::solve_supervised(*working, sup);
     report.parallel_makespan = sr.makespan;
     report.worker_nodes = sr.worker_nodes;
-    report.status = sr.result.status;
-    report.has_solution = sr.result.has_solution;
-    report.objective = sr.result.objective;
-    report.bound = sr.result.bound;
-    report.stats = sr.result.stats;
-    if (report.has_solution) report.x = sr.result.x;
+    result = std::move(sr.result);
   } else {
     parallel::StrategyConfig cfg;
     cfg.device = options_.device;
@@ -55,12 +51,6 @@ SolveReport Solver::solve(const mip::MipModel& model) const {
     cfg.mip = options_.mip;
     cfg.cpu = options_.cpu;
     parallel::StrategyReport sr = parallel::run_strategy(options_.strategy, *working, cfg);
-    report.status = sr.result.status;
-    report.has_solution = sr.result.has_solution;
-    report.objective = sr.result.objective;
-    report.bound = sr.result.bound;
-    report.gap = sr.result.gap();
-    report.stats = sr.result.stats;
     report.anatomy = sr.result.stats.anatomy;
     report.sim_seconds = sr.sim_seconds;
     report.device_seconds = sr.device_seconds;
@@ -69,15 +59,31 @@ SolveReport Solver::solve(const mip::MipModel& model) const {
     report.device_peak_bytes = sr.device_peak_bytes;
     report.strategy_completed = sr.completed;
     report.strategy_failure = sr.failure;
-    if (report.has_solution) report.x = sr.result.x;
+    result = std::move(sr.result);
   }
 
   // ---- postsolve ----
-  if (report.has_solution && presolved.has_value()) {
-    report.x = presolved->postsolve(report.x);
-    // Objective of the full model (fixed columns contribute).
-    report.objective = model.lp().objective_value(report.x);
+  if (presolved.has_value()) {
+    // Fixed columns contribute a constant the reduced model does not see;
+    // it shifts the incumbent and the bound alike.
+    double shift = 0.0;
+    for (int j = 0; j < model.num_cols(); ++j) {
+      const std::size_t k = static_cast<std::size_t>(j);
+      if (presolved->col_map[k] < 0) shift += model.lp().col(j).obj * presolved->fixed_value[k];
+    }
+    result.bound += shift;
+    if (result.has_solution) {
+      result.objective += shift;
+      result.x = presolved->postsolve(result.x);
+    }
   }
+  report.status = result.status;
+  report.has_solution = result.has_solution;
+  report.objective = result.objective;
+  report.bound = result.bound;
+  report.gap = result.gap();
+  report.stats = std::move(result.stats);
+  if (report.has_solution) report.x = std::move(result.x);
   return report;
 }
 

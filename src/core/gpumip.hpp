@@ -37,7 +37,7 @@ namespace gpumip {
 struct SolverOptions {
   parallel::Strategy strategy = parallel::Strategy::S2_CpuOrchestrated;
   bool presolve = true;
-  mip::MipOptions mip;                  ///< engine knobs (branching, cuts, ...)
+  mip::MipOptions mip;                  ///< engine knobs (node selection, cuts, ...)
   gpu::CostModelConfig device;          ///< simulated accelerator
   int devices = 1;                      ///< >1 enables S4 sharding
   lp::CpuCostModel cpu;

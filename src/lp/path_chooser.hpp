@@ -27,18 +27,14 @@ enum class CodePath {
 
 const char* code_path_name(CodePath path) noexcept;
 
-struct PathChooserOptions {
-  /// Below this density the sparse path wins on the device model. The
-  /// default matches the measured crossover of the cost model (bench E6):
-  /// the sparse kernel's efficiency/divergence penalty (~3.3x per nonzero
-  /// vs the bandwidth-bound dense kernel) puts the break-even near 30%.
-  double density_threshold = 0.30;
-  /// Matrices smaller than this are always dense (latency dominates).
-  int small_dimension = 64;
-};
+/// Below this density the sparse path wins on the device model. It sits at
+/// the measured crossover of the cost model (bench E6): the sparse kernel's
+/// efficiency/divergence penalty (~3.3x per nonzero vs the bandwidth-bound
+/// dense kernel) puts the break-even near 30%.
+inline constexpr double kDensityThreshold = 0.30;
 
 /// Decides the code path for a constraint matrix.
-CodePath choose_path(const sparse::Csr& a, const PathChooserOptions& options = {});
+CodePath choose_path(const sparse::Csr& a);
 
 // ---- three-way LP method selection -----------------------------------------
 
@@ -48,9 +44,9 @@ enum class LpMethod {
   Pdhg,           ///< restarted PDHG: matrix-free, batches into lockstep waves
 };
 
-/// Stable lowercase names ("simplex", "interior_point", "pdhg") — the values
-/// of GPUMIP_LP_METHOD and the vocabulary of docs/METHODS.md (check.sh's
-/// methods-doc gate asserts every name below appears there).
+/// Stable lowercase names ("simplex", "interior_point", "pdhg") — the
+/// vocabulary of docs/METHODS.md (check.sh's methods-doc gate asserts every
+/// name below appears there).
 const char* lp_method_name(LpMethod method) noexcept;
 
 /// Per-solve facts the decision keys on, beyond the matrix itself.
@@ -63,48 +59,20 @@ struct MethodContext {
   /// choose_method instead of branching at the caller keeps the
   /// every-decision-is-recorded contract: the pin still emits the
   /// gpumip.lp.method.* counters (as forced) and the choice trace instant.
-  /// GPUMIP_LP_METHOD outranks it.
   std::optional<LpMethod> forced;
 };
 
-struct MethodChoiceOptions {
-  /// PDHG is only competitive when its per-wave nnz traffic undercuts the
-  /// competition; above this density the SpMV advantage is gone.
-  double pdhg_density_max = 0.05;
-  /// Sequential PDHG pays thousands of kernel launches, so a cold
-  /// single-instance solve only prefers it at the scale where IPM's dense
-  /// factorization stops fitting/paying (bench_e9_methods E9-a: IPM wins
-  /// every cold sequential cell up to hundreds of rows).
-  int pdhg_min_rows = 4096;
-  /// Batched lockstep amortizes launches across the batch; with at least
-  /// this many instances in flight PDHG's bar drops to pdhg_batched_min_rows.
-  int batch_occupancy_min = 16;
-  int pdhg_batched_min_rows = 48;
-  /// Above this row count a cold solve prefers interior point: ~10 heavy
-  /// Cholesky iterations launch two orders of magnitude fewer kernels than
-  /// the pivot-by-pivot simplex, and the crossover arrives early
-  /// (bench_e9_methods E9-a). Tiny instances stay on simplex, whose warm
-  /// restarts dominate real branch-and-bound work anyway.
-  int ipm_min_rows = 48;
-  /// Accuracy below which first-order methods are ruled out entirely.
-  double pdhg_tol_min = 1e-8;
-};
-
 /// Decides which LP method solves an instance of matrix `a` under `ctx`.
-/// Decision table (docs/METHODS.md, "Choosing a method"):
-///   1. GPUMIP_LP_METHOD env var ("simplex"/"interior_point"/"pdhg") wins,
-///      then a ctx.forced programmatic pin; both are counted as forced.
+/// Decision table (docs/METHODS.md, "Choosing a method"; the thresholds are
+/// the k* constants in path_chooser.cpp):
+///   1. a ctx.forced pin wins and is counted as forced.
 ///   2. warm basis -> Simplex (dual simplex reuse beats everything).
-///   3. batched (>= batch_occupancy_min) and sparse and not tiny -> Pdhg.
-///   4. large and sparse (>= pdhg_min_rows, <= pdhg_density_max) -> Pdhg
-///      (warm iterates lower the size bar to pdhg_batched_min_rows).
-///   5. large (>= ipm_min_rows) -> InteriorPoint.
+///   3. batched (>= kBatchOccupancyMin) and sparse and not tiny -> Pdhg.
+///   4. large and sparse (>= kPdhgMinRows, <= kPdhgDensityMax) -> Pdhg
+///      (warm iterates lower the size bar to kPdhgBatchedMinRows).
+///   5. large (>= kIpmMinRows) -> InteriorPoint.
 ///   6. otherwise -> Simplex.
-/// Tolerances tighter than pdhg_tol_min disqualify Pdhg at steps 3-4.
-LpMethod choose_method(const sparse::Csr& a, const MethodContext& ctx,
-                       const MethodChoiceOptions& options = {});
-
-/// The GPUMIP_LP_METHOD override if set to a valid method name.
-std::optional<LpMethod> lp_method_override();
+/// Tolerances tighter than kPdhgTolMin disqualify Pdhg at steps 3-4.
+LpMethod choose_method(const sparse::Csr& a, const MethodContext& ctx);
 
 }  // namespace gpumip::lp

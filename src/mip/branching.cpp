@@ -3,130 +3,22 @@
 #include <algorithm>
 #include <cmath>
 
-#include "support/error.hpp"
-
 namespace gpumip::mip {
 
-const char* branch_rule_name(BranchRule rule) noexcept {
-  switch (rule) {
-    case BranchRule::MostFractional: return "most-fractional";
-    case BranchRule::Pseudocost: return "pseudocost";
-    case BranchRule::Strong: return "strong";
-  }
-  return "?";
-}
-
-void PseudocostTable::init(int num_vars, std::span<const double> objective) {
-  up_sum_.assign(static_cast<std::size_t>(num_vars), 0.0);
-  down_sum_.assign(static_cast<std::size_t>(num_vars), 0.0);
-  up_count_.assign(static_cast<std::size_t>(num_vars), 0);
-  down_count_.assign(static_cast<std::size_t>(num_vars), 0);
-  initial_.assign(static_cast<std::size_t>(num_vars), 1.0);
-  for (int j = 0; j < num_vars && j < static_cast<int>(objective.size()); ++j) {
-    initial_[static_cast<std::size_t>(j)] = 1.0 + std::fabs(objective[static_cast<std::size_t>(j)]);
-  }
-}
-
-void PseudocostTable::update(int var, bool up, double objective_delta, double fractionality) {
-  if (fractionality < 1e-9) return;
-  const std::size_t k = static_cast<std::size_t>(var);
-  const double per_unit = std::max(0.0, objective_delta) / fractionality;
-  if (up) {
-    up_sum_[k] += per_unit;
-    ++up_count_[k];
-  } else {
-    down_sum_[k] += per_unit;
-    ++down_count_[k];
-  }
-}
-
-double PseudocostTable::score(int var, double frac) const {
-  const std::size_t k = static_cast<std::size_t>(var);
-  const double up = up_count_[k] > 0 ? up_sum_[k] / up_count_[k] : initial_[k];
-  const double down = down_count_[k] > 0 ? down_sum_[k] / down_count_[k] : initial_[k];
-  const double eps = 1e-6;
-  return std::max(up * (1.0 - frac), eps) * std::max(down * frac, eps);
-}
-
-long PseudocostTable::observations(int var) const {
-  const std::size_t k = static_cast<std::size_t>(var);
-  return up_count_[k] + down_count_[k];
-}
-
-std::vector<std::pair<int, double>> fractional_vars(std::span<const double> x,
-                                                    const std::vector<bool>& integer_cols,
-                                                    double int_tol) {
-  std::vector<std::pair<int, double>> out;
+int select_branch_var(std::span<const double> x, const std::vector<bool>& integer_cols,
+                      double int_tol) {
+  int best = -1;
+  double best_dist = int_tol;
   for (std::size_t j = 0; j < integer_cols.size() && j < x.size(); ++j) {
     if (!integer_cols[j]) continue;
     const double frac = x[j] - std::floor(x[j]);
     const double dist = std::min(frac, 1.0 - frac);
-    if (dist > int_tol) out.push_back({static_cast<int>(j), frac});
-  }
-  return out;
-}
-
-int select_branch_var(BranchRule rule, std::span<const double> x,
-                      const std::vector<bool>& integer_cols, double int_tol,
-                      const PseudocostTable* pseudocosts,
-                      const std::function<double(int, bool)>& strong_probe,
-                      int strong_candidates) {
-  auto fracs = fractional_vars(x, integer_cols, int_tol);
-  if (fracs.empty()) return -1;
-
-  switch (rule) {
-    case BranchRule::MostFractional: {
-      int best = -1;
-      double best_dist = -1.0;
-      for (const auto& [j, frac] : fracs) {
-        const double dist = std::min(frac, 1.0 - frac);
-        if (dist > best_dist) {
-          best_dist = dist;
-          best = j;
-        }
-      }
-      return best;
-    }
-    case BranchRule::Pseudocost: {
-      check_arg(pseudocosts != nullptr, "pseudocost rule needs a table");
-      int best = -1;
-      double best_score = -1.0;
-      for (const auto& [j, frac] : fracs) {
-        const double s = pseudocosts->score(j, frac);
-        if (s > best_score) {
-          best_score = s;
-          best = j;
-        }
-      }
-      return best;
-    }
-    case BranchRule::Strong: {
-      check_arg(static_cast<bool>(strong_probe), "strong rule needs a probe");
-      // Rank candidates by fractionality, probe the top few.
-      std::sort(fracs.begin(), fracs.end(), [](const auto& a, const auto& b) {
-        const double da = std::min(a.second, 1.0 - a.second);
-        const double db = std::min(b.second, 1.0 - b.second);
-        return da > db;
-      });
-      const int k = std::min<int>(strong_candidates, static_cast<int>(fracs.size()));
-      int best = fracs.front().first;
-      double best_score = -1.0;
-      for (int i = 0; i < k; ++i) {
-        const int j = fracs[static_cast<std::size_t>(i)].first;
-        const double down = strong_probe(j, false);
-        const double up = strong_probe(j, true);
-        // Product of degradations (infeasible child = very strong).
-        const double cap = 1e9;
-        const double score = std::min(down, cap) * std::min(up, cap);
-        if (score > best_score) {
-          best_score = score;
-          best = j;
-        }
-      }
-      return best;
+    if (dist > best_dist) {
+      best_dist = dist;
+      best = static_cast<int>(j);
     }
   }
-  return fracs.front().first;
+  return best;
 }
 
 }  // namespace gpumip::mip

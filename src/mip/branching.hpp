@@ -1,54 +1,14 @@
-// Branching-variable selection rules.
+// Branching-variable selection: most-fractional.
 #pragma once
 
-#include <functional>
 #include <span>
 #include <vector>
 
-#include "linalg/matrix.hpp"
-
 namespace gpumip::mip {
 
-enum class BranchRule {
-  MostFractional,  ///< variable with fractional part closest to 1/2
-  Pseudocost,      ///< history-based degradation estimates (product score)
-  Strong,          ///< trial-solve both children for top candidates
-};
-
-const char* branch_rule_name(BranchRule rule) noexcept;
-
-/// Per-variable pseudocost history: average objective degradation per unit
-/// of fractionality, separately for the down and up child.
-class PseudocostTable {
- public:
-  void init(int num_vars, std::span<const double> objective);
-
-  /// Records an observed child degradation.
-  void update(int var, bool up, double objective_delta, double fractionality);
-
-  /// Product score (larger = better branching candidate).
-  double score(int var, double frac) const;
-
-  long observations(int var) const;
-
- private:
-  std::vector<double> up_sum_, down_sum_;
-  std::vector<long> up_count_, down_count_;
-  std::vector<double> initial_;  // |c_j| seed before any observation
-};
-
-/// Fractional integer variables of a point (indices + fractional parts).
-std::vector<std::pair<int, double>> fractional_vars(std::span<const double> x,
-                                                    const std::vector<bool>& integer_cols,
-                                                    double int_tol);
-
-/// Selects the branching variable, or -1 if x is integral.
-/// `strong_probe(var, up)` must return the child LP bound (min form; +inf
-/// for infeasible children); only called for rule == Strong.
-int select_branch_var(BranchRule rule, std::span<const double> x,
-                      const std::vector<bool>& integer_cols, double int_tol,
-                      const PseudocostTable* pseudocosts,
-                      const std::function<double(int, bool)>& strong_probe,
-                      int strong_candidates = 4);
+/// The integer variable whose fractional part is closest to 1/2 (ties go
+/// to the lowest index), or -1 if x is integral within int_tol.
+int select_branch_var(std::span<const double> x, const std::vector<bool>& integer_cols,
+                      double int_tol);
 
 }  // namespace gpumip::mip

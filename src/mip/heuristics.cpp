@@ -93,49 +93,4 @@ HeuristicResult diving_heuristic(const MipModel& model, const lp::StandardForm& 
   return result;
 }
 
-HeuristicResult feasibility_pump(const MipModel& model, int max_rounds, double int_tol) {
-  HeuristicResult result;
-  const lp::StandardForm form = lp::build_standard_form(model.lp());
-  lp::SimplexSolver solver(form);
-  lp::LpResult relax = solver.solve_default();
-  if (relax.status != lp::LpStatus::Optimal) return result;
-
-  linalg::Vector x(relax.x.begin(), relax.x.begin() + model.num_cols());
-  for (int round = 0; round < max_rounds; ++round) {
-    // Round.
-    linalg::Vector target = x;
-    for (int j = 0; j < model.num_cols(); ++j) {
-      if (model.is_integer(j)) target[static_cast<std::size_t>(j)] = std::round(target[static_cast<std::size_t>(j)]);
-    }
-    if (model.is_feasible(target, 1e-6) && model.is_integral(target, int_tol)) {
-      result.found = true;
-      result.x = target;
-      result.objective = min_objective(model, form, target);
-      return result;
-    }
-    // Project: minimize L1 distance of integer vars to the rounded point.
-    // |x_j - t_j| is linearized by splitting on the rounding direction:
-    // if t_j was rounded down, distance along the feasible side is x_j-t_j;
-    // if up, t_j-x_j (x stays in [floor, ceil] only approximately, but the
-    // blend keeps the pump moving).
-    lp::LpModel dist = model.lp();
-    for (int j = 0; j < model.num_cols(); ++j) {
-      double c = 0.0;
-      if (model.is_integer(j)) {
-        c = x[static_cast<std::size_t>(j)] >= target[static_cast<std::size_t>(j)] ? 1.0 : -1.0;
-      }
-      dist.col(j).obj = c;
-    }
-    dist.set_sense(lp::Sense::Minimize);
-    const lp::StandardForm dist_form = lp::build_standard_form(dist);
-    lp::SimplexSolver dist_solver(dist_form);
-    lp::LpResult projected = dist_solver.solve_default();
-    if (projected.status != lp::LpStatus::Optimal) return result;
-    linalg::Vector next(projected.x.begin(), projected.x.begin() + model.num_cols());
-    if (linalg::max_abs_diff(next, x) < 1e-9) return result;  // cycling: stop
-    x = std::move(next);
-  }
-  return result;
-}
-
 }  // namespace gpumip::mip

@@ -25,10 +25,4 @@ HeuristicResult diving_heuristic(const MipModel& model, const lp::StandardForm& 
                                  lp::SimplexSolver& solver, const lp::LpResult& relaxation,
                                  int max_dives = 100, double int_tol = 1e-6);
 
-/// Objective feasibility pump (simplified): alternates between rounding and
-/// re-solving an LP whose objective is a blend of the true objective and
-/// the L1 distance to the rounded point.
-HeuristicResult feasibility_pump(const MipModel& model, int max_rounds = 15,
-                                 double int_tol = 1e-6);
-
 }  // namespace gpumip::mip

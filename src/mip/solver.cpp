@@ -6,6 +6,7 @@
 #include "gpu/arena.hpp"
 #include "gpu/device.hpp"
 #include "lp/op_stats.hpp"
+#include "mip/branching.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "support/assert.hpp"
@@ -128,8 +129,6 @@ MipResult BnbSolver::run(const ConsistentSnapshot* snapshot) {
   ipm_solver_ = std::make_unique<lp::InteriorPointSolver>(*form_, options_.ipm);
   pdhg_solver_ = std::make_unique<lp::PdhgSolver>(*form_, options_.pdhg);
   pool_ = std::make_unique<NodePool>(options_.node_selection, options_.locality_slack);
-  pseudocosts_.init(form_->num_vars, form_->c);
-
 
   if (snapshot != nullptr) {
     if (snapshot->has_incumbent()) {
@@ -208,16 +207,14 @@ MipResult BnbSolver::run(const ConsistentSnapshot* snapshot) {
     }
 
     // Evaluate: the three-way method policy of docs/METHODS.md picks the
-    // relaxation backend per node (options_.lp_method forces one;
-    // GPUMIP_LP_METHOD overrides both).
+    // relaxation backend per node (options_.lp_method forces one).
     lp::MethodContext method_ctx;
     method_ctx.warm_basis = !node.warm_basis.empty();
     method_ctx.warm_iterates = !node.warm_x.empty() || !node.warm_y.empty();
     method_ctx.batch_size = 1;
     method_ctx.tol = options_.pdhg.tol;
     method_ctx.forced = options_.lp_method;
-    const lp::LpMethod method =
-        lp::choose_method(form_->a_rows, method_ctx, options_.method_choice);
+    const lp::LpMethod method = lp::choose_method(form_->a_rows, method_ctx);
     // Device-residency modeling (ROADMAP item 4): charge this node's
     // relaxation footprint before solving. With an arena the reset+allot
     // pair reuses the warm slab (zero Device::alloc calls in steady
@@ -302,16 +299,6 @@ MipResult BnbSolver::run(const ConsistentSnapshot* snapshot) {
       continue;
     }
 
-    // Pseudocost bookkeeping: this node is a child of `parent` through
-    // branch_var; record the observed degradation.
-    if (node.parent >= 0 && node.branch_var >= 0) {
-      const BnbNode& parent = pool_->node(node.parent);
-      const double delta = lp_result.objective - parent.lp_objective;
-      // Fractionality of the parent's LP value on the branch variable is
-      // not stored per node; 0.5 is the standard stand-in.
-      pseudocosts_.update(node.branch_var, node.branch_up, delta, 0.5);
-    }
-
     if (lp_result.objective - bound_pad >= incumbent_obj_ - 1e-9) {
       pool_->set_state(id, NodeState::PrunedLeaf);
       GPUMIP_TRACE_INSTANT("gpumip.mip.node.pruned", id);
@@ -339,33 +326,7 @@ MipResult BnbSolver::run(const ConsistentSnapshot* snapshot) {
     }
     if (node.parent < 0) stats_.root_bound = lp_result.objective;
 
-    // Branch. Strong branching probes need a basis to dual-resolve from;
-    // basis-free methods fall back to the score-only rules inside
-    // select_branch_var.
-    std::function<double(int, bool)> strong_probe;
-    if (options_.branching == BranchRule::Strong && !lp_result.basis.empty()) {
-      strong_probe = [&](int var, bool up) {
-        linalg::Vector lb2 = node.lb, ub2 = node.ub;
-        const double v = lp_result.x[static_cast<std::size_t>(var)];
-        if (up) {
-          lb2[static_cast<std::size_t>(var)] = std::ceil(v);
-        } else {
-          ub2[static_cast<std::size_t>(var)] = std::floor(v);
-        }
-        lp::SimplexOptions probe_opts = options_.lp;
-        probe_opts.max_iterations = 50;
-        lp::SimplexSolver probe(*form_, probe_opts);
-        lp::LpResult r = probe.resolve_dual(lb2, ub2, lp_result.basis);
-        stats_.total_ops.add(r.ops);
-        if (r.status == lp::LpStatus::Infeasible) return 1e30;
-        if (r.status != lp::LpStatus::Optimal && r.status != lp::LpStatus::IterationLimit) {
-          return 0.0;
-        }
-        return std::max(0.0, r.objective - lp_result.objective);
-      };
-    }
-    const int var = select_branch_var(options_.branching, lp_result.x, model_.integer_flags(),
-                                      options_.int_tol, &pseudocosts_, strong_probe);
+    const int var = select_branch_var(lp_result.x, model_.integer_flags(), options_.int_tol);
     check_internal(var >= 0, "no fractional variable in a non-integral node");
     const double value = lp_result.x[static_cast<std::size_t>(var)];
 

@@ -17,7 +17,6 @@
 #include "lp/path_chooser.hpp"
 #include "lp/pdhg.hpp"
 #include "lp/simplex.hpp"
-#include "mip/branching.hpp"
 #include "mip/cuts.hpp"
 #include "mip/heuristics.hpp"
 #include "mip/model.hpp"
@@ -46,7 +45,6 @@ struct MipOptions {
   double int_tol = 1e-6;
   NodeSelection node_selection = NodeSelection::BestFirst;
   double locality_slack = 0.1;  ///< GpuLocality policy slack
-  BranchRule branching = BranchRule::MostFractional;
   bool enable_cuts = true;
   int cut_rounds = 3;           ///< root cut-and-branch rounds
   CutOptions cuts;
@@ -54,11 +52,9 @@ struct MipOptions {
   lp::SimplexOptions lp;
   /// Force every node relaxation onto one LP method. Unset: lp::choose_method
   /// picks per node (warm basis -> dual simplex, etc.; see docs/METHODS.md).
-  /// The GPUMIP_LP_METHOD env var overrides both.
   std::optional<lp::LpMethod> lp_method;
   lp::InteriorPointOptions ipm;
   lp::PdhgOptions pdhg;
-  lp::MethodChoiceOptions method_choice;
   /// Emit a consistent snapshot every N evaluated nodes (0 = never).
   int snapshot_interval = 0;
   std::function<void(const ConsistentSnapshot&)> on_snapshot;
@@ -151,7 +147,6 @@ class BnbSolver {
   // Incumbent in min form.
   double incumbent_obj_ = 1e300;
   linalg::Vector incumbent_x_;
-  PseudocostTable pseudocosts_;
 };
 
 /// Solves a MIP by brute-force enumeration over integer assignments with an

@@ -48,15 +48,22 @@ TEST(Facade, PresolveMapsSolutionBack) {
   // Add a fixed column that contributes 7 to the (maximization) objective.
   const int fixed = m.add_col(7.0, 1.0, 1.0);
   (void)fixed;
-  SolverOptions opts;
-  opts.presolve = true;
-  Solver solver(opts);
-  SolveReport report = solver.solve(m);
-  EXPECT_EQ(report.status, mip::MipStatus::Optimal);
-  EXPECT_GT(report.presolve_cols_removed, 0);
-  ASSERT_EQ(static_cast<int>(report.x.size()), m.num_cols());
-  EXPECT_NEAR(report.x[2], 1.0, 1e-9);
-  EXPECT_NEAR(report.objective, 3.0 + 7.0, 1e-6);
+  // The shift applies to the incumbent and the bound alike, on the
+  // sequential and the supervised path.
+  for (int workers : {0, 2}) {
+    SolverOptions opts;
+    opts.presolve = true;
+    opts.workers = workers;
+    Solver solver(opts);
+    SolveReport report = solver.solve(m);
+    EXPECT_EQ(report.status, mip::MipStatus::Optimal) << "workers=" << workers;
+    EXPECT_GT(report.presolve_cols_removed, 0);
+    ASSERT_EQ(static_cast<int>(report.x.size()), m.num_cols());
+    EXPECT_NEAR(report.x[2], 1.0, 1e-9);
+    EXPECT_NEAR(report.objective, 3.0 + 7.0, 1e-6) << "workers=" << workers;
+    EXPECT_NEAR(report.bound, 3.0 + 7.0, 1e-6) << "workers=" << workers;
+    EXPECT_NEAR(report.gap, 0.0, 1e-9) << "workers=" << workers;
+  }
 }
 
 TEST(Facade, PresolveDetectsInfeasibility) {

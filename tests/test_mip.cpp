@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "mip/solver.hpp"
 #include "problems/generators.hpp"
@@ -129,14 +130,8 @@ TEST(Bnb, NodeLimitReported) {
 }
 
 // The core correctness property: branch-and-bound equals brute-force
-// enumeration across random instances, with every option combination.
-struct EngineConfig {
-  NodeSelection selection;
-  BranchRule rule;
-  bool cuts;
-  bool heuristics;
-};
-
+// enumeration across random instances, for every node selection crossed
+// with every LP method, each with and without cuts and heuristics.
 class BnbMatchesEnumeration : public ::testing::TestWithParam<int> {};
 
 TEST_P(BnbMatchesEnumeration, RandomSmallMips) {
@@ -152,29 +147,30 @@ TEST_P(BnbMatchesEnumeration, RandomSmallMips) {
   MipResult exact = solve_by_enumeration(m);
   ASSERT_EQ(exact.status, MipStatus::Optimal);
 
-  static const EngineConfig kConfigs[] = {
-      {NodeSelection::BestFirst, BranchRule::MostFractional, false, false},
-      {NodeSelection::DepthFirst, BranchRule::MostFractional, false, true},
-      {NodeSelection::GpuLocality, BranchRule::MostFractional, false, false},
-      {NodeSelection::BestFirst, BranchRule::Pseudocost, false, false},
-      {NodeSelection::BestFirst, BranchRule::Strong, false, false},
-      {NodeSelection::BestFirst, BranchRule::MostFractional, true, true},
-      {NodeSelection::GpuLocality, BranchRule::Pseudocost, true, true},
-  };
-  for (const auto& ec : kConfigs) {
-    MipOptions opts;
-    opts.node_selection = ec.selection;
-    opts.branching = ec.rule;
-    opts.enable_cuts = ec.cuts;
-    opts.enable_heuristics = ec.heuristics;
-    MipResult r = solve(m, opts);
-    ASSERT_EQ(r.status, MipStatus::Optimal)
-        << node_selection_name(ec.selection) << "/" << branch_rule_name(ec.rule);
-    EXPECT_NEAR(r.objective, exact.objective, 1e-6)
-        << node_selection_name(ec.selection) << "/" << branch_rule_name(ec.rule)
-        << " cuts=" << ec.cuts << " heur=" << ec.heuristics;
-    EXPECT_TRUE(m.is_integral(r.x));
-    EXPECT_TRUE(m.is_feasible(r.x));
+  for (NodeSelection selection :
+       {NodeSelection::BestFirst, NodeSelection::DepthFirst, NodeSelection::GpuLocality}) {
+    for (lp::LpMethod method :
+         {lp::LpMethod::Simplex, lp::LpMethod::InteriorPoint, lp::LpMethod::Pdhg}) {
+      for (bool cuts : {false, true}) {
+        for (bool heuristics : {false, true}) {
+          MipOptions opts;
+          opts.node_selection = selection;
+          opts.lp_method = method;
+          opts.pdhg.tol = 1e-8;
+          opts.enable_cuts = cuts;
+          opts.enable_heuristics = heuristics;
+          MipResult r = solve(m, opts);
+          const std::string label = std::string(node_selection_name(selection)) + "/" +
+                                    lp::lp_method_name(method) +
+                                    " cuts=" + std::to_string(cuts) +
+                                    " heur=" + std::to_string(heuristics);
+          ASSERT_EQ(r.status, MipStatus::Optimal) << label;
+          EXPECT_NEAR(r.objective, exact.objective, 1e-6) << label;
+          EXPECT_TRUE(m.is_integral(r.x)) << label;
+          EXPECT_TRUE(m.is_feasible(r.x)) << label;
+        }
+      }
+    }
   }
 }
 
@@ -424,26 +420,6 @@ TEST(Bnb, ForcedLpMethodsAgreeWithEnumeration) {
   }
 }
 
-TEST(Bnb, EnvOverrideForcesPdhgNodes) {
-  Rng rng(4243);
-  RandomMipConfig cfg;
-  cfg.rows = 5;
-  cfg.cols = 6;
-  cfg.density = 0.5;
-  cfg.integer_fraction = 0.8;
-  cfg.bound = 2.0;
-  MipModel m = problems::random_mip(cfg, rng);
-  MipResult exact = solve_by_enumeration(m);
-  ASSERT_EQ(exact.status, MipStatus::Optimal);
-  ASSERT_EQ(::setenv("GPUMIP_LP_METHOD", "pdhg", 1), 0);
-  MipOptions opts;
-  opts.pdhg.tol = 1e-8;
-  MipResult r = solve(m, opts);
-  ::unsetenv("GPUMIP_LP_METHOD");
-  ASSERT_EQ(r.status, MipStatus::Optimal);
-  EXPECT_NEAR(r.objective, exact.objective, 1e-4);
-}
-
 TEST(Cuts, CoverCutsOnKnapsack) {
   Rng rng(81);
   MipModel m = problems::knapsack(12, rng, 0.4);
@@ -533,16 +509,6 @@ TEST(Heuristics, DivingProducesFeasiblePoint) {
   ASSERT_TRUE(h.found);
   EXPECT_TRUE(m.is_feasible(h.x));
   EXPECT_TRUE(m.is_integral(h.x));
-}
-
-TEST(Heuristics, FeasibilityPumpOnSetCover) {
-  Rng rng(121);
-  MipModel m = problems::set_cover(10, 7, rng);
-  HeuristicResult h = feasibility_pump(m);
-  if (h.found) {
-    EXPECT_TRUE(m.is_feasible(h.x));
-    EXPECT_TRUE(m.is_integral(h.x));
-  }
 }
 
 TEST(Enumeration, RejectsHugeDomains) {

@@ -7,7 +7,6 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -19,6 +18,7 @@
 #include "lp/pdhg.hpp"
 #include "lp/simplex.hpp"
 #include "lp/standard_form.hpp"
+#include "obs/metrics.hpp"
 #include "problems/generators.hpp"
 #include "support/rng.hpp"
 
@@ -539,23 +539,47 @@ TEST(MethodChooser, TightToleranceDisqualifiesPdhg) {
   EXPECT_NE(choose_method(large_sparse, ctx), LpMethod::Pdhg);
 }
 
-TEST(MethodChooser, EnvOverrideForcesMethod) {
+TEST(MethodChooser, PinForcesMethod) {
+  // ctx.forced outranks every rule of the decision table, and each pinned
+  // decision is still recorded, as forced; an unpinned one is not.
   const sparse::Csr small_dense = random_csr(16, 24, 0.5, 14);
-  MethodContext ctx;
-  ASSERT_EQ(choose_method(small_dense, ctx), LpMethod::Simplex);
-  ::setenv("GPUMIP_LP_METHOD", "pdhg", 1);
-  EXPECT_EQ(choose_method(small_dense, ctx), LpMethod::Pdhg);
-  EXPECT_TRUE(lp_method_override().has_value());
-  ::setenv("GPUMIP_LP_METHOD", "interior_point", 1);
-  EXPECT_EQ(choose_method(small_dense, ctx), LpMethod::InteriorPoint);
-  ::setenv("GPUMIP_LP_METHOD", "bogus", 1);
-  EXPECT_FALSE(lp_method_override().has_value());
-  EXPECT_EQ(choose_method(small_dense, ctx), LpMethod::Simplex);
-  ::unsetenv("GPUMIP_LP_METHOD");
+  const sparse::Csr mid_sparse = random_csr(96, 144, 0.02, 15);
+  const sparse::Csr large_dense = random_csr(256, 384, 0.4, 16);
+  MethodContext warm_basis;  // rule 2
+  warm_basis.warm_basis = true;
+  MethodContext batched;  // rule 3
+  batched.batch_size = 64;
+  MethodContext warm_iterates;  // rule 4
+  warm_iterates.warm_iterates = true;
+  const MethodContext cold;  // rules 5 and 6
+  struct Case {
+    const sparse::Csr& a;
+    MethodContext ctx;
+    LpMethod unpinned;
+    LpMethod pin;
+  };
+  const Case cases[] = {
+      {small_dense, warm_basis, LpMethod::Simplex, LpMethod::Pdhg},
+      {mid_sparse, batched, LpMethod::Pdhg, LpMethod::Simplex},
+      {mid_sparse, warm_iterates, LpMethod::Pdhg, LpMethod::InteriorPoint},
+      {large_dense, cold, LpMethod::InteriorPoint, LpMethod::Simplex},
+      {small_dense, cold, LpMethod::Simplex, LpMethod::Pdhg},
+  };
+  const obs::Counter& forced = obs::counter("gpumip.lp.method.forced");
+  for (const Case& c : cases) {
+    std::uint64_t before = forced.value();
+    ASSERT_EQ(choose_method(c.a, c.ctx), c.unpinned) << lp_method_name(c.unpinned);
+    EXPECT_EQ(forced.value(), before);
+    MethodContext pinned = c.ctx;
+    pinned.forced = c.pin;
+    before = forced.value();
+    EXPECT_EQ(choose_method(c.a, pinned), c.pin) << lp_method_name(c.unpinned);
+    EXPECT_EQ(forced.value() - before, obs::kObsEnabled ? 1u : 0u);
+  }
 }
 
 TEST(MethodChooser, NamesAreStable) {
-  // docs/METHODS.md and GPUMIP_LP_METHOD both key on these exact strings
+  // docs/METHODS.md keys on these exact strings
   // (check.sh's methods-doc gate greps them out of this switch).
   EXPECT_STREQ(lp_method_name(LpMethod::Simplex), "simplex");
   EXPECT_STREQ(lp_method_name(LpMethod::InteriorPoint), "interior_point");

@@ -1,6 +1,8 @@
-// Direct tests of the node pool's selection policies, logging, and
-// device-BLAS corners not covered by the higher-level suites.
+// Direct tests of the node pool's selection policies, branching-variable
+// selection, logging, and device-BLAS corners not covered by the higher-level suites.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "linalg/blas.hpp"
 #include "linalg/device_blas.hpp"
@@ -100,7 +102,15 @@ TEST(NodePool, RenderHandlesEmptyAndTruncation) {
 TEST(NodePool, NamesForEnums) {
   EXPECT_STREQ(mip::node_state_name(mip::NodeState::PrunedLeaf), "pruned");
   EXPECT_STREQ(mip::node_selection_name(mip::NodeSelection::GpuLocality), "gpu-locality");
-  EXPECT_STREQ(mip::branch_rule_name(mip::BranchRule::Pseudocost), "pseudocost");
+}
+
+TEST(Branching, MostFractionalTieGoesToLowestIndex) {
+  const std::vector<bool> integer = {true, true, false, true, true};
+  // x1 and x4 tie at distance 0.5; continuous x2 is never a candidate.
+  EXPECT_EQ(mip::select_branch_var(Vector{0.2, 1.5, 0.5, 2.0, 3.5}, integer, 1e-6), 1);
+  EXPECT_EQ(mip::select_branch_var(Vector{0.2, 1.1, 0.5, 2.7, 3.0}, integer, 1e-6), 3);
+  // Integral within int_tol: nothing to branch on.
+  EXPECT_EQ(mip::select_branch_var(Vector{0.0, 1.0, 0.5, 2.0 + 1e-7, 3.0}, integer, 1e-6), -1);
 }
 
 TEST(Log, DisabledLevelSkipsEvaluation) {
