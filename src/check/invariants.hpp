@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "check/registry.hpp"
-#include "linalg/eta.hpp"
 #include "linalg/matrix.hpp"
 #include "lp/basis.hpp"
 #include "lp/standard_form.hpp"
@@ -302,29 +301,6 @@ inline void check_basis_inverse(const linalg::Matrix& b, const linalg::Matrix& b
   require(residual <= tol, s,
           "eta-updated inverse drifted: residual " + std::to_string(residual) +
               " > tol " + std::to_string(tol) + " " + where);
-}
-
-/// Builds the basis matrix B from `form` columns for `basis.basic`, applies
-/// the eta file to a copy of `base_inverse`, and residual-checks the result
-/// — the end-to-end "is this eta file still valid for this basis?" check a
-/// warm-started child performs on the factorization it inherited.
-inline void check_basis(const lp::StandardForm& form, const lp::Basis& basis,
-                        const linalg::Matrix& base_inverse, const linalg::EtaFile& etas,
-                        double tol = 1e-6) {
-  check_basis(form, basis);
-  const int m = form.num_rows;
-  linalg::Matrix b(m, m);
-  for (int i = 0; i < m; ++i) {
-    const int v = basis.basic[static_cast<std::size_t>(i)];
-    for (int k = form.a_cols.col_start[static_cast<std::size_t>(v)];
-         k < form.a_cols.col_start[static_cast<std::size_t>(v) + 1]; ++k) {
-      b(form.a_cols.row_index[static_cast<std::size_t>(k)], i) =
-          form.a_cols.values[static_cast<std::size_t>(k)];
-    }
-  }
-  linalg::Matrix binv = base_inverse;
-  for (const linalg::Eta& eta : etas.etas()) eta.apply_to_matrix(binv);
-  check_basis_inverse(b, binv, tol, "(eta file replay)");
 }
 
 }  // namespace gpumip::check

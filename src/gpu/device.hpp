@@ -121,7 +121,6 @@ class Device {
 
   /// Creates an additional stream and returns its id.
   StreamId create_stream();
-  int stream_count() const noexcept { return static_cast<int>(streams_.size()); }
 
   /// Copies host -> device. Charges the H2D copy engine.
   void copy_h2d(StreamId stream, DeviceBuffer& dst, const void* src, std::size_t bytes,

@@ -1,13 +1,15 @@
 #include "ivm/gpu_bnb.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "linalg/device_blas.hpp"
 
 namespace gpumip::ivm {
 
 namespace {
+
+/// Safety valve on the GPU engine's kernel waves.
+constexpr long kMaxWaves = 1000000;
 
 /// Cost of one decode+bound evaluation (flops ~ machines x jobs).
 double bound_flops(const FlowshopInstance& inst) {
@@ -16,14 +18,10 @@ double bound_flops(const FlowshopInstance& inst) {
 
 }  // namespace
 
-BnbStats solve_flowshop_cpu(const FlowshopInstance& instance, bool use_initial_ub) {
+BnbStats solve_flowshop_cpu(const FlowshopInstance& instance) {
   BnbStats stats;
-  double best = std::numeric_limits<double>::infinity();
-  std::vector<int> best_perm;
-  if (use_initial_ub) {
-    best_perm = instance.greedy_sequence();
-    best = instance.makespan(best_perm);
-  }
+  std::vector<int> best_perm = instance.greedy_sequence();
+  double best = instance.makespan(best_perm);
 
   // Explicit node objects on a stack: each holds its whole prefix (the
   // linked-list-style representation IVM replaces).
@@ -93,14 +91,10 @@ long ivm_step(Ivm& ivm, const FlowshopInstance& inst, double& best, OnLeaf&& on_
 
 }  // namespace
 
-BnbStats solve_flowshop_ivm_host(const FlowshopInstance& instance, bool use_initial_ub) {
+BnbStats solve_flowshop_ivm_host(const FlowshopInstance& instance) {
   BnbStats stats;
-  double best = std::numeric_limits<double>::infinity();
-  std::vector<int> best_perm;
-  if (use_initial_ub) {
-    best_perm = instance.greedy_sequence();
-    best = instance.makespan(best_perm);
-  }
+  std::vector<int> best_perm = instance.greedy_sequence();
+  double best = instance.makespan(best_perm);
   Ivm ivm(instance.jobs, 0, Factoradic::factorial(instance.jobs));
   while (!ivm.exhausted()) {
     ivm_step(ivm, instance, best, [&](const std::vector<int>& perm) { best_perm = perm; },
@@ -131,12 +125,8 @@ BnbStats solve_flowshop_gpu(const FlowshopInstance& instance, gpu::Device& devic
   gpu::DeviceBuffer d_best = device.alloc(sizeof(double) + static_cast<std::size_t>(n) * sizeof(int),
                                           "fs.best");
 
-  double best = std::numeric_limits<double>::infinity();
-  std::vector<int> best_perm;
-  if (options.use_initial_ub) {
-    best_perm = instance.greedy_sequence();
-    best = instance.makespan(best_perm);
-  }
+  std::vector<int> best_perm = instance.greedy_sequence();
+  double best = instance.makespan(best_perm);
 
   // The fleet: initial static partition of [0, n!) into num_ivms intervals.
   const std::uint64_t total = Factoradic::factorial(n);
@@ -150,7 +140,7 @@ BnbStats solve_flowshop_gpu(const FlowshopInstance& instance, gpu::Device& devic
   }
 
   long waves = 0;
-  while (waves < options.max_waves) {
+  while (waves < kMaxWaves) {
     ++waves;
     // --- one kernel wave: decode + bound + branch for every active IVM ---
     int active = 0;

@@ -7,6 +7,7 @@
 //    kernels over all active IVMs, idle IVMs steal intervals on-device, and
 //    the host only sees the initial upload and the final result download.
 //
+// Every engine starts from the greedy sequence's makespan as its incumbent.
 // Both return identical optima; the benches compare their timelines.
 #pragma once
 
@@ -27,17 +28,15 @@ struct BnbStats {
 };
 
 struct GpuBnbOptions {
-  int num_ivms = 64;         ///< IVMs resident on the device
-  long max_waves = 1000000;  ///< safety valve
-  bool use_initial_ub = true;
+  int num_ivms = 64;  ///< IVMs resident on the device
 };
 
 /// Explicit-node DFS on the host.
-BnbStats solve_flowshop_cpu(const FlowshopInstance& instance, bool use_initial_ub = true);
+BnbStats solve_flowshop_cpu(const FlowshopInstance& instance);
 
 /// IVM DFS on the host (same traversal as the GPU engine, single cursor) —
 /// isolates the data-structure effect from the parallelism effect.
-BnbStats solve_flowshop_ivm_host(const FlowshopInstance& instance, bool use_initial_ub = true);
+BnbStats solve_flowshop_ivm_host(const FlowshopInstance& instance);
 
 /// Entirely-GPU IVM engine on the simulated device.
 BnbStats solve_flowshop_gpu(const FlowshopInstance& instance, gpu::Device& device,

@@ -33,14 +33,6 @@ DeviceBatch DeviceBatch::upload(gpu::Device& device, gpu::StreamId stream,
   return out;
 }
 
-Matrix DeviceBatch::download_one(gpu::StreamId stream, int i) const {
-  check_arg(i >= 0 && i < count_, "DeviceBatch::download_one: bad index");
-  Matrix host(n_, n_);
-  device()->copy_d2h(stream, buffer_, host.data(), static_cast<std::size_t>(n_) * n_ * sizeof(double),
-                     static_cast<std::size_t>(i) * n_ * n_ * sizeof(double));
-  return host;
-}
-
 std::vector<std::vector<int>> batched_getrf(gpu::StreamId stream, DeviceBatch& batch,
                                             std::vector<int>* singular) {
   check_arg(batch.valid(), "batched_getrf: invalid batch");
@@ -124,31 +116,6 @@ void batched_getrs(gpu::StreamId stream, const DeviceBatch& lu,
         double sum = x[i];
         for (int j = i + 1; j < n; ++j) sum -= at(i, j) * x[j];
         x[i] = sum / at(i, i);
-      }
-    }
-  });
-}
-
-void batched_gemv(gpu::StreamId stream, const DeviceBatch& batch, const DeviceVector& x,
-                  DeviceVector& y) {
-  const int n = batch.n();
-  const int count = batch.count();
-  check_arg(x.size() == n * count && y.size() == n * count, "batched_gemv: size mismatch");
-  gpu::Device& device = *batch.device();
-  KernelCost cost = KernelCost::dense(count * 2.0 * static_cast<double>(n) * n,
-                                      static_cast<double>(count) * (n * n + 2 * n));
-  cost.occupancy = occupancy_for_elements(static_cast<std::size_t>(count) * n * n);
-  device.launch(stream, cost, [&] {
-    for (int b = 0; b < count; ++b) {
-      const double* d = batch.matrix_data(b);
-      const double* xb = x.span().data() + static_cast<std::size_t>(b) * n;
-      double* yb = y.span().data() + static_cast<std::size_t>(b) * n;
-      for (int r = 0; r < n; ++r) yb[r] = 0.0;
-      for (int c = 0; c < n; ++c) {
-        const double xc = xb[c];
-        if (xc == 0.0) continue;
-        const double* col = d + static_cast<std::size_t>(c) * n;
-        for (int r = 0; r < n; ++r) yb[r] += xc * col[r];
       }
     }
   });

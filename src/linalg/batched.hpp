@@ -25,9 +25,6 @@ class DeviceBatch {
   static DeviceBatch upload(gpu::Device& device, gpu::StreamId stream,
                             const std::vector<Matrix>& mats, std::string label = "batch");
 
-  /// Downloads matrix `i` (charges one D2H per call).
-  Matrix download_one(gpu::StreamId stream, int i) const;
-
   int count() const noexcept { return count_; }
   int n() const noexcept { return n_; }
   bool valid() const noexcept { return buffer_.valid(); }
@@ -57,9 +54,5 @@ std::vector<std::vector<int>> batched_getrf(gpu::StreamId stream, DeviceBatch& b
 /// `rhs` holds count contiguous vectors of length n.
 void batched_getrs(gpu::StreamId stream, const DeviceBatch& lu,
                    const std::vector<std::vector<int>>& pivots, DeviceVector& rhs);
-
-/// Batched GEMV in one launch: y[i] = A[i] x[i] for all i.
-void batched_gemv(gpu::StreamId stream, const DeviceBatch& batch, const DeviceVector& x,
-                  DeviceVector& y);
 
 }  // namespace gpumip::linalg

@@ -1,45 +1,6 @@
 #include "linalg/blas.hpp"
 
-#include <cmath>
-
 namespace gpumip::linalg {
-
-double dot(std::span<const double> x, std::span<const double> y) {
-  check_arg(x.size() == y.size(), "dot: size mismatch");
-  double sum = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) sum += x[i] * y[i];
-  return sum;
-}
-
-double nrm2(std::span<const double> x) { return std::sqrt(dot(x, x)); }
-
-double asum(std::span<const double> x) {
-  double sum = 0.0;
-  for (double v : x) sum += std::fabs(v);
-  return sum;
-}
-
-int iamax(std::span<const double> x) {
-  int best = -1;
-  double best_abs = -1.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double a = std::fabs(x[i]);
-    if (a > best_abs) {
-      best_abs = a;
-      best = static_cast<int>(i);
-    }
-  }
-  return best;
-}
-
-void axpy(double alpha, std::span<const double> x, std::span<double> y) {
-  check_arg(x.size() == y.size(), "axpy: size mismatch");
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
-}
-
-void scal(double alpha, std::span<double> x) {
-  for (double& v : x) v *= alpha;
-}
 
 // The row update below is the inner loop of every simplex refactorization
 // (DenseLU::inverse), the largest share of a branch-and-bound run's host
@@ -78,17 +39,6 @@ void gemv_t(double alpha, const Matrix& a, std::span<const double> x, double bet
     double sum = 0.0;
     for (int r = 0; r < a.rows(); ++r) sum += column[r] * x[r];
     y[c] = alpha * sum + beta * y[c];
-  }
-}
-
-void ger(double alpha, std::span<const double> x, std::span<const double> y, Matrix& a) {
-  check_arg(static_cast<int>(x.size()) == a.rows(), "ger: x size mismatch");
-  check_arg(static_cast<int>(y.size()) == a.cols(), "ger: y size mismatch");
-  for (int c = 0; c < a.cols(); ++c) {
-    const double yc = alpha * y[c];
-    if (yc == 0.0) continue;
-    auto column = a.col(c);
-    for (int r = 0; r < a.rows(); ++r) column[r] += x[r] * yc;
   }
 }
 

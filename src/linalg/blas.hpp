@@ -1,8 +1,6 @@
-// Host reference BLAS-1/2/3 kernels.
-//
-// These are the numerical bodies behind the device-priced wrappers in
-// device_blas.hpp; they are also used directly wherever the computation is
-// attributed to the CPU (hybrid strategy, sparse setup stages).
+// Host dense kernels: the row update of the LU inverse, GEMV, GEMM and the
+// triangular solves, used wherever the computation is attributed to the
+// CPU.
 #pragma once
 
 #include <span>
@@ -11,14 +9,7 @@
 
 namespace gpumip::linalg {
 
-// ----- BLAS-1 -----
-double dot(std::span<const double> x, std::span<const double> y);
-double nrm2(std::span<const double> x);
-double asum(std::span<const double> x);
-/// index of max |x_i|; -1 for empty
-int iamax(std::span<const double> x);
-void axpy(double alpha, std::span<const double> x, std::span<double> y);
-void scal(double alpha, std::span<double> x);
+// ----- vector update -----
 /// y[i] -= alpha * x[i] for i < n; n even, x and y do not overlap. The row
 /// update of DenseLU::inverse's multi-right-hand-side substitution.
 void sub_scaled(double alpha, const double* __restrict x, double* __restrict y, std::size_t n);
@@ -30,8 +21,6 @@ void gemv(double alpha, const Matrix& a, std::span<const double> x, double beta,
 /// y = alpha * Aᵀ x + beta * y
 void gemv_t(double alpha, const Matrix& a, std::span<const double> x, double beta,
             std::span<double> y);
-/// A += alpha * x yᵀ  (rank-1 update, the paper's core reuse primitive)
-void ger(double alpha, std::span<const double> x, std::span<const double> y, Matrix& a);
 
 // ----- BLAS-3 -----
 /// C = alpha * A B + beta * C

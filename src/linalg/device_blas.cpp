@@ -35,13 +35,6 @@ void DeviceMatrix::assign(gpu::StreamId stream, const Matrix& host) {
   device()->copy_h2d(stream, buffer_, host.data(), host.size() * sizeof(double));
 }
 
-void DeviceMatrix::assign_col(gpu::StreamId stream, int col, std::span<const double> values) {
-  check_arg(col >= 0 && col < cols_, "DeviceMatrix::assign_col: bad column");
-  check_arg(static_cast<int>(values.size()) == rows_, "DeviceMatrix::assign_col: size mismatch");
-  device()->copy_h2d(stream, buffer_, values.data(), values.size_bytes(),
-                     static_cast<std::size_t>(col) * rows_ * sizeof(double));
-}
-
 DeviceVector::DeviceVector(gpu::Device& device, int n, std::string label)
     : buffer_(device.alloc_doubles(static_cast<std::size_t>(n), std::move(label))), n_(n) {}
 
@@ -61,102 +54,6 @@ Vector DeviceVector::download(gpu::StreamId stream) const {
 void DeviceVector::assign(gpu::StreamId stream, std::span<const double> host) {
   check_arg(static_cast<int>(host.size()) == n_, "DeviceVector::assign size mismatch");
   device()->copy_h2d(stream, buffer_, host.data(), host.size_bytes());
-}
-
-namespace {
-
-gpu::Device& same_device(const DeviceMatrix& a, const DeviceVector& v) {
-  check_arg(a.device() != nullptr && a.device() == v.device(),
-            "device op: operands must live on the same device");
-  return *a.device();
-}
-
-}  // namespace
-
-void dev_gemv(gpu::StreamId stream, double alpha, const DeviceMatrix& a, const DeviceVector& x,
-              double beta, DeviceVector& y) {
-  check_arg(x.size() == a.cols() && y.size() == a.rows(), "dev_gemv: shape mismatch");
-  gpu::Device& device = same_device(a, x);
-  const std::size_t mn = static_cast<std::size_t>(a.rows()) * a.cols();
-  KernelCost cost = KernelCost::dense(2.0 * static_cast<double>(mn), static_cast<double>(mn));
-  cost.occupancy = occupancy_for_elements(mn);
-  device.launch(stream, cost, [&, alpha, beta] {
-    const double* ad = a.data();
-    auto xs = x.span();
-    auto ys = y.span();
-    for (int r = 0; r < a.rows(); ++r) ys[static_cast<std::size_t>(r)] *= beta;
-    for (int c = 0; c < a.cols(); ++c) {
-      const double xc = alpha * xs[static_cast<std::size_t>(c)];
-      if (xc == 0.0) continue;
-      const double* col = ad + static_cast<std::size_t>(c) * a.rows();
-      for (int r = 0; r < a.rows(); ++r) ys[static_cast<std::size_t>(r)] += xc * col[r];
-    }
-  });
-}
-
-void dev_gemv_t(gpu::StreamId stream, double alpha, const DeviceMatrix& a, const DeviceVector& x,
-                double beta, DeviceVector& y) {
-  check_arg(x.size() == a.rows() && y.size() == a.cols(), "dev_gemv_t: shape mismatch");
-  gpu::Device& device = same_device(a, x);
-  const std::size_t mn = static_cast<std::size_t>(a.rows()) * a.cols();
-  KernelCost cost = KernelCost::dense(2.0 * static_cast<double>(mn), static_cast<double>(mn));
-  cost.occupancy = occupancy_for_elements(mn);
-  device.launch(stream, cost, [&, alpha, beta] {
-    const double* ad = a.data();
-    auto xs = x.span();
-    auto ys = y.span();
-    for (int c = 0; c < a.cols(); ++c) {
-      const double* col = ad + static_cast<std::size_t>(c) * a.rows();
-      double sum = 0.0;
-      for (int r = 0; r < a.rows(); ++r) sum += col[r] * xs[static_cast<std::size_t>(r)];
-      ys[static_cast<std::size_t>(c)] = alpha * sum + beta * ys[static_cast<std::size_t>(c)];
-    }
-  });
-}
-
-void dev_gemm(gpu::StreamId stream, double alpha, const DeviceMatrix& a, const DeviceMatrix& b,
-              double beta, DeviceMatrix& c) {
-  check_arg(a.cols() == b.rows() && c.rows() == a.rows() && c.cols() == b.cols(),
-            "dev_gemm: shape mismatch");
-  gpu::Device& device = *a.device();
-  const double flops = 2.0 * static_cast<double>(a.rows()) * a.cols() * b.cols();
-  const std::size_t touched = static_cast<std::size_t>(a.rows()) * a.cols() +
-                              static_cast<std::size_t>(b.rows()) * b.cols() +
-                              static_cast<std::size_t>(c.rows()) * c.cols();
-  KernelCost cost = KernelCost::dense(flops, static_cast<double>(touched));
-  cost.occupancy = occupancy_for_elements(static_cast<std::size_t>(c.rows()) * c.cols());
-  device.launch(stream, cost, [&, alpha, beta] {
-    for (int j = 0; j < c.cols(); ++j) {
-      double* cj = c.data() + static_cast<std::size_t>(j) * c.rows();
-      for (int i = 0; i < c.rows(); ++i) cj[i] *= beta;
-      const double* bj = b.data() + static_cast<std::size_t>(j) * b.rows();
-      for (int k = 0; k < a.cols(); ++k) {
-        const double bkj = alpha * bj[k];
-        if (bkj == 0.0) continue;
-        const double* ak = a.data() + static_cast<std::size_t>(k) * a.rows();
-        for (int i = 0; i < a.rows(); ++i) cj[i] += ak[i] * bkj;
-      }
-    }
-  });
-}
-
-void dev_ger(gpu::StreamId stream, double alpha, const DeviceVector& x, const DeviceVector& y,
-             DeviceMatrix& a) {
-  check_arg(x.size() == a.rows() && y.size() == a.cols(), "dev_ger: shape mismatch");
-  gpu::Device& device = *a.device();
-  const std::size_t mn = static_cast<std::size_t>(a.rows()) * a.cols();
-  KernelCost cost = KernelCost::dense(2.0 * static_cast<double>(mn), static_cast<double>(mn));
-  cost.occupancy = occupancy_for_elements(mn);
-  device.launch(stream, cost, [&, alpha] {
-    auto xs = x.span();
-    auto ys = y.span();
-    for (int c = 0; c < a.cols(); ++c) {
-      const double yc = alpha * ys[static_cast<std::size_t>(c)];
-      if (yc == 0.0) continue;
-      double* col = a.data() + static_cast<std::size_t>(c) * a.rows();
-      for (int r = 0; r < a.rows(); ++r) col[r] += xs[static_cast<std::size_t>(r)] * yc;
-    }
-  });
 }
 
 std::vector<int> dev_getrf(gpu::StreamId stream, DeviceMatrix& a) {
@@ -247,15 +144,6 @@ void dev_apply_eta(gpu::StreamId stream, const Eta& eta, DeviceMatrix& binv) {
       col[eta.pivot_row] = eta.column[static_cast<std::size_t>(eta.pivot_row)] * xr;
     }
   });
-}
-
-void dev_apply_eta_vec(gpu::StreamId stream, const Eta& eta, DeviceVector& x) {
-  check_arg(x.size() == static_cast<int>(eta.column.size()), "dev_apply_eta_vec: shape mismatch");
-  gpu::Device& device = *x.device();
-  const std::size_t n = static_cast<std::size_t>(x.size());
-  KernelCost cost = KernelCost::dense(2.0 * static_cast<double>(n), static_cast<double>(n));
-  cost.occupancy = occupancy_for_elements(n);
-  device.launch(stream, cost, [&] { eta.apply(x.span()); });
 }
 
 }  // namespace gpumip::linalg

@@ -4,8 +4,8 @@
 // compute on that memory directly (the simulator backs device memory with
 // host storage) and charge the device's cost model. This is the layer that
 // plays the role of cuBLAS/cuSOLVER/MAGMA in the paper's design (section 4):
-// GEMV/GEMM/GER, LU factorization, triangular solves, and the eta (PFI)
-// basis update as a dense device kernel.
+// LU factorization, triangular solves, and the eta (PFI) basis update as a
+// dense device kernel.
 #pragma once
 
 #include <string>
@@ -37,9 +37,6 @@ class DeviceMatrix {
 
   /// Overwrites device contents from host (charges H2D).
   void assign(gpu::StreamId stream, const Matrix& host);
-
-  /// Overwrites one column from host data (charges a column-sized H2D).
-  void assign_col(gpu::StreamId stream, int col, std::span<const double> values);
 
   int rows() const noexcept { return rows_; }
   int cols() const noexcept { return cols_; }
@@ -81,18 +78,6 @@ class DeviceVector {
 
 // ---- device kernels (compute + charge) ----
 
-/// y = alpha A x + beta y
-void dev_gemv(gpu::StreamId stream, double alpha, const DeviceMatrix& a, const DeviceVector& x,
-              double beta, DeviceVector& y);
-/// y = alpha Aᵀ x + beta y
-void dev_gemv_t(gpu::StreamId stream, double alpha, const DeviceMatrix& a, const DeviceVector& x,
-                double beta, DeviceVector& y);
-/// C = alpha A B + beta C
-void dev_gemm(gpu::StreamId stream, double alpha, const DeviceMatrix& a, const DeviceMatrix& b,
-              double beta, DeviceMatrix& c);
-/// A += alpha x yᵀ
-void dev_ger(gpu::StreamId stream, double alpha, const DeviceVector& x, const DeviceVector& y,
-             DeviceMatrix& a);
 /// In-place LU with partial pivoting; returns pivot rows. Charges 2/3 n³.
 std::vector<int> dev_getrf(gpu::StreamId stream, DeviceMatrix& a);
 /// Solves using factors from dev_getrf (in place on device vector b).
@@ -100,7 +85,5 @@ void dev_getrs(gpu::StreamId stream, const DeviceMatrix& lu, const std::vector<i
                DeviceVector& b);
 /// B⁻¹ := E B⁻¹ — the PFI basis update as one dense device kernel.
 void dev_apply_eta(gpu::StreamId stream, const Eta& eta, DeviceMatrix& binv);
-/// x := E_k … E_1 x on a device vector.
-void dev_apply_eta_vec(gpu::StreamId stream, const Eta& eta, DeviceVector& x);
 
 }  // namespace gpumip::linalg

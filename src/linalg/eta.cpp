@@ -20,26 +20,6 @@ Eta Eta::from_ftran(std::span<const double> y, int r, double tol) {
   return eta;
 }
 
-void Eta::apply(std::span<double> x) const {
-  check_arg(x.size() == column.size(), "Eta::apply: size mismatch");
-  const std::size_t r = static_cast<std::size_t>(pivot_row);
-  const double xr = x[r];
-  if (xr == 0.0) return;
-  for (std::size_t i = 0; i < x.size(); ++i) x[i] += column[i] * xr;
-  x[r] = column[r] * xr;  // overwrite: row r gets η_r · x_r only
-}
-
-void Eta::apply_transpose(std::span<double> y) const {
-  check_arg(y.size() == column.size(), "Eta::apply_transpose: size mismatch");
-  double sum = 0.0;
-  for (std::size_t i = 0; i < y.size(); ++i) sum += y[i] * column[i];
-  // (yᵀE)_j = y_j for j != r; only entry r changes.
-  // Note the diagonal of E at (r,r) is η_r, already inside `sum`; entries
-  // j != r keep their identity diagonal, but y_r also contributed through
-  // E_{r r}: the correct value is Σ_i y_i E_{i r} = Σ_i y_i η_i = sum.
-  y[static_cast<std::size_t>(pivot_row)] = sum;
-}
-
 // The per-pivot B⁻¹ update of the simplex. Its entry is pinned to a 64-byte
 // boundary so that the placement of its loop does not depend on the size of
 // unrelated code linked before it (see linalg::sub_scaled).
@@ -52,14 +32,6 @@ void Eta::apply_transpose(std::span<double> y) const {
     for (std::size_t i = 0; i < col.size(); ++i) col[i] += column[i] * xr;
     col[static_cast<std::size_t>(pivot_row)] = column[static_cast<std::size_t>(pivot_row)] * xr;
   }
-}
-
-void EtaFile::ftran(std::span<double> x) const {
-  for (const Eta& eta : etas_) eta.apply(x);
-}
-
-void EtaFile::btran(std::span<double> y) const {
-  for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) it->apply_transpose(y);
 }
 
 }  // namespace gpumip::linalg

@@ -4,15 +4,13 @@
 // new basis inverse satisfies B_new⁻¹ = E · B_old⁻¹ where E is an "eta
 // matrix": the identity with column r replaced by
 //     η_r = 1 / y_r,     η_i = -y_i / y_r   (i ≠ r),     y = B_old⁻¹ a_q.
-// Keeping a file of eta vectors avoids refactorizing the basis each
-// iteration — exactly the rank-1 update/reuse pattern the paper's sections
-// 4.3 and 5.1 identify as the key GPU linear-algebra requirement. The
-// update of an explicit dense B⁻¹ (apply_to_matrix) is the GPU-friendly
-// dense form: a uniform m x m SIMD kernel.
+// Applying E to an explicit dense B⁻¹ in place (apply_to_matrix) avoids
+// refactorizing the basis each iteration — the rank-1 update/reuse pattern
+// the paper's sections 4.3 and 5.1 identify as the key GPU linear-algebra
+// requirement, and a uniform m x m SIMD kernel on a device.
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "linalg/matrix.hpp"
 
@@ -27,36 +25,9 @@ struct Eta {
   /// Throws NumericalError if |y_r| < tol (unstable pivot).
   static Eta from_ftran(std::span<const double> y, int r, double tol = 1e-11);
 
-  /// x := E x (forward application, used in FTRAN).
-  void apply(std::span<double> x) const;
-  /// yᵀ := yᵀ E (adjoint application, used in BTRAN).
-  void apply_transpose(std::span<double> y) const;
   /// M := E M, column by column (dense rank-1-style kernel; the form a GPU
   /// would run to keep an explicit device-resident B⁻¹ current).
   void apply_to_matrix(Matrix& m) const;
-};
-
-/// Ordered sequence of etas accumulated since the last refactorization.
-class EtaFile {
- public:
-  void clear() noexcept { etas_.clear(); }
-  bool empty() const noexcept { return etas_.empty(); }
-  std::size_t size() const noexcept { return etas_.size(); }
-
-  void push(Eta eta) { etas_.push_back(std::move(eta)); }
-
-  /// x := E_k … E_1 x (oldest first), completing an FTRAN whose base-solve
-  /// part has already been applied.
-  void ftran(std::span<double> x) const;
-
-  /// yᵀ := yᵀ E_k … E_1 (newest first), the BTRAN prefix before the base
-  /// transpose solve.
-  void btran(std::span<double> y) const;
-
-  const std::vector<Eta>& etas() const noexcept { return etas_; }
-
- private:
-  std::vector<Eta> etas_;
 };
 
 }  // namespace gpumip::linalg

@@ -8,7 +8,14 @@
 
 namespace gpumip::linalg {
 
-DenseLU::DenseLU(const Matrix& a, double pivot_tol) : lu_(a) {
+namespace {
+
+/// A pivot smaller than this in magnitude makes the matrix singular.
+constexpr double kSingularPivot = 1e-12;
+
+}  // namespace
+
+DenseLU::DenseLU(const Matrix& a) : lu_(a) {
   check_arg(a.rows() == a.cols(), "DenseLU requires a square matrix");
   const int n = a.rows();
   pivots_.resize(static_cast<std::size_t>(n));
@@ -23,7 +30,7 @@ DenseLU::DenseLU(const Matrix& a, double pivot_tol) : lu_(a) {
         pivot_row = i;
       }
     }
-    if (pivot_abs < pivot_tol) {
+    if (pivot_abs < kSingularPivot) {
       lu_ = Matrix();
       throw NumericalError("LU factorization: matrix is numerically singular at column " +
                            std::to_string(k));
@@ -117,13 +124,6 @@ Matrix DenseLU::inverse() const {
     for (int i = 0; i < n; ++i) inv(i, c) = row(i)[c];
   }
   return inv;
-}
-
-double DenseLU::log_abs_det() const {
-  check_arg(valid(), "DenseLU::log_abs_det on empty factorization");
-  double sum = 0.0;
-  for (int i = 0; i < order(); ++i) sum += std::log(std::fabs(lu_(i, i)));
-  return sum;
 }
 
 }  // namespace gpumip::linalg

@@ -17,8 +17,8 @@ class DenseLU {
   DenseLU() = default;
 
   /// Factors PA = LU in place; throws NumericalError if singular to
-  /// working precision (pivot below `pivot_tol`).
-  explicit DenseLU(const Matrix& a, double pivot_tol = 1e-12);
+  /// working precision (a pivot below 1e-12 in magnitude).
+  explicit DenseLU(const Matrix& a);
 
   int order() const noexcept { return lu_.rows(); }
   bool valid() const noexcept { return !lu_.empty(); }
@@ -31,9 +31,6 @@ class DenseLU {
   /// Explicit inverse (used by the explicit-B⁻¹ simplex backend; the
   /// paper's GPU narrative keeps B⁻¹ as a dense device-resident matrix).
   Matrix inverse() const;
-
-  /// |det A| growth proxy: product of |pivots| (log-scale safe).
-  double log_abs_det() const;
 
   /// Packed LU factors (L unit-lower in strict lower triangle, U upper).
   const Matrix& packed() const noexcept { return lu_; }

@@ -272,7 +272,7 @@ BatchedLpReport solve_batched_pdhg(const std::vector<const StandardForm*>& probl
 
   // Wave w executes iteration w of every still-active instance as four
   // batched kernels: SpMVᵀ (Aᵀy), primal update/project, SpMV (A·x̄), dual
-  // update. Every check_interval waves, two more batched SpMV-shaped
+  // update. Every kPdhgCheckInterval waves, two more batched SpMV-shaped
   // kernels score the KKT candidates.
   long max_iters = 0;
   for (const LpResult& r : report.results) {
@@ -308,7 +308,7 @@ BatchedLpReport solve_batched_pdhg(const std::vector<const StandardForm*>& probl
         3.0 * nnz_sum + 4.0 * n_sum + 3.0 * m_sum);
     fused.occupancy = linalg::occupancy_for_elements(static_cast<std::size_t>(nnz_sum));
     device.launch(0, fused, {});
-    if (options.check_interval > 0 && w > 0 && w % options.check_interval == 0) {
+    if (w > 0 && w % kPdhgCheckInterval == 0) {
       // Batched KKT scoring (a host sync point: the restart/termination
       // verdict is read back), two SpMV-shaped launches.
       device.launch(0, sparse_wave_cost(nnz_sum, m_sum), {});

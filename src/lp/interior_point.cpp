@@ -13,6 +13,12 @@ namespace gpumip::lp {
 
 namespace {
 
+/// Fraction-to-boundary: a step stops this far short of the first bound it hits.
+constexpr double kStepScale = 0.9995;
+/// Density of A at or above which the normal equations take the dense
+/// Cholesky path.
+constexpr double kDenseThreshold = 0.2;
+
 /// How each original variable maps into the nonnegative-form columns.
 struct VarMap {
   enum class Kind { Shifted, Mirrored, Split } kind = Kind::Shifted;
@@ -217,7 +223,7 @@ LpResult InteriorPointSolver::solve(std::span<const double> lb, std::span<const 
   result.ops.nnz = nf.a.nnz();
 
   const bool dense = options_.force_dense ||
-                     (!options_.force_sparse && nf.a.density() >= options_.dense_threshold);
+                     (!options_.force_sparse && nf.a.density() >= kDenseThreshold);
 
   auto matvec = [&](const linalg::Vector& x) {  // A x
     linalg::Vector y(static_cast<std::size_t>(m), 0.0);
@@ -350,12 +356,12 @@ LpResult InteriorPointSolver::solve(std::span<const double> lb, std::span<const 
       }
     };
     auto step_length = [&](const linalg::Vector& v, const linalg::Vector& dv) {
-      double alpha = 1.0 / options_.step_scale;
+      double alpha = 1.0 / kStepScale;
       for (int j = 0; j < n; ++j) {
         const std::size_t k = static_cast<std::size_t>(j);
         if (dv[k] < 0.0) alpha = std::min(alpha, -v[k] / dv[k]);
       }
-      return std::min(1.0, options_.step_scale * alpha);
+      return std::min(1.0, kStepScale * alpha);
     };
 
     try {

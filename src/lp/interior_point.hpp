@@ -15,9 +15,6 @@ namespace gpumip::lp {
 struct InteriorPointOptions {
   double tol = 1e-8;          ///< relative residual + duality-gap target
   int max_iterations = 100;
-  double step_scale = 0.9995; ///< fraction-to-boundary
-  /// Density of A D Aᵀ above which the dense Cholesky path is used.
-  double dense_threshold = 0.2;
   bool force_dense = false;
   bool force_sparse = false;
 };

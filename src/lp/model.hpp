@@ -38,7 +38,6 @@ class LpModel {
 
   int num_cols() const noexcept { return static_cast<int>(cols_.size()); }
   int num_rows() const noexcept { return static_cast<int>(rows_.size()); }
-  int num_entries() const noexcept { return static_cast<int>(entries_.size()); }
 
   /// Adds a column; returns its index.
   int add_col(double obj, double lb = 0.0, double ub = kInf, std::string name = "");

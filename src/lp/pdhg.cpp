@@ -13,6 +13,15 @@ namespace gpumip::lp {
 
 // kInf comes from lp/model.hpp (via standard_form.hpp).
 
+namespace {
+
+/// s in τ_j = s/‖A_{·j}‖₁, σ_i = s/‖A_{i·}‖₁ (convergent for s ≤ 1).
+constexpr double kStepScale = 0.95;
+/// Relative tolerance of the Farkas ray checks.
+constexpr double kCertificateTol = 1e-6;
+
+}  // namespace
+
 /// All solve-lifetime buffers, allocated once in solve() so the iteration
 /// loop (the gpumip-lint R6 root) stays allocation-free.
 struct PdhgSolver::Workspace {
@@ -81,10 +90,10 @@ void PdhgSolver::init_workspace(Workspace& ws, std::span<const double> lb,
       row_norm += mag;
       ws.tau[a.col_index[k]] += mag;
     }
-    ws.sigma[i] = options_.step_scale / (row_norm > 0.0 ? row_norm : 1.0);
+    ws.sigma[i] = kStepScale / (row_norm > 0.0 ? row_norm : 1.0);
   }
   for (int j = 0; j < n; ++j) {
-    ws.tau[j] = options_.step_scale / (ws.tau[j] > 0.0 ? ws.tau[j] : 1.0);
+    ws.tau[j] = kStepScale / (ws.tau[j] > 0.0 ? ws.tau[j] : 1.0);
   }
 
   ws.b_scale = 1.0;
@@ -174,7 +183,7 @@ std::optional<LpStatus> PdhgSolver::check_certificates(Workspace& ws) const {
   const StandardForm& form = *form_;
   const int m = form.num_rows;
   const int n = form.num_vars;
-  const double ctol = options_.certificate_tol;
+  const double ctol = kCertificateTol;
 
   // Primal ray dx = x − x_anchor (normalized): if A·dx ≈ 0, dx respects the
   // recession cone of the box, and cᵀdx < 0, the LP is unbounded below.
@@ -275,7 +284,7 @@ LpStatus PdhgSolver::iterate_loop(Workspace& ws) const {
     ws.ops.spmv += 2;
     ws.ops.matvec_n += 4;
 
-    if (ws.since_restart % options_.check_interval != 0) continue;
+    if (ws.since_restart % kPdhgCheckInterval != 0) continue;
 
     // Score both candidates: the last iterate and the running average (the
     // ergodic sequence — PDHG's average converges faster than its tail).

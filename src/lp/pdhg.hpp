@@ -23,7 +23,7 @@
 //
 // Restarts: the solver tracks the running average of the iterates (the
 // ergodic sequence, which converges faster than the last iterate) and
-// every check_interval iterations scores both candidates with the
+// every kPdhgCheckInterval iterations scores both candidates with the
 // normalized KKT residual (primal residual, dual residual, duality gap).
 // When the better candidate has decayed below restart_factor × the score
 // at the last restart — or a restart is overdue — the iteration restarts
@@ -46,14 +46,15 @@
 
 namespace gpumip::lp {
 
+/// Iterations between KKT / restart checks; the batched replay prices its
+/// KKT-scoring launches on the same cadence.
+inline constexpr int kPdhgCheckInterval = 40;
+
 struct PdhgOptions {
   double tol = 1e-6;            ///< normalized KKT target (res_p, res_d, gap)
   long max_iterations = 100000;
-  int check_interval = 40;      ///< iterations between KKT / restart checks
-  double step_scale = 0.95;     ///< s in τ_j = s/‖A_{·j}‖₁, σ_i = s/‖A_{i·}‖₁
   double restart_factor = 0.5;  ///< restart when score ≤ factor × last restart score
   long restart_max_interval = 2000;  ///< force a restart after this many iterations
-  double certificate_tol = 1e-6;     ///< relative tolerance of the Farkas ray checks
 };
 
 /// Parent iterates to warm-start from (spans must outlive the solve call).

@@ -15,6 +15,13 @@
 
 namespace gpumip::lp {
 
+namespace {
+
+/// Smallest pivot magnitude the ratio tests accept.
+constexpr double kPivotTol = 1e-9;
+
+}  // namespace
+
 const char* lp_status_name(LpStatus status) noexcept {
   switch (status) {
     case LpStatus::Optimal: return "Optimal";
@@ -40,7 +47,6 @@ struct SimplexSolver::Workspace {
   linalg::Matrix binv;            // m x m explicit inverse
   int etas_since_refactor = 0;
   long iterations = 0;
-  long primal_pivots = 0;  // gpumip.lp.simplex.iterations, added once in finish
   int degenerate_streak = 0;
   LpOpStats ops;
   // Per-pivot scratch, sized once in init_workspace so the iteration loop
@@ -352,7 +358,7 @@ SimplexSolver::PhaseResult SimplexSolver::primal_loop(Workspace& ws,
     double leaving_pivot = 0.0;
     for (int i = 0; i < ws.m; ++i) {
       const double dx = -sigma * w[static_cast<std::size_t>(i)];
-      if (std::fabs(dx) <= options_.pivot_tol) continue;
+      if (std::fabs(dx) <= kPivotTol) continue;
       const int bv = ws.basic[static_cast<std::size_t>(i)];
       const std::size_t bk = static_cast<std::size_t>(bv);
       double t_i;
@@ -386,7 +392,6 @@ SimplexSolver::PhaseResult SimplexSolver::primal_loop(Workspace& ws,
     ws.degenerate_streak = t_best <= tol ? ws.degenerate_streak + 1 : 0;
     ++ws.iterations;
     ++ws.ops.iterations;
-    ++ws.primal_pivots;
 
     // Move basic variables.
     for (int i = 0; i < ws.m; ++i) {
@@ -440,9 +445,6 @@ SimplexSolver::PhaseResult SimplexSolver::primal_loop(Workspace& ws,
 
 LpResult SimplexSolver::finish(Workspace& ws, LpStatus status) const {
   GPUMIP_OBS_COUNT_L("gpumip.lp.solves", {"method", "simplex"});
-  // Once per solve, not per pivot: batch fan-out threads and supervised
-  // workers would otherwise contend for one shared atomic on every pivot.
-  if (ws.primal_pivots > 0) GPUMIP_OBS_ADD("gpumip.lp.simplex.iterations", ws.primal_pivots);
   GPUMIP_OBS_RECORD("gpumip.lp.simplex.eta_length", static_cast<double>(ws.etas_since_refactor));
   publish_op_stats(ws.ops);
   LpResult result;
@@ -622,7 +624,7 @@ LpResult SimplexSolver::resolve_dual(std::span<const double> lb, std::span<const
       const std::size_t k = static_cast<std::size_t>(v);
       if (ws.status[k] == VarStatus::Basic || ws.lb[k] == ws.ub[k]) continue;
       const double alpha = sparse::column_dot(form_->a_cols, v, rho);
-      if (std::fabs(alpha) <= options_.pivot_tol) continue;
+      if (std::fabs(alpha) <= kPivotTol) continue;
       bool admissible;
       if (increase) {
         admissible = (ws.status[k] == VarStatus::AtLower && alpha < 0.0) ||
@@ -647,7 +649,7 @@ LpResult SimplexSolver::resolve_dual(std::span<const double> lb, std::span<const
 
     const linalg::Vector& w = ftran_column(ws, entering);
     const double pivot = w[static_cast<std::size_t>(row)];
-    if (std::fabs(pivot) <= options_.pivot_tol) {
+    if (std::fabs(pivot) <= kPivotTol) {
       // Numerically inconsistent with the rho-based alpha; refactorize and
       // retry from a clean representation (bounded number of attempts).
       if (++consecutive_pivot_failures > 3) return finish(ws, LpStatus::NumericalTrouble);

@@ -27,7 +27,6 @@ namespace gpumip::lp {
 
 struct SimplexOptions {
   double tol = 1e-7;            ///< primal/dual feasibility tolerance
-  double pivot_tol = 1e-9;      ///< smallest acceptable pivot magnitude
   long max_iterations = 50000;
   int refactor_interval = 64;   ///< eta updates between refactorizations
   int bland_threshold = 80;     ///< degenerate pivots before Bland's rule

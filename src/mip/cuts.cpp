@@ -25,6 +25,9 @@ double Cut::violation(std::span<const double> x) const {
 
 namespace {
 
+/// Numerics guard: a cut with a larger coefficient magnitude is rejected.
+constexpr double kMaxCoefficient = 1e6;
+
 double frac(double v) { return v - std::floor(v); }
 
 /// Rebuilds the basis matrix of `result` and returns its LU factorization.
@@ -162,7 +165,7 @@ std::vector<Cut> gomory_cuts(const MipModel& model, const lp::StandardForm& form
         }
       }
     }
-    if (!usable || max_coef > options.max_coefficient) continue;
+    if (!usable || max_coef > kMaxCoefficient) continue;
     // Merge duplicate terms.
     std::sort(cut.terms.begin(), cut.terms.end());
     std::vector<lp::Term> merged;

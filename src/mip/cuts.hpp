@@ -33,7 +33,6 @@ struct Cut {
 struct CutOptions {
   int max_cuts = 10;
   double min_violation = 1e-4;
-  double max_coefficient = 1e6;  ///< numerics guard: reject wilder cuts
 };
 
 /// GMI cuts from the optimal basis of `result` on `form`. `model` provides

@@ -14,6 +14,25 @@
 
 namespace gpumip::mip {
 
+namespace {
+
+/// Relative optimality gap at which the search stops.
+constexpr double kGapTol = 1e-9;
+/// Root cut-and-branch rounds.
+constexpr int kCutRounds = 3;
+/// Slack allowed between a resumed node's bounds and the model's: the one
+/// ConsistentSnapshot::deserialize allows between a node's lb and ub.
+constexpr double kBoundSlack = 1e-9;
+/// Feasibility tolerance of a resumed incumbent, relative to 1 + |bound|.
+constexpr double kFeasTol = 1e-6;
+
+/// True when v lies in [lb, ub] within kFeasTol relative to each bound.
+bool within(double v, double lb, double ub) {
+  return v >= lb - kFeasTol * (1.0 + std::fabs(lb)) && v <= ub + kFeasTol * (1.0 + std::fabs(ub));
+}
+
+}  // namespace
+
 const char* mip_status_name(MipStatus status) noexcept {
   switch (status) {
     case MipStatus::Optimal: return "Optimal";
@@ -47,7 +66,7 @@ void BnbSolver::root_cut_loop() {
   // fixed matrix (the per-node cut round-trip costs are studied separately
   // in experiment E4).
   CutPool pool;
-  for (int round = 0; round < options_.cut_rounds; ++round) {
+  for (int round = 0; round < kCutRounds; ++round) {
     // Each round is a traced span: its duration IS the device→host→device
     // round-trip latency the paper's C4 tension is about (the trace analyzer
     // aggregates these into the cut-latency report).
@@ -128,16 +147,15 @@ MipResult BnbSolver::run(const ConsistentSnapshot* snapshot) {
   // separator needs a basis, which the basis-free methods cannot supply.
   ipm_solver_ = std::make_unique<lp::InteriorPointSolver>(*form_, options_.ipm);
   pdhg_solver_ = std::make_unique<lp::PdhgSolver>(*form_, options_.pdhg);
-  pool_ = std::make_unique<NodePool>(options_.node_selection, options_.locality_slack);
+  pool_ = std::make_unique<NodePool>(options_.node_selection);
 
   if (snapshot != nullptr) {
+    check_resumable(model_, *form_, *snapshot, options_.int_tol);
     if (snapshot->has_incumbent()) {
       incumbent_obj_ = snapshot->incumbent_objective;
       incumbent_x_ = snapshot->incumbent_x;
     }
     for (const SnapshotNode& sn : snapshot->frontier) {
-      check_arg(static_cast<int>(sn.lb.size()) == form_->num_vars,
-                "snapshot does not match this model's standard form");
       BnbNode node;
       node.parent = -1;
       node.depth = sn.depth;
@@ -189,8 +207,7 @@ MipResult BnbSolver::run(const ConsistentSnapshot* snapshot) {
     // Gap-based stop.
     if (incumbent_obj_ < 1e299) {
       const double best_bound = pool_->best_active_bound();
-      if ((incumbent_obj_ - best_bound) / (1.0 + std::fabs(incumbent_obj_)) <=
-          options_.gap_tol) {
+      if ((incumbent_obj_ - best_bound) / (1.0 + std::fabs(incumbent_obj_)) <= kGapTol) {
         pool_->prune_worse_than(-1e300 + 1.0);  // everything left is within gap
         break;
       }
@@ -391,6 +408,66 @@ MipResult BnbSolver::run(const ConsistentSnapshot* snapshot) {
     result.x = incumbent_x_;
   }
   return result;
+}
+
+void check_resumable(const MipModel& model, const lp::StandardForm& form,
+                     const ConsistentSnapshot& snapshot, double int_tol) {
+  const auto n = static_cast<std::size_t>(form.num_vars);
+  for (std::size_t i = 0; i < snapshot.frontier.size(); ++i) {
+    const SnapshotNode& node = snapshot.frontier[i];
+    if (node.lb.size() != n || node.ub.size() != n) {
+      throw Error(ErrorCode::kInvalidArgument,
+                  "snapshot frontier node " + std::to_string(i) + " has " +
+                      std::to_string(node.lb.size()) + "/" + std::to_string(node.ub.size()) +
+                      " bounds, the model's standard form has " + std::to_string(n) +
+                      " variables");
+    }
+    for (std::size_t j = 0; j < n; ++j) {
+      // Negated so that a NaN bound fails too.
+      if (!(node.lb[j] >= form.lb[j] - kBoundSlack && node.ub[j] <= form.ub[j] + kBoundSlack)) {
+        throw Error(ErrorCode::kInvalidArgument,
+                    "snapshot frontier node " + std::to_string(i) + ": bounds of variable " +
+                        std::to_string(j) + " lie outside the model's");
+      }
+    }
+  }
+
+  const linalg::Vector& x = snapshot.incumbent_x;
+  if (x.empty()) return;
+  if (x.size() != static_cast<std::size_t>(form.num_struct)) {
+    throw Error(ErrorCode::kInvalidArgument,
+                "snapshot incumbent has " + std::to_string(x.size()) + " entries, the model has " +
+                    std::to_string(form.num_struct) + " columns");
+  }
+  for (int j = 0; j < form.num_struct; ++j) {
+    const auto k = static_cast<std::size_t>(j);
+    if (!within(x[k], form.lb[k], form.ub[k])) {
+      throw Error(ErrorCode::kInvalidArgument,
+                  "snapshot incumbent violates the bounds of column " + std::to_string(j));
+    }
+  }
+  // The standard form keeps each model row's structural coefficients as
+  // they are (only slack columns are added), so its CSR gives the row
+  // activities without building the model's matrix.
+  const sparse::Csr& a = form.a_rows;
+  for (int i = 0; i < form.num_rows; ++i) {
+    double activity = 0.0;
+    for (int k = a.row_start[static_cast<std::size_t>(i)];
+         k < a.row_start[static_cast<std::size_t>(i) + 1]; ++k) {
+      const int j = a.col_index[static_cast<std::size_t>(k)];
+      if (j < form.num_struct) {
+        activity += a.values[static_cast<std::size_t>(k)] * x[static_cast<std::size_t>(j)];
+      }
+    }
+    const lp::RowDef& row = model.lp().row(i);
+    if (!within(activity, row.lb, row.ub)) {
+      throw Error(ErrorCode::kInvalidArgument,
+                  "snapshot incumbent violates row " + std::to_string(i));
+    }
+  }
+  if (!model.is_integral(x, int_tol)) {
+    throw Error(ErrorCode::kInvalidArgument, "snapshot incumbent is not integral");
+  }
 }
 
 MipResult solve_by_enumeration(const MipModel& model, double int_tol) {

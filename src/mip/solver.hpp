@@ -41,12 +41,9 @@ const char* mip_status_name(MipStatus status) noexcept;
 
 struct MipOptions {
   long max_nodes = 200000;
-  double gap_tol = 1e-9;        ///< relative optimality gap to stop at
   double int_tol = 1e-6;
   NodeSelection node_selection = NodeSelection::BestFirst;
-  double locality_slack = 0.1;  ///< GpuLocality policy slack
   bool enable_cuts = true;
-  int cut_rounds = 3;           ///< root cut-and-branch rounds
   CutOptions cuts;
   bool enable_heuristics = true;
   lp::SimplexOptions lp;
@@ -115,6 +112,8 @@ class BnbSolver {
   [[nodiscard]] MipResult solve();
 
   /// Continue a search from a consistent snapshot (checkpoint restart).
+  /// Throws Error(kInvalidArgument) before any node is evaluated when the
+  /// snapshot does not fit the model (see check_resumable).
   [[nodiscard]] MipResult solve_from(const ConsistentSnapshot& snapshot);
 
   /// A consistent snapshot of the current frontier (valid during/after
@@ -148,6 +147,15 @@ class BnbSolver {
   double incumbent_obj_ = 1e300;
   linalg::Vector incumbent_x_;
 };
+
+/// Throws Error(kInvalidArgument) unless `snapshot` can resume a search on
+/// `model`, whose standard form is `form`: every frontier node has
+/// form.num_vars bounds lying inside the form's bounds, and a non-empty
+/// incumbent has form.num_struct entries, is feasible for the model and is
+/// integral within `int_tol`. Allocates nothing when the snapshot fits, so
+/// a per-subproblem resume can afford it.
+void check_resumable(const MipModel& model, const lp::StandardForm& form,
+                     const ConsistentSnapshot& snapshot, double int_tol);
 
 /// Solves a MIP by brute-force enumeration over integer assignments with an
 /// LP for the continuous part. Exponential; only for cross-checking the

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -108,14 +107,6 @@ double Histogram::quantile(double q) const noexcept {
 std::uint64_t Histogram::bucket_count(int bucket) const noexcept {
   if (bucket < 0 || bucket >= kBuckets) return 0;
   return buckets_[bucket].load(std::memory_order_relaxed);
-}
-
-void Histogram::reset() noexcept {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-  min_.store(std::numeric_limits<double>::infinity(), std::memory_order_relaxed);
-  max_.store(-std::numeric_limits<double>::infinity(), std::memory_order_relaxed);
 }
 
 // ---- labels ----
@@ -349,14 +340,6 @@ const Gauge* Registry::find_gauge(std::string_view name) const {
 const Histogram* Registry::find_histogram(std::string_view name) const {
   Impl& im = impl();
   return find_no_create(im.mutex, im.histograms, name);
-}
-
-void Registry::reset() {
-  Impl& im = impl();
-  std::unique_lock lock(im.mutex);
-  for (auto& [name, c] : im.counters) c->reset();
-  for (auto& [name, g] : im.gauges) g->reset();
-  for (auto& [name, h] : im.histograms) h->reset();
 }
 
 std::string Registry::to_json() const {

@@ -82,7 +82,6 @@ class Histogram {
   /// 0 when empty.
   double quantile(double q) const noexcept;
   std::uint64_t bucket_count(int bucket) const noexcept;
-  void reset() noexcept;
 
  private:
   std::atomic<std::uint64_t> buckets_[kBuckets]{};
@@ -145,11 +144,6 @@ class Registry {
   const Gauge* find_gauge(std::string_view name) const;
   const Histogram* find_histogram(std::string_view name) const;
 
-  /// Zeroes every instrument (registrations survive). Test isolation and
-  /// bench phase boundaries only; not thread-safe against concurrent
-  /// recording in the sense that racing increments may survive the sweep.
-  void reset();
-
   /// The full registry as a JSON document (schema gpumip.metrics.v2; see
   /// docs/METRICS.md for the layout): counters/gauges/histograms maps —
   /// labeled instruments appear as flattened `name{k=v,...}` keys — and a
@@ -184,7 +178,6 @@ inline Histogram& histogram(std::string_view name, std::initializer_list<Label> 
 }
 inline std::string to_json() { return Registry::instance().to_json(); }
 inline void export_json(const std::string& path) { Registry::instance().export_json(path); }
-inline void reset_all() { Registry::instance().reset(); }
 
 /// Exports to the path named by the GPUMIP_METRICS_OUT environment
 /// variable, if set. Returns the path written to ("" when the variable is

@@ -97,6 +97,15 @@ const ScheduleEnv& schedule_env() {
 
 namespace detail {
 
+namespace {
+
+/// In fuzz mode, probability that try_recv reports "nothing yet" even when
+/// a matching message is queued (always legal in an asynchronous network;
+/// exercises polling loops).
+constexpr double kSpuriousTryRecv = 0.25;
+
+}  // namespace
+
 // ---- scheduler lifecycle ---------------------------------------------------
 
 void Scheduler::init(int n, const ScheduleConfig& config) {
@@ -138,7 +147,7 @@ bool Scheduler::spurious_try_recv_failure(int rank) {
   if (!config_.fuzz || config_.replay != nullptr) return false;
   auto& rng = yield_rngs_[static_cast<std::size_t>(rank)];
   const double draw = static_cast<double>(rng() >> 11) * 0x1.0p-53;
-  return draw < config_.spurious_try_recv;
+  return draw < kSpuriousTryRecv;
 }
 
 std::size_t Scheduler::overtake(int dest, std::size_t eligible) {
@@ -268,8 +277,11 @@ bool Scheduler::header_satisfies(const MsgHeader& header, const RankState& state
          (state.want_tag < 0 || header.tag == state.want_tag);
 }
 
+// Aborts with a dump on a provable deadlock instead of hanging. The detector
+// is purely conservative: it fires only when no blocked rank can ever be
+// satisfied, so it always runs and costs nothing but the bookkeeping.
 bool Scheduler::detect_locked() {
-  if (!config_.detect_deadlock || deadlock_fired_) return false;
+  if (deadlock_fired_) return false;
   // A failed rank means a teardown abort is already in flight; survivors
   // blocked on the dead rank are its victims, not a protocol deadlock.
   for (const RankState& state : ranks_) {

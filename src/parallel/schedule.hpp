@@ -72,14 +72,6 @@ struct ScheduleConfig {
   /// Perturb delivery order (seeded) and inject yield points.
   bool fuzz = false;
   std::uint64_t seed = 0;
-  /// In fuzz mode, probability that try_recv reports "nothing yet" even
-  /// when a matching message is queued (always legal in an asynchronous
-  /// network; exercises polling loops).
-  double spurious_try_recv = 0.25;
-  /// Abort-with-dump on provable deadlock instead of hanging. The detector
-  /// is purely conservative: it fires only when no blocked rank can ever
-  /// be satisfied, so leaving it on costs nothing but the bookkeeping.
-  bool detect_deadlock = true;
   /// Replay: force each rank to consume messages in this recorded order
   /// (prefix; once a rank's trace is exhausted it runs unconstrained).
   const DeliveryTrace* replay = nullptr;

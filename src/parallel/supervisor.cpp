@@ -135,14 +135,16 @@ SupervisorResult run_supervised(const mip::MipModel& model,
   mip::MipResult ramp_result;
 
   if (resume != nullptr) {
+    // The snapshot must fit the model before any rank starts (cuts must
+    // match the original run: mip.enable_cuts must be false for resumable
+    // runs; documented in the header).
+    mip::check_resumable(model, lp::build_standard_form(model.lp()), *resume,
+                         options.mip.int_tol);
     seed = *resume;
     if (seed.has_incumbent()) {
       incumbent_obj = seed.incumbent_objective;
       incumbent_x = seed.incumbent_x;
     }
-    // A resume still needs the engine's standard form: run a zero-node
-    // solve to build it (cuts must match the original run: mip.enable_cuts
-    // must be false for resumable runs; documented in the header).
   } else {
     ramp_result = ramp_solver.solve();
     if (ramp_result.status == mip::MipStatus::NodeLimit) {

@@ -66,7 +66,9 @@ SupervisorResult solve_supervised(const mip::MipModel& model, const SupervisorOp
 
 /// Resumes from a snapshot captured by a prior (possibly interrupted) run.
 /// The snapshot must come from the same model (after identical root cuts,
-/// i.e. from this function or a cuts-disabled run).
+/// i.e. from this function or a cuts-disabled run). Throws
+/// Error(kInvalidArgument) before any rank starts when the snapshot does
+/// not fit the model (see mip::check_resumable).
 SupervisorResult resume_supervised(const mip::MipModel& model,
                                    const mip::ConsistentSnapshot& snapshot,
                                    const SupervisorOptions& options);

@@ -83,31 +83,6 @@ Csc csr_to_csc(const Csr& a) {
   return out;
 }
 
-Csr csc_to_csr(const Csc& a) {
-  Csr out;
-  out.rows = a.rows;
-  out.cols = a.cols;
-  out.row_start.assign(static_cast<std::size_t>(a.rows) + 1, 0);
-  out.col_index.resize(static_cast<std::size_t>(a.nnz()));
-  out.values.resize(static_cast<std::size_t>(a.nnz()));
-  for (int r : a.row_index) ++out.row_start[static_cast<std::size_t>(r) + 1];
-  for (int r = 0; r < a.rows; ++r) {
-    out.row_start[static_cast<std::size_t>(r) + 1] += out.row_start[static_cast<std::size_t>(r)];
-  }
-  std::vector<int> cursor(out.row_start.begin(), out.row_start.end() - 1);
-  for (int c = 0; c < a.cols; ++c) {
-    for (int k = a.col_start[static_cast<std::size_t>(c)];
-         k < a.col_start[static_cast<std::size_t>(c) + 1]; ++k) {
-      const int r = a.row_index[static_cast<std::size_t>(k)];
-      const int dst = cursor[static_cast<std::size_t>(r)]++;
-      out.col_index[static_cast<std::size_t>(dst)] = c;
-      out.values[static_cast<std::size_t>(dst)] = a.values[static_cast<std::size_t>(k)];
-    }
-  }
-  GPUMIP_VALIDATE(check::check_sparse(out));
-  return out;
-}
-
 Csr transpose(const Csr& a) {
   const Csc csc = csr_to_csc(a);
   Csr out;

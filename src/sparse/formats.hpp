@@ -61,7 +61,6 @@ Csc csc_from_triplets(int rows, int cols, const std::vector<Triplet>& triplets,
                       double drop_tol = 0.0);
 
 Csc csr_to_csc(const Csr& a);
-Csr csc_to_csr(const Csc& a);
 
 /// Transpose as CSR (rows and cols swap).
 Csr transpose(const Csr& a);

@@ -41,19 +41,7 @@ inline double gather_column(double alpha, const Csc& a, int j, std::span<const d
 void spmv_t(double alpha, const Csc& a, std::span<const double> x, double beta,
             std::span<double> y);
 
-/// C = A B with sparse A (CSR) and dense B; dense C.
-void spmm(const Csr& a, const linalg::Matrix& b, linalg::Matrix& c);
-
 /// Dot of sparse column j of A (CSC) with a dense vector.
 double column_dot(const Csc& a, int j, std::span<const double> x);
-
-/// Row-length statistics used by the device cost model to estimate warp
-/// divergence of an SpMV (irregular row lengths -> divergent lanes).
-struct RowStats {
-  double mean = 0.0;
-  double max = 0.0;
-  double cv = 0.0;  ///< coefficient of variation (stddev/mean)
-};
-RowStats row_stats(const Csr& a);
 
 }  // namespace gpumip::sparse

@@ -95,10 +95,4 @@ linalg::Vector SparseCholesky::solve(std::span<const double> b) const {
   return y;
 }
 
-long SparseCholesky::factor_nnz() const noexcept {
-  long nnz = n_;
-  for (const auto& col : l_cols_) nnz += static_cast<long>(col.size());
-  return nnz;
-}
-
 }  // namespace gpumip::sparse

@@ -25,8 +25,6 @@ class SparseCholesky {
 
   linalg::Vector solve(std::span<const double> b) const;
 
-  long factor_nnz() const noexcept;
-
  private:
   struct Entry {
     int row;

@@ -73,7 +73,7 @@ std::vector<std::uint64_t> solve_counters(const char* method) {
   std::vector<std::uint64_t> values;
   values.push_back(obs::counter(obs::labeled_name("gpumip.lp.solves", {{"method", method}})).value());
   for (const char* name :
-       {"gpumip.lp.simplex.iterations", "gpumip.lp.pdhg.iterations", "gpumip.lp.pdhg.restarts",
+       {"gpumip.lp.pdhg.iterations", "gpumip.lp.pdhg.restarts",
         "gpumip.lp.ops.ftran", "gpumip.lp.ops.btran", "gpumip.lp.ops.price_full",
         "gpumip.lp.ops.eta_updates", "gpumip.lp.ops.refactor", "gpumip.lp.ops.iterations",
         "gpumip.lp.ops.bound_flips", "gpumip.lp.ops.cholesky", "gpumip.lp.ops.matvec_n",

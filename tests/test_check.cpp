@@ -1,5 +1,5 @@
 // Seeded-corruption tests for the invariant-checking subsystem: each test
-// plants one specific inconsistency (orphaned tree node, stale eta file,
+// plants one specific inconsistency (orphaned tree node, drifted inverse,
 // unsorted CSR indices, leaked device block, dropped simmpi message, ...)
 // and asserts the matching validator fires with ErrorCode::kInternal.
 #include <gtest/gtest.h>
@@ -10,7 +10,9 @@
 #include "gpu/device.hpp"
 #include "mip/solver.hpp"
 #include "parallel/supervisor.hpp"
+#include "problems/mps.hpp"
 #include "support/assert.hpp"
+#include "support/rng.hpp"
 
 namespace gpumip {
 namespace {
@@ -184,7 +186,7 @@ TEST(CheckSnapshot, IncumbentOutsideBoundsFires) {
 }
 
 // ---------------------------------------------------------------------------
-// Basis / eta file (paper C3: rank-1 update reuse)
+// Basis / explicit inverse (paper C3: rank-1 update reuse)
 // ---------------------------------------------------------------------------
 
 struct BasisFixture {
@@ -214,22 +216,6 @@ TEST(CheckBasis, StructuralCorruptionFires) {
   lp::Basis mislabeled = fx.slack_basis;
   mislabeled.status[1] = lp::VarStatus::AtLower;  // basic var not flagged Basic
   expect_internal([&] { check::check_basis(fx.form, mislabeled); });
-}
-
-TEST(CheckBasis, StaleEtaFileFires) {
-  BasisFixture fx;
-  const linalg::Matrix identity = linalg::Matrix::identity(2);
-  linalg::EtaFile etas;
-  // Fresh factorization, no updates: B = I, B⁻¹ = I — residual is zero.
-  EXPECT_NO_THROW(check::check_basis(fx.form, fx.slack_basis, identity, etas));
-
-  // A leftover eta from some other node's pivot: the replayed inverse no
-  // longer inverts this node's basis.
-  linalg::Eta stale;
-  stale.pivot_row = 0;
-  stale.column = {0.25, -0.5};
-  etas.push(stale);
-  expect_internal([&] { check::check_basis(fx.form, fx.slack_basis, identity, etas); });
 }
 
 TEST(CheckBasis, DriftedInverseFires) {
@@ -396,6 +382,120 @@ TEST(SnapshotHardening, RoundTripStillWorks) {
   EXPECT_DOUBLE_EQ(back.frontier[0].bound, -7.25);
   EXPECT_EQ(back.frontier[1].depth, 4);
   EXPECT_NO_THROW(check::check_snapshot(back));
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutation fuzzing of the text readers: whatever a corrupted input
+// parses to, the only acceptable failure is a typed gpumip::Error. Any other
+// exception (std::length_error from a wild size, std::out_of_range, ...) or
+// a sanitizer report is a reader bug.
+// ---------------------------------------------------------------------------
+
+/// 1-4 random byte edits: overwrite, delete, or insert.
+std::string mutate(const std::string& original, Rng& rng) {
+  std::string text = original;
+  const int edits = 1 + static_cast<int>(rng.index(4));
+  for (int e = 0; e < edits && !text.empty(); ++e) {
+    const std::size_t at = rng.index(text.size());
+    const auto byte = static_cast<char>(rng.index(256));
+    switch (rng.index(3)) {
+      case 0: text[at] = byte; break;
+      case 1: text.erase(at, 1); break;
+      default: text.insert(at, 1, byte); break;
+    }
+  }
+  return text;
+}
+
+/// Runs 512 seeded mutations of `original` through `parse`; `typed_ok`
+/// decides whether a gpumip::Error is an acceptable failure. Returns the
+/// number of trials that failed.
+template <typename Parse, typename TypedOk>
+int fuzz_reader(const std::string& original, std::uint64_t seed, Parse parse,
+                TypedOk typed_ok) {
+  Rng rng(seed);
+  int failures = 0;
+  for (int trial = 0; trial < 512; ++trial) {
+    const std::string text = mutate(original, rng);
+    try {
+      parse(text);
+    } catch (const Error& e) {
+      EXPECT_TRUE(typed_ok(e)) << "trial " << trial << ": " << e.what();
+      ++failures;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "trial " << trial << ": untyped " << e.what();
+      ++failures;
+    }
+  }
+  return failures;
+}
+
+TEST(SnapshotHardening, MutationFuzzOnlyRaisesIoErrors) {
+  mip::ConsistentSnapshot snap;
+  snap.incumbent_objective = -12.5;
+  snap.incumbent_x = {1.0, 0.0, 3.0};
+  snap.nodes_solved_so_far = 42;
+  snap.frontier.push_back({{0.0, 0.0, -1e300}, {5.0, 5.0, 1e300}, -20.0, 2});
+  snap.frontier.push_back({{1.0, 0.0, 0.25}, {5.0, 2.0, 4.5}, -18.5, 3});
+  const std::string original = snap.to_string();
+  ASSERT_NO_THROW(static_cast<void>(mip::ConsistentSnapshot::from_string(original)));
+  const int failures = fuzz_reader(
+      original, 0x5EEDu,
+      [](const std::string& text) {
+        static_cast<void>(mip::ConsistentSnapshot::from_string(text));
+      },
+      [](const Error& e) { return e.code() == ErrorCode::kIoError; });
+  EXPECT_GT(failures, 0);
+}
+
+TEST(MpsHardening, MutationFuzzOnlyRaisesTypedErrors) {
+  // Every section and bound type the reader knows.
+  const std::string original = R"(NAME FUZZ
+OBJSENSE
+ MAX
+ROWS
+ N COST
+ L LIM1
+ G LIM2
+ E EQ1
+COLUMNS
+ X COST 1.0 LIM1 2.0
+ X LIM2 1.0
+ MK1 'MARKER' 'INTORG'
+ Y COST -3.0 LIM1 1.0
+ Y EQ1 1.0
+ Z COST 0.5 LIM2 -1.5
+ MK2 'MARKER' 'INTEND'
+ W COST 2.0 EQ1 1.0
+RHS
+ RHS1 LIM1 10.0 LIM2 1.0
+ RHS1 EQ1 2.0
+RANGES
+ RNG1 LIM1 4.0
+BOUNDS
+ UP BND1 X 8.0
+ LO BND1 X 1.0
+ UI BND1 Y 5
+ LI BND1 Y 0
+ BV BND1 Z
+ FR BND1 W
+ MI BND1 W
+ PL BND1 W
+ FX BND1 W 3.0
+ENDATA
+)";
+  ASSERT_NO_THROW(static_cast<void>(problems::read_mps_string(original)));
+  // Model validation, not the reader, rejects a crossed bound pair (say,
+  // LO above UP), so that one failure is kInvalidArgument with no line.
+  const int failures = fuzz_reader(
+      original, 0xB0B5u,
+      [](const std::string& text) { static_cast<void>(problems::read_mps_string(text)); },
+      [](const Error& e) {
+        return e.code() == ErrorCode::kIoError ||
+               (e.code() == ErrorCode::kInvalidArgument &&
+                std::string(e.what()).find("lb > ub") != std::string::npos);
+      });
+  EXPECT_GT(failures, 0);
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
 
 #include "linalg/batched.hpp"
@@ -36,19 +35,6 @@ TEST(Matrix, TransposeRoundTrip) {
   EXPECT_EQ(max_abs_diff(a.transposed().transposed(), a), 0.0);
 }
 
-TEST(Blas1, DotNormAxpy) {
-  Vector x = {1, 2, 3};
-  Vector y = {4, 5, 6};
-  EXPECT_DOUBLE_EQ(dot(x, y), 32.0);
-  EXPECT_DOUBLE_EQ(nrm2(x), std::sqrt(14.0));
-  EXPECT_DOUBLE_EQ(asum(y), 15.0);
-  axpy(2.0, x, y);
-  EXPECT_DOUBLE_EQ(y[2], 12.0);
-  EXPECT_EQ(iamax(y), 2);
-  scal(0.5, y);
-  EXPECT_DOUBLE_EQ(y[0], 3.0);
-}
-
 TEST(Blas2, GemvMatchesManual) {
   Matrix a = mat3();
   Vector x = {1, 2, 3};
@@ -68,14 +54,6 @@ TEST(Blas2, GemvTransposeConsistent) {
   Vector y2(6, 0.0);
   gemv(1.0, a.transposed(), x, 0.0, y2);
   EXPECT_LT(max_abs_diff(y, y2), 1e-14);
-}
-
-TEST(Blas2, GerIsRankOneUpdate) {
-  Matrix a(2, 2, 0.0);
-  Vector x = {1, 2}, y = {3, 4};
-  ger(1.0, x, y, a);
-  EXPECT_DOUBLE_EQ(a(0, 0), 3);
-  EXPECT_DOUBLE_EQ(a(1, 1), 8);
 }
 
 TEST(Blas3, GemmMatchesGemvColumns) {
@@ -281,43 +259,6 @@ TEST(Eta, MatchesExplicitBasisInverse) {
   EXPECT_LT(max_abs_diff(binv, lu1.inverse()), 1e-9);
 }
 
-TEST(Eta, FtranBtranAgreeWithFactorization) {
-  Rng rng(47);
-  const int m = 6;
-  Matrix b = Matrix::random(m, m, rng);
-  for (int i = 0; i < m; ++i) b(i, i) += 3.0;
-  DenseLU lu(b);
-  EtaFile etas;
-  Matrix bcur = b;
-  // Three successive column replacements tracked with etas.
-  for (int step = 0; step < 3; ++step) {
-    Vector aq(m);
-    for (auto& v : aq) v = rng.uniform(-1, 1);
-    const int r = step * 2 % m;
-    aq[static_cast<std::size_t>(r)] += 5.0;
-    // FTRAN through current representation.
-    Vector y = lu.solve(aq);
-    etas.ftran(y);
-    Eta eta = Eta::from_ftran(y, r);
-    etas.push(eta);
-    bcur.set_col(r, aq);
-  }
-  DenseLU lucur(bcur);
-  // FTRAN: B⁻¹ v.
-  Vector v(m);
-  for (auto& x : v) x = rng.uniform(-1, 1);
-  Vector via_eta = lu.solve(v);
-  etas.ftran(via_eta);
-  EXPECT_LT(max_abs_diff(via_eta, lucur.solve(v)), 1e-8);
-  // BTRAN: B⁻ᵀ w.
-  Vector w(m);
-  for (auto& x : w) x = rng.uniform(-1, 1);
-  Vector wb = w;
-  etas.btran(wb);
-  Vector via_eta_t = lu.solve_transpose(wb);
-  EXPECT_LT(max_abs_diff(via_eta_t, lucur.solve_transpose(w)), 1e-8);
-}
-
 TEST(Eta, TinyPivotRejected) {
   Vector y = {0.5, 1e-14, 2.0};
   EXPECT_THROW(Eta::from_ftran(y, 1), NumericalError);
@@ -325,24 +266,6 @@ TEST(Eta, TinyPivotRejected) {
 }
 
 // --- device-resident wrappers ---
-
-TEST(DeviceBlas, GemvMatchesHost) {
-  gpu::Device dev;
-  Rng rng(53);
-  Matrix a = Matrix::random(20, 12, rng);
-  Vector x(12), y(20, 0.0);
-  for (auto& v : x) v = rng.uniform(-1, 1);
-  auto da = DeviceMatrix::upload(dev, 0, a);
-  auto dx = DeviceVector::upload(dev, 0, x);
-  DeviceVector dy(dev, 20);
-  dy.assign(0, y);
-  dev_gemv(0, 1.0, da, dx, 0.0, dy);
-  Vector host_y(20, 0.0);
-  gemv(1.0, a, x, 0.0, host_y);
-  EXPECT_LT(max_abs_diff(dy.download(0), host_y), 1e-13);
-  EXPECT_GE(dev.stats().kernels, 1u);
-  EXPECT_GT(dev.synchronize(), 0.0);
-}
 
 TEST(DeviceBlas, GetrfGetrsSolve) {
   gpu::Device dev;
@@ -374,16 +297,6 @@ TEST(DeviceBlas, EtaUpdateOnDeviceMatchesHost) {
   auto dbinv = DeviceMatrix::upload(dev, 0, binv);
   dev_apply_eta(0, eta, dbinv);
   EXPECT_LT(max_abs_diff(dbinv.download(0), host_result), 1e-13);
-}
-
-TEST(DeviceBlas, MixedDeviceOperandsRejected) {
-  gpu::Device dev_a, dev_b;
-  Matrix a = Matrix::identity(4);
-  Vector x(4, 1.0);
-  auto da = DeviceMatrix::upload(dev_a, 0, a);
-  auto dx = DeviceVector::upload(dev_b, 0, x);
-  DeviceVector dy(dev_a, 4);
-  EXPECT_THROW(dev_gemv(0, 1.0, da, dx, 0.0, dy), Error);
 }
 
 TEST(Batched, FactorAndSolveManySmall) {

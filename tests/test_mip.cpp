@@ -341,6 +341,76 @@ TEST(Snapshot, MidSearchSnapshotPreservesOptimum) {
   }
 }
 
+// A resumed search must refuse a snapshot that does not fit the model,
+// before it evaluates a single node.
+void expect_rejected(BnbSolver& solver, const ConsistentSnapshot& snap) {
+  try {
+    (void)solver.solve_from(snap);
+    ADD_FAILURE() << "snapshot accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument) << e.what();
+  }
+  EXPECT_TRUE(solver.trace().empty());
+}
+
+/// One frontier node carrying the model's own standard-form bounds.
+ConsistentSnapshot root_snapshot(const lp::StandardForm& form) {
+  ConsistentSnapshot snap;
+  snap.frontier.push_back({form.lb, form.ub, -1e300, 0});
+  return snap;
+}
+
+TEST(Snapshot, ResumeRejectsBoundsOutsideTheModel) {
+  Rng rng(5);
+  const MipModel m = problems::knapsack(8, rng);
+  const lp::StandardForm form = lp::build_standard_form(m.lp());
+  MipOptions opts;
+  opts.enable_cuts = false;
+  EXPECT_NO_THROW(check_resumable(m, form, root_snapshot(form), opts.int_tol));
+
+  // Every structural upper bound raised by 3: the relaxation would search
+  // points the model excludes.
+  ConsistentSnapshot widened = root_snapshot(form);
+  for (int j = 0; j < form.num_struct; ++j) widened.frontier[0].ub[static_cast<std::size_t>(j)] += 3.0;
+  widened = ConsistentSnapshot::from_string(widened.to_string());
+  BnbSolver solver(m, opts);
+  expect_rejected(solver, widened);
+
+  ConsistentSnapshot short_node = root_snapshot(form);
+  short_node.frontier[0].lb.pop_back();
+  short_node.frontier[0].ub.pop_back();
+  expect_rejected(solver, short_node);
+}
+
+TEST(Snapshot, ResumeRejectsMisfitIncumbent) {
+  Rng rng(5);
+  const MipModel m = problems::knapsack(8, rng);
+  const lp::StandardForm form = lp::build_standard_form(m.lp());
+  MipOptions opts;
+  opts.enable_cuts = false;
+  BnbSolver solver(m, opts);
+  const auto n = static_cast<std::size_t>(form.num_struct);
+
+  ConsistentSnapshot snap = root_snapshot(form);
+  snap.incumbent_objective = -1e6;  // far better than the true optimum
+  snap.incumbent_x = {1.0, 0.0};    // two entries for an eight-column model
+  expect_rejected(solver, snap);
+
+  snap.incumbent_x.assign(n, 1.0);  // every item packed: over capacity
+  expect_rejected(solver, snap);
+
+  snap.incumbent_x.assign(n, 0.0);
+  snap.incumbent_x[0] = 0.5;  // inside every row, but fractional
+  expect_rejected(solver, snap);
+
+  snap.incumbent_x.assign(n, 0.0);
+  snap.incumbent_x[0] = 2.0;  // integral, beyond the binary bound
+  expect_rejected(solver, snap);
+
+  snap.incumbent_x.assign(n, 0.0);  // the empty knapsack fits
+  EXPECT_NO_THROW(check_resumable(m, form, snap, opts.int_tol));
+}
+
 TEST(Snapshot, FinalSnapshotIsEmptyFrontierWithIncumbent) {
   MipModel m;
   m.lp().set_sense(lp::Sense::Maximize);

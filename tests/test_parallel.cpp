@@ -403,6 +403,26 @@ TEST(Supervisor, MoreWorkersNoWorseMakespan) {
   EXPECT_LT(four.makespan, one.makespan * 1.2);
 }
 
+TEST(Supervisor, ResumeRejectsSnapshotOutsideTheModel) {
+  Rng rng(5);
+  const mip::MipModel m = problems::knapsack(8, rng);
+  const lp::StandardForm form = lp::build_standard_form(m.lp());
+  mip::ConsistentSnapshot snap;
+  snap.frontier.push_back({form.lb, form.ub, -1e300, 0});
+  for (int j = 0; j < form.num_struct; ++j) snap.frontier[0].ub[static_cast<std::size_t>(j)] += 3.0;
+  snap = mip::ConsistentSnapshot::from_string(snap.to_string());
+
+  SupervisorOptions opts;
+  opts.workers = 2;
+  opts.mip.enable_cuts = false;
+  try {
+    (void)resume_supervised(m, snap, opts);
+    ADD_FAILURE() << "snapshot accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument) << e.what();
+  }
+}
+
 // ---------------- strategies ----------------
 
 TEST(Strategies, AllFourReachTheSameOptimum) {

@@ -73,8 +73,7 @@ TEST(Formats, OutOfRangeTripletThrows) {
 TEST(Formats, CsrCscRoundTrip) {
   Rng rng(5);
   Csr a = random_sparse(20, 0.2, rng);
-  Csr back = csc_to_csr(csr_to_csc(a));
-  EXPECT_TRUE(approx_equal(a, back, 0.0));
+  EXPECT_EQ(max_abs_diff(to_dense(csr_to_csc(a)), to_dense(a)), 0.0);
 }
 
 TEST(Formats, TransposeMatchesDense) {
@@ -163,16 +162,6 @@ TEST(Ops, SpmvTransposeIsBitIdenticalToRowScatter) {
   }
 }
 
-TEST(Ops, SpmmMatchesGemm) {
-  Rng rng(19);
-  Csr a = random_sparse(10, 0.3, rng);
-  Matrix b = Matrix::random(10, 4, rng);
-  Matrix c1(10, 4), c2(10, 4);
-  spmm(a, b, c1);
-  linalg::gemm(1.0, to_dense(a), b, 0.0, c2);
-  EXPECT_LT(max_abs_diff(c1, c2), 1e-12);
-}
-
 TEST(Ops, ColumnDot) {
   Rng rng(23);
   Csr a = random_sparse(8, 0.4, rng);
@@ -185,21 +174,6 @@ TEST(Ops, ColumnDot) {
     for (int i = 0; i < 8; ++i) expected += d(i, j) * x[static_cast<std::size_t>(i)];
     EXPECT_NEAR(column_dot(csc, j, x), expected, 1e-12);
   }
-}
-
-TEST(Ops, RowStatsDetectIrregularity) {
-  // Regular: every row has 2 entries; irregular: one dense row.
-  std::vector<Triplet> reg, irr;
-  for (int r = 0; r < 10; ++r) {
-    reg.push_back({r, r, 1.0});
-    reg.push_back({r, (r + 1) % 10, 1.0});
-    irr.push_back({r, r, 1.0});
-  }
-  for (int c = 0; c < 10; ++c) irr.push_back({0, c, 1.0});
-  const RowStats rs = row_stats(csr_from_triplets(10, 10, reg));
-  const RowStats is = row_stats(csr_from_triplets(10, 10, irr));
-  EXPECT_NEAR(rs.cv, 0.0, 1e-12);
-  EXPECT_GT(is.cv, 0.5);
 }
 
 TEST(SparseCholesky, SolvesSpdSystems) {

@@ -1,11 +1,10 @@
 // Direct tests of the node pool's selection policies, branching-variable
-// selection, logging, and device-BLAS corners not covered by the higher-level suites.
+// selection and logging, corners not covered by the higher-level suites.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "linalg/blas.hpp"
-#include "linalg/device_blas.hpp"
+#include "linalg/matrix.hpp"
 #include "mip/branching.hpp"
 #include "mip/tree.hpp"
 #include "support/log.hpp"
@@ -13,7 +12,6 @@
 namespace gpumip {
 namespace {
 
-using linalg::Matrix;
 using linalg::Vector;
 
 mip::BnbNode make_node(int parent, double bound, int depth = 0) {
@@ -123,64 +121,6 @@ TEST(Log, DisabledLevelSkipsEvaluation) {
   GPUMIP_LOG(Debug) << (++evaluations, "shown");
   EXPECT_EQ(evaluations, 1);
   set_log_level(saved);
-}
-
-TEST(DeviceBlas, GemmMatchesHost) {
-  gpu::Device dev;
-  Rng rng(7);
-  Matrix a = Matrix::random(6, 4, rng), b = Matrix::random(4, 5, rng);
-  Matrix expect(6, 5);
-  linalg::gemm(1.0, a, b, 0.0, expect);
-  auto da = linalg::DeviceMatrix::upload(dev, 0, a);
-  auto db = linalg::DeviceMatrix::upload(dev, 0, b);
-  linalg::DeviceMatrix dc(dev, 6, 5);
-  linalg::dev_gemm(0, 1.0, da, db, 0.0, dc);
-  EXPECT_LT(linalg::max_abs_diff(dc.download(0), expect), 1e-13);
-}
-
-TEST(DeviceBlas, GerMatchesHost) {
-  gpu::Device dev;
-  Rng rng(9);
-  Matrix a = Matrix::random(5, 3, rng);
-  Vector x(5), y(3);
-  for (auto& v : x) v = rng.uniform(-1, 1);
-  for (auto& v : y) v = rng.uniform(-1, 1);
-  Matrix expect = a;
-  linalg::ger(2.0, x, y, expect);
-  auto da = linalg::DeviceMatrix::upload(dev, 0, a);
-  auto dx = linalg::DeviceVector::upload(dev, 0, x);
-  auto dy = linalg::DeviceVector::upload(dev, 0, y);
-  linalg::dev_ger(0, 2.0, dx, dy, da);
-  EXPECT_LT(linalg::max_abs_diff(da.download(0), expect), 1e-13);
-}
-
-TEST(DeviceBlas, EtaVectorApplication) {
-  gpu::Device dev;
-  Rng rng(11);
-  Vector y(6);
-  for (auto& v : y) v = rng.uniform(-1, 1);
-  y[2] += 3.0;
-  const linalg::Eta eta = linalg::Eta::from_ftran(y, 2);
-  Vector x(6);
-  for (auto& v : x) v = rng.uniform(-1, 1);
-  Vector expect = x;
-  eta.apply(expect);
-  auto dx = linalg::DeviceVector::upload(dev, 0, x);
-  linalg::dev_apply_eta_vec(0, eta, dx);
-  EXPECT_LT(linalg::max_abs_diff(dx.download(0), expect), 1e-14);
-}
-
-TEST(DeviceBlas, AssignColUpdatesOneColumn) {
-  gpu::Device dev;
-  Matrix a = Matrix::identity(4);
-  auto da = linalg::DeviceMatrix::upload(dev, 0, a);
-  Vector col = {9, 8, 7, 6};
-  da.assign_col(0, 2, col);
-  Matrix back = da.download(0);
-  EXPECT_EQ(back(0, 2), 9.0);
-  EXPECT_EQ(back(3, 2), 6.0);
-  EXPECT_EQ(back(0, 0), 1.0);
-  EXPECT_THROW(da.assign_col(0, 9, col), Error);
 }
 
 }  // namespace
