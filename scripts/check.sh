@@ -23,10 +23,11 @@
 #   6. obs        — observability smoke: runs two small benches of an
 #                   obs-ON Release build with a metrics export and validates
 #                   the JSON against the docs/METRICS.md glossary (every
-#                   exported name must be documented), then builds one bench
-#                   with -DGPUMIP_OBS=OFF and asserts the hot-path metric
-#                   AND trace-event name literals are absent from the binary
-#                   (the macros compile to parsed-but-unevaluated no-ops).
+#                   exported name must be documented), then builds both
+#                   benches with -DGPUMIP_OBS=OFF and asserts the hot-path
+#                   metric AND trace-event name literals, each present in an
+#                   OBS=ON bench, are absent from the OFF binaries (the
+#                   macros compile to parsed-but-unevaluated no-ops).
 #   6b. methods   — LP-method doc cross-check: every method name string the
 #                   lp_method_name switch in src/lp/path_chooser.cpp can
 #                   return must appear backticked in docs/METHODS.md, so the
@@ -182,8 +183,10 @@ timed tidy tidy_gate
 # (e7 covers the batching histograms, e8 the per-rank simmpi names) and
 # cross-check every exported metric name against the docs/METRICS.md
 # glossary, normalizing rank-indexed names to the documented rank<r> form.
-# Half (b): a -DGPUMIP_OBS=OFF build of the same bench must not contain the
-# hot-path metric name strings — proof the macros compiled to no-ops.
+# Half (b): -DGPUMIP_OBS=OFF builds of the same benches must not contain the
+# hot-path metric and trace name strings — proof the macros compiled to
+# no-ops. Each name must be in one of the OBS=ON binaries, or its absence
+# from the OFF ones would prove nothing.
 obs_gate() {
   local build_dir=build-obs off_dir=build-obs-off
   echo "==> [obs] configure+build ($build_dir, GPUMIP_OBS=ON)"
@@ -244,17 +247,24 @@ PY
   if ! { cmake -B "$off_dir" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
            -DGPUMIP_WERROR=ON -DGPUMIP_OBS=OFF >"$off_dir.configure.log" 2>&1 &&
          cmake --build "$off_dir" -j "$JOBS" \
-           --target bench_e7_batching >"$off_dir.build.log" 2>&1; }; then
+           --target bench_e7_batching bench_e8_scaleout >"$off_dir.build.log" 2>&1; }; then
     echo "==> [obs] OFF-BUILD FAILED (see $off_dir.*.log)"
     FAILURES=$((FAILURES + 1))
     return
   fi
   local name
   for name in gpumip.gpu.xfer.h2d.bytes gpumip.lp.ops.refactor gpumip.lp.batch.occupancy \
-              gpumip.lp.batch.wave gpumip.lp.pdhg.solve gpumip.lp.method.choice \
+              gpumip.lp.batch.wave gpumip.lp.pdhg.iterations gpumip.lp.method.choice \
               gpumip.mip.cuts.round gpumip.simmpi.recv.wait \
               gpumip.lp.solves gpumip.lp.solve.seconds; do
-    if grep -qa "$name" "$off_dir/bench/bench_e7_batching"; then
+    if ! grep -qa "$name" "$build_dir/bench/bench_e7_batching" \
+                           "$build_dir/bench/bench_e8_scaleout"; then
+      echo "==> [obs] OBS=ON benches lack '$name': its OFF check is vacuous"
+      FAILURES=$((FAILURES + 1))
+      return
+    fi
+    if grep -qa "$name" "$off_dir/bench/bench_e7_batching" \
+                        "$off_dir/bench/bench_e8_scaleout"; then
       echo "==> [obs] OFF build still contains metric/trace string '$name'"
       FAILURES=$((FAILURES + 1))
       return

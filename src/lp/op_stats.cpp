@@ -39,6 +39,13 @@ void publish_op_stats(const LpOpStats& stats) {
   GPUMIP_OBS_ADD("gpumip.lp.ops.restarts", as_u64(stats.restarts));
 }
 
+gpu::KernelCost refactor_kernel_cost(int m) {
+  const double md = m;
+  gpu::KernelCost cost = gpu::KernelCost::dense((2.0 / 3.0 + 1.0) * md * md * md, md * md);
+  cost.occupancy = linalg::occupancy_for_elements(static_cast<std::size_t>(m) * m);
+  return cost;
+}
+
 void charge_to_device(gpu::Device& device, gpu::StreamId stream, const LpOpStats& stats,
                       bool sparse_pricing) {
   using gpu::KernelCost;
@@ -65,9 +72,7 @@ void charge_to_device(gpu::Device& device, gpu::StreamId stream, const LpOpStats
                      : static_cast<std::size_t>(stats.m) * stats.n);
   launch_many(stats.price_full, price_cost);
 
-  KernelCost refactor_cost = KernelCost::dense((2.0 / 3.0 + 1.0) * m * m * m, m * m);
-  refactor_cost.occupancy = occ_mm;
-  launch_many(stats.refactor, refactor_cost);
+  launch_many(stats.refactor, refactor_kernel_cost(stats.m));
 
   KernelCost chol_cost = KernelCost::dense((1.0 / 3.0) * m * m * m, m * m);
   chol_cost.occupancy = occ_mm;

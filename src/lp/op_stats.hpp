@@ -63,6 +63,10 @@ double cpu_seconds(const LpOpStats& stats, const CpuCostModel& cpu = {});
 /// (lp.ops.* counters). No-op when the observability layer is compiled out.
 void publish_op_stats(const LpOpStats& stats);
 
+/// One device basis refactorization of dimension m (LU 2/3 m³ + inverse m³
+/// over m² doubles): the kernel charge_to_device launches per `refactor`.
+gpu::KernelCost refactor_kernel_cost(int m);
+
 /// Replays the recorded operations as device kernel launches on `stream`
 /// (empty bodies; the numerics already ran). `sparse_pricing` selects
 /// whether pricing passes are charged at sparse or dense rates.

@@ -46,6 +46,7 @@ struct SimplexSolver::Workspace {
   std::vector<int> basic;         // size m
   linalg::Matrix binv;            // m x m explicit inverse
   int etas_since_refactor = 0;
+  bool inherited = false;         // binv was installed from a BasisInverse
   long iterations = 0;
   int degenerate_streak = 0;
   LpOpStats ops;
@@ -86,6 +87,8 @@ void SimplexSolver::init_workspace(Workspace& ws, std::span<const double> lb,
   ws.status.assign(static_cast<std::size_t>(ws.total), VarStatus::AtLower);
   ws.basic.assign(static_cast<std::size_t>(m), -1);
   ws.binv = linalg::Matrix(m, m);
+  ws.etas_since_refactor = 0;
+  ws.inherited = false;
   ws.dual_cb.assign(static_cast<std::size_t>(m), 0.0);
   ws.dual_y.assign(static_cast<std::size_t>(m), 0.0);
   ws.ftran_w.assign(static_cast<std::size_t>(m), 0.0);
@@ -137,7 +140,8 @@ void SimplexSolver::cold_start(Workspace& ws) const {
   }
 }
 
-bool SimplexSolver::try_warm_start(Workspace& ws, const Basis& warm) const {
+bool SimplexSolver::try_warm_start(Workspace& ws, const Basis& warm,
+                                   const BasisInverse* inverse) const {
   if (static_cast<int>(warm.basic.size()) != ws.m ||
       static_cast<int>(warm.status.size()) != ws.n) {
     return false;
@@ -168,6 +172,19 @@ bool SimplexSolver::try_warm_start(Workspace& ws, const Basis& warm) const {
     ws.x[static_cast<std::size_t>(ws.n + i)] = 0.0;
     ws.lb[static_cast<std::size_t>(ws.n + i)] = 0.0;
     ws.ub[static_cast<std::size_t>(ws.n + i)] = 0.0;
+  }
+  // Paper C3: a child inherits its parent's B⁻¹ (same basic columns in the
+  // same order) and continues its eta count; it refactorizes only when that
+  // count is due or the inverse does not fit.
+  if (inverse != nullptr && inverse->binv != nullptr && inverse->binv->rows() == ws.m &&
+      inverse->binv->cols() == ws.m && inverse->etas < options_.refactor_interval) {
+    ws.binv = *inverse->binv;
+    ws.etas_since_refactor = inverse->etas;
+    ws.inherited = true;
+    GPUMIP_VALIDATE(check::check_basis_inverse(basis_matrix(ws), ws.binv, 1e-4,
+                                               "(inherited inverse)"));
+    recompute_basic_values(ws);
+    return true;
   }
   try {
     refactorize(ws);
@@ -469,6 +486,9 @@ LpResult SimplexSolver::finish(Workspace& ws, LpStatus status) const {
   }
   result.basis.basic = ws.basic;
   result.basis.status.assign(ws.status.begin(), ws.status.begin() + ws.n);
+  result.binv = std::move(ws.binv);
+  result.etas_since_refactor = ws.etas_since_refactor;
+  result.inherited_inverse = ws.inherited;
   // The basis handed to branch-and-bound children must be structurally
   // sound; a degenerate basic artificial can legitimately survive phase 1,
   // so only a fully structural basis is validated against the form.
@@ -483,13 +503,13 @@ LpResult SimplexSolver::finish(Workspace& ws, LpStatus status) const {
 }
 
 LpResult SimplexSolver::run_primal(std::span<const double> lb, std::span<const double> ub,
-                                   const Basis* warm) {
+                                   const Basis* warm, const BasisInverse* inverse) {
   Workspace ws;
   init_workspace(ws, lb, ub);
 
   bool warm_ok = false;
   if (warm != nullptr && !warm->empty()) {
-    warm_ok = try_warm_start(ws, *warm);
+    warm_ok = try_warm_start(ws, *warm, inverse);
     if (warm_ok) {
       // Warm basis must also be primal feasible to skip phase 1.
       for (int i = 0; i < ws.m && warm_ok; ++i) {
@@ -550,11 +570,11 @@ LpResult SimplexSolver::solve(std::span<const double> lb, std::span<const double
 }
 
 LpResult SimplexSolver::resolve_dual(std::span<const double> lb, std::span<const double> ub,
-                                     const Basis& basis) {
+                                     const Basis& basis, const BasisInverse* inverse) {
   GPUMIP_OBS_SPAN_L("gpumip.lp.solve.seconds", {"method", "simplex"});
   Workspace ws;
   init_workspace(ws, lb, ub);
-  if (!try_warm_start(ws, basis)) {
+  if (!try_warm_start(ws, basis, inverse)) {
     return run_primal(lb, ub, nullptr);
   }
 
@@ -573,7 +593,7 @@ LpResult SimplexSolver::resolve_dual(std::span<const double> lb, std::span<const
       const bool bad = (ws.status[k] == VarStatus::AtLower && d < -1e-6) ||
                        (ws.status[k] == VarStatus::AtUpper && d > 1e-6) ||
                        (ws.status[k] == VarStatus::Free && std::fabs(d) > 1e-6);
-      if (bad) return run_primal(lb, ub, &basis);
+      if (bad) return run_primal(lb, ub, &basis, inverse);
     }
   }
 

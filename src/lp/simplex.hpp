@@ -51,9 +51,12 @@ class SimplexSolver {
 
   /// Dual-simplex re-solve from a basis that is dual feasible (typically a
   /// parent's optimal basis after branching tightened some bounds). Falls
-  /// back to a primal cold start if the basis is not usable.
+  /// back to a primal cold start if the basis is not usable. `inverse`, when
+  /// given, is the B⁻¹ of `basis` (the parent's final one): it is installed
+  /// instead of refactorizing when it is m x m and its eta count is below
+  /// refactor_interval.
   [[nodiscard]] LpResult resolve_dual(std::span<const double> lb, std::span<const double> ub,
-                        const Basis& basis);
+                        const Basis& basis, const BasisInverse* inverse = nullptr);
 
   const SimplexOptions& options() const noexcept { return options_; }
 
@@ -67,7 +70,7 @@ class SimplexSolver {
   /// Rebuilds the basis matrix B from the current basic set (checked-mode
   /// residual validation and refactorization share this).
   linalg::Matrix basis_matrix(const Workspace& ws) const;
-  bool try_warm_start(Workspace& ws, const Basis& warm) const;
+  bool try_warm_start(Workspace& ws, const Basis& warm, const BasisInverse* inverse) const;
   void cold_start(Workspace& ws) const;
   void refactorize(Workspace& ws) const;
   void recompute_basic_values(Workspace& ws) const;
@@ -81,7 +84,7 @@ class SimplexSolver {
   PhaseResult primal_loop(Workspace& ws, const linalg::Vector& cost, bool phase_one);
   LpResult finish(Workspace& ws, LpStatus status) const;
   LpResult run_primal(std::span<const double> lb, std::span<const double> ub,
-                      const Basis* warm);
+                      const Basis* warm, const BasisInverse* inverse = nullptr);
 
   const StandardForm* form_;
   SimplexOptions options_;

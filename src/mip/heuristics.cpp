@@ -79,7 +79,8 @@ HeuristicResult diving_heuristic(const MipModel& model, const lp::StandardForm& 
       if (target < form.lb[k] - 1e-9 || target > form.ub[k] + 1e-9) continue;
       linalg::Vector try_lb = lb, try_ub = ub;
       try_lb[k] = try_ub[k] = target;
-      lp::LpResult next = solver.resolve_dual(try_lb, try_ub, current.basis);
+      const lp::BasisInverse inverse{&current.binv, current.etas_since_refactor};
+      lp::LpResult next = solver.resolve_dual(try_lb, try_ub, current.basis, &inverse);
       if (next.status == lp::LpStatus::Optimal) {
         lb = std::move(try_lb);
         ub = std::move(try_ub);

@@ -19,8 +19,8 @@ HeuristicResult rounding_heuristic(const MipModel& model, const lp::StandardForm
                                    std::span<const double> lp_x, double int_tol = 1e-6);
 
 /// Fractional diving: repeatedly fix the most fractional variable to its
-/// nearest integer and dual-resolve; backtracks once per level on
-/// infeasibility.
+/// nearest integer and dual-resolve from the previous level's basis and
+/// B⁻¹; backtracks once per level on infeasibility.
 HeuristicResult diving_heuristic(const MipModel& model, const lp::StandardForm& form,
                                  lp::SimplexSolver& solver, const lp::LpResult& relaxation,
                                  int max_dives = 100, double int_tol = 1e-6);

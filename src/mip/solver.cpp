@@ -1,5 +1,7 @@
 #include "mip/solver.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "check/invariants.hpp"
@@ -30,6 +32,73 @@ constexpr double kFeasTol = 1e-6;
 bool within(double v, double lb, double ub) {
   return v >= lb - kFeasTol * (1.0 + std::fabs(lb)) && v <= ub + kFeasTol * (1.0 + std::fabs(ub));
 }
+
+/// m x m buffers of the B⁻¹ store. Under best-first the frontier outgrows
+/// any small store, so eviction decides which children keep their inverse.
+constexpr int kInverseSlots = 64;
+
+/// Parents' final B⁻¹ for their children to inherit (paper C3). A slot holds
+/// one branched parent's inverse, shared by its two children, and is free
+/// again once neither child is active. When every slot is busy, the slot
+/// whose children have the worst bound (best-first pops them last) is
+/// evicted: its children refactorize their warm basis instead.
+class InverseStore {
+ public:
+  /// The parent inverse `node` inherits, or nullptr when it has none.
+  const linalg::Matrix* find(const BnbNode& node) const {
+    if (node.inverse_slot < 0) return nullptr;
+    const Slot& slot = slots_[static_cast<std::size_t>(node.inverse_slot)];
+    return slot.owner == node.parent ? &slot.binv : nullptr;
+  }
+
+  /// Keeps a copy of `binv`, the final inverse of node `owner`, for the
+  /// children about to be pushed with bound `bound`; returns their slot.
+  /// The copy goes into the slot's own buffer, so a run allocates at most
+  /// kInverseSlots of them.
+  int keep(const NodePool& pool, int owner, double bound, const linalg::Matrix& binv) {
+    const int s = acquire(pool);
+    Slot& slot = slots_[static_cast<std::size_t>(s)];
+    slot.owner = owner;
+    slot.bound = bound;
+    slot.children = {-1, -1};
+    slot.binv = binv;
+    return s;
+  }
+
+  /// Records a child pushed with slot `s` (at most two per slot).
+  void add_child(int s, int child) {
+    Slot& slot = slots_[static_cast<std::size_t>(s)];
+    slot.children[slot.children[0] < 0 ? 0 : 1] = child;
+  }
+
+ private:
+  struct Slot {
+    linalg::Matrix binv;
+    int owner = -1;  ///< node whose final inverse `binv` is
+    std::array<int, 2> children{-1, -1};
+    double bound = 0.0;  ///< the children's bound (min form)
+  };
+
+  int acquire(const NodePool& pool) {
+    if (slots_.size() < static_cast<std::size_t>(kInverseSlots)) {
+      slots_.emplace_back();
+      return static_cast<int>(slots_.size()) - 1;
+    }
+    // Reuse the first slot none of whose children is still active.
+    std::size_t worst = 0;
+    for (std::size_t s = 0; s < slots_.size(); ++s) {
+      const Slot& slot = slots_[s];
+      const bool busy = std::any_of(slot.children.begin(), slot.children.end(), [&](int c) {
+        return c >= 0 && pool.node(c).state == NodeState::Active;
+      });
+      if (!busy) return static_cast<int>(s);
+      if (slot.bound > slots_[worst].bound) worst = s;
+    }
+    return static_cast<int>(worst);
+  }
+
+  std::vector<Slot> slots_;
+};
 
 }  // namespace
 
@@ -187,6 +256,7 @@ MipResult BnbSolver::run(const ConsistentSnapshot* snapshot) {
 
   int last_evaluated = -1;
   bool hit_node_limit = false;
+  InverseStore inverses;
 
   long last_snapshot_at = 0;
   while (!pool_->active_empty()) {
@@ -255,11 +325,13 @@ MipResult BnbSolver::run(const ConsistentSnapshot* snapshot) {
     }
     lp::LpResult lp_result;
     switch (method) {
-      case lp::LpMethod::Simplex:
+      case lp::LpMethod::Simplex: {
+        const lp::BasisInverse inherited{inverses.find(node), node.inverse_etas};
         lp_result = node.warm_basis.empty()
                         ? lp_solver_->solve(node.lb, node.ub, nullptr)
-                        : lp_solver_->resolve_dual(node.lb, node.ub, node.warm_basis);
+                        : lp_solver_->resolve_dual(node.lb, node.ub, node.warm_basis, &inherited);
         break;
+      }
       case lp::LpMethod::InteriorPoint:
         lp_result = ipm_solver_->solve(node.lb, node.ub);
         break;
@@ -284,6 +356,7 @@ MipResult BnbSolver::run(const ConsistentSnapshot* snapshot) {
     tr.node_id = id;
     tr.parent = node.parent;
     tr.hot = node.parent >= 0 && node.parent == last_evaluated;
+    tr.inherited = lp_result.inherited_inverse;
     tr.lp_status = lp_result.status;
     tr.ops = lp_result.ops;
     trace_.push_back(tr);
@@ -372,11 +445,24 @@ MipResult BnbSolver::run(const ConsistentSnapshot* snapshot) {
 
     pool_->set_state(id, NodeState::Branched);
     GPUMIP_TRACE_INSTANT("gpumip.mip.node.branched", id);
-    if (down.lb[static_cast<std::size_t>(var)] <= down.ub[static_cast<std::size_t>(var)] + 1e-9) {
-      pool_->push(std::move(down));
+    const auto k = static_cast<std::size_t>(var);
+    const bool push_down = down.lb[k] <= down.ub[k] + 1e-9;
+    const bool push_up = up.lb[k] <= up.ub[k] + 1e-9;
+    if (!lp_result.binv.empty() && (push_down || push_up)) {
+      // Branching changes bounds, never B: the final inverse is exactly
+      // where each child's dual simplex starts.
+      down.inverse_slot = up.inverse_slot =
+          inverses.keep(*pool_, id, down.bound, lp_result.binv);
+      down.inverse_etas = up.inverse_etas = lp_result.etas_since_refactor;
     }
-    if (up.lb[static_cast<std::size_t>(var)] <= up.ub[static_cast<std::size_t>(var)] + 1e-9) {
-      pool_->push(std::move(up));
+    const int slot = down.inverse_slot;
+    if (push_down) {
+      const int child = pool_->push(std::move(down));
+      if (slot >= 0) inverses.add_child(slot, child);
+    }
+    if (push_up) {
+      const int child = pool_->push(std::move(up));
+      if (slot >= 0) inverses.add_child(slot, child);
     }
   }
 

@@ -74,6 +74,8 @@ struct NodeTrace {
   int node_id = -1;
   int parent = -1;
   bool hot = false;  ///< parent was the previously evaluated node (locality)
+  /// The simplex started from the parent's B⁻¹ instead of refactorizing.
+  bool inherited = false;
   lp::LpStatus lp_status = lp::LpStatus::NumericalTrouble;
   lp::LpOpStats ops;
 };

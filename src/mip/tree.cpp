@@ -143,6 +143,12 @@ void NodePool::set_state(int id, NodeState state) {
   check_internal(n.state == NodeState::Active || state != NodeState::Active,
                  "cannot re-activate a finished node");
   n.state = state;
+  if (state != NodeState::Active) {
+    // A finished node is never solved again: release its warm start.
+    n.warm_basis = {};
+    n.warm_x = {};
+    n.warm_y = {};
+  }
   switch (state) {
     case NodeState::Branched: ++anatomy_.branched; break;
     case NodeState::FeasibleLeaf: ++anatomy_.feasible_leaves; break;

@@ -29,13 +29,18 @@ struct BnbNode {
   int depth = 0;
   int branch_var = -1;     ///< variable the parent branched on (-1 for root)
   bool branch_up = false;  ///< true: lower bound was raised (ceil side)
+  /// Slot of BnbSolver's B⁻¹ store that holds the parent's final inverse of
+  /// `warm_basis` (-1: none, the warm start refactorizes), and that
+  /// inverse's eta updates since its last refactorization.
+  int inverse_slot = -1;
+  int inverse_etas = 0;
+  NodeState state = NodeState::Active;
   double bound = -1e300;   ///< parent LP objective (min form): lower bound
   linalg::Vector lb, ub;   ///< full standard-form bound vectors of this node
   lp::Basis warm_basis;    ///< parent's optimal basis for warm starting
   /// Parent's primal/dual iterates when the parent was solved by PDHG
   /// (basis-free): the first-order warm-start currency. Empty otherwise.
   linalg::Vector warm_x, warm_y;
-  NodeState state = NodeState::Active;
   double lp_objective = 0.0;  ///< set when evaluated
 };
 
@@ -91,7 +96,8 @@ class NodePool {
   const BnbNode& node(int id) const { return nodes_[static_cast<std::size_t>(id)]; }
   int size() const noexcept { return static_cast<int>(nodes_.size()); }
 
-  /// Re-tags a node and maintains anatomy counters.
+  /// Re-tags a node and maintains anatomy counters. A node leaving the
+  /// active state drops its warm-start data (basis, PDHG iterates).
   void set_state(int id, NodeState state);
 
   /// Ids of currently active nodes (a consistent snapshot's frontier).

@@ -29,6 +29,13 @@ double tree_op_seconds(const lp::CpuCostModel& cpu, int num_vars) {
   return 6.0 * static_cast<double>(num_vars) / cpu.flops + 3.0 * cpu.per_op_overhead;
 }
 
+/// Refactorizations the device replay charges for `node`: what the host
+/// ran, plus one when the node inherited its parent's inverse while another
+/// node's was device-resident (the device keeps only the resident basis).
+long device_refactors(const mip::NodeTrace& node) {
+  return node.ops.refactor + (node.inherited && !node.hot ? 1 : 0);
+}
+
 /// Gathers transfer/kernels/peak-memory counters from a device.
 void harvest(const gpu::Device& device, StrategyReport& report) {
   const auto& stats = device.stats();
@@ -83,7 +90,9 @@ void replay_s1(const mip::BnbSolver& solver, const lp::StandardForm& form,
       for (long it = 0; it < 2 * std::max<long>(node.ops.iterations, 1); ++it) {
         device.launch(0, control, {});
       }
-      lp::charge_to_device(device, 0, node.ops, /*sparse_pricing=*/false);
+      lp::LpOpStats ops = node.ops;
+      ops.refactor = device_refactors(node);
+      lp::charge_to_device(device, 0, ops, /*sparse_pricing=*/false);
     }
     // Result download.
     std::vector<double> solution(static_cast<std::size_t>(form.num_struct), 0.0);
@@ -123,10 +132,10 @@ void replay_s2_s3(const mip::BnbSolver& solver, const lp::StandardForm& form,
     for (const mip::NodeTrace& node : solver.trace()) {
       host += tree_op_seconds(config.cpu, form.num_vars);
       lp::LpOpStats ops = node.ops;
+      ops.refactor = device_refactors(node);
       if (node.hot) {
-        // Resident basis continues: skip the warm-start refactorization and
-        // ship only the branched bound change.
-        ops.refactor = std::max<long>(0, ops.refactor - 1);
+        // The parent's basis is still resident: ship only the branched
+        // bound change.
         device.copy_h2d(0, lp_buf, bound_delta.data(), bound_delta.size() * sizeof(double));
       } else {
         // Jump to a distant node: full bound vectors + basis reload.
@@ -201,10 +210,8 @@ void replay_s4(const mip::BnbSolver& solver, const lp::StandardForm& form,
     const double t_gather =
         static_cast<double>(d - 1) *
         (config.interconnect.wire_time(2 * sizeof(double)) + hop_overhead);
-    gpu::KernelCost refactor_op =
-        gpu::KernelCost::dense((2.0 / 3.0 + 1.0) * mm * mm * mm, mm * mm);
-    refactor_op.occupancy = basis_op.occupancy;
-    const double t_refactor = gpu::kernel_seconds(config.device, refactor_op);
+    const double t_refactor =
+        gpu::kernel_seconds(config.device, lp::refactor_kernel_cost(form.num_rows));
 
     double network = 0.0;
     double host = 0.0;
@@ -215,10 +222,9 @@ void replay_s4(const mip::BnbSolver& solver, const lp::StandardForm& form,
       // btran + bcast + parallel price + gather + ftran + eta update.
       const double iter_path = t_basis + t_bcast + t_price + t_gather + 2.0 * t_basis;
       const long iters = std::max<long>(node.ops.iterations, 1);
-      timeline += static_cast<double>(iters) * iter_path +
-                  static_cast<double>(node.ops.refactor) * t_refactor;
-      dev0_busy += static_cast<double>(iters) * 3.0 * t_basis +
-                   static_cast<double>(node.ops.refactor) * t_refactor;
+      const auto refactors = static_cast<double>(device_refactors(node));
+      timeline += static_cast<double>(iters) * iter_path + refactors * t_refactor;
+      dev0_busy += static_cast<double>(iters) * 3.0 * t_basis + refactors * t_refactor;
       network += static_cast<double>(iters) * (t_bcast + t_gather);
     }
     report.device_seconds = dev0_busy + static_cast<double>(solver.trace().size()) * t_price;

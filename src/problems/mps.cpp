@@ -27,6 +27,12 @@ double number(const std::string& tok) {
   return value;
 }
 
+std::string show(double value) {
+  std::ostringstream out;
+  out << value;
+  return out.str();
+}
+
 struct RowInfo {
   char type = 'N';  // N, L, G, E
   int index = -1;   // model row index (-1 for the objective N row)
@@ -47,6 +53,21 @@ mip::MipModel read_mps(std::istream& in) {
   bool saw_endata = false;
   // Columns that got an explicit bound (to keep MPS default semantics).
   std::map<int, bool> has_lower_bound;
+  int line_no = 0;
+  // Line of each column's last BOUNDS entry. Bounds may cross while the
+  // section is read (UP before a higher LO, then a higher UP), so a crossed
+  // pair is reported once the section ends, at that line.
+  std::map<int, int> last_bounds_line;
+  auto check_bounds = [&] {
+    for (const auto& [j, at] : last_bounds_line) {
+      const lp::ColumnDef& col = lp.col(j);
+      if (!(col.lb <= col.ub)) {  // negated so that a NaN bound fails too
+        io_fail("line " + std::to_string(at) + ": bounds of column '" + col.name +
+                "' cross (lb " + show(col.lb) + " > ub " + show(col.ub) + ")");
+      }
+    }
+    last_bounds_line.clear();
+  };
 
   auto get_col = [&](const std::string& name, bool integer) {
     auto it = cols.find(name);
@@ -58,11 +79,13 @@ mip::MipModel read_mps(std::istream& in) {
   };
 
   while (std::getline(in, line)) {
+    ++line_no;
     if (line.empty() || line[0] == '*') continue;
     const bool is_header = !std::isspace(static_cast<unsigned char>(line[0]));
     std::vector<std::string> tok = split_ws(line);
     if (tok.empty()) continue;
     if (is_header) {
+      check_bounds();
       const std::string head = to_upper(tok[0]);
       if (head == "NAME") {
         continue;
@@ -165,6 +188,7 @@ mip::MipModel read_mps(std::istream& in) {
       if (it == cols.end()) io_fail("unknown BOUNDS column '" + tok[2] + "'");
       lp::ColumnDef& col = lp.col(it->second);
       const double value = tok.size() >= 4 ? number(tok[3]) : 0.0;
+      last_bounds_line[it->second] = line_no;
       if (type == "UP") {
         col.ub = value;
         // MPS quirk: UP with a negative value and no prior LO makes lb -inf.
@@ -201,6 +225,7 @@ mip::MipModel read_mps(std::istream& in) {
       io_fail("data before any section: " + line);
     }
   }
+  check_bounds();
   if (!saw_endata) io_fail("missing ENDATA");
   model.validate();
   return model;

@@ -485,17 +485,42 @@ BOUNDS
 ENDATA
 )";
   ASSERT_NO_THROW(static_cast<void>(problems::read_mps_string(original)));
-  // Model validation, not the reader, rejects a crossed bound pair (say,
-  // LO above UP), so that one failure is kInvalidArgument with no line.
   const int failures = fuzz_reader(
       original, 0xB0B5u,
       [](const std::string& text) { static_cast<void>(problems::read_mps_string(text)); },
-      [](const Error& e) {
-        return e.code() == ErrorCode::kIoError ||
-               (e.code() == ErrorCode::kInvalidArgument &&
-                std::string(e.what()).find("lb > ub") != std::string::npos);
-      });
+      [](const Error& e) { return e.code() == ErrorCode::kIoError; });
   EXPECT_GT(failures, 0);
+}
+
+TEST(MpsHardening, CrossedBoundsNameTheLastBoundsLine) {
+  const std::string head = R"(NAME CROSS
+ROWS
+ N COST
+ L LIM1
+COLUMNS
+ X COST 1.0 LIM1 1.0
+ Y COST 1.0 LIM1 1.0
+RHS
+ RHS1 LIM1 10.0
+BOUNDS
+)";
+  // Crossed only for a moment (UP 2, then LO 5, then UP 8): a valid file.
+  const mip::MipModel ok =
+      problems::read_mps_string(head + " UP BND1 X 2.0\n LO BND1 X 5.0\n UP BND1 X 8.0\nENDATA\n");
+  EXPECT_EQ(ok.lp().col(0).lb, 5.0);
+  EXPECT_EQ(ok.lp().col(0).ub, 8.0);
+  // Still crossed when the section ends: the error names line 12, X's last
+  // BOUNDS entry, not Y's later one.
+  try {
+    static_cast<void>(problems::read_mps_string(
+        head + " UP BND1 X 8.0\n LO BND1 X 9.0\n UP BND1 Y 4.0\nENDATA\n"));
+    ADD_FAILURE() << "crossed bounds accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kIoError);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line 12"), std::string::npos) << what;
+    EXPECT_NE(what.find("'X'"), std::string::npos) << what;
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
@@ -266,6 +267,7 @@ TEST(DualSimplex, DetectsChildInfeasibility) {
 
 TEST(DualSimplex, RandomizedAgreementWithColdSolve) {
   Rng rng(202);
+  int inherited = 0;
   for (int trial = 0; trial < 10; ++trial) {
     LpModel m;
     const int n = 12, rows = 8;
@@ -292,7 +294,67 @@ TEST(DualSimplex, RandomizedAgreementWithColdSolve) {
     if (cold.status == LpStatus::Optimal) {
       EXPECT_NEAR(dual.objective, cold.objective, 1e-6) << "trial " << trial;
     }
+
+    // A child that installs the parent's final B⁻¹ reaches the same answer
+    // as one that refactorizes the same basis, without refactorizing. (A
+    // basis that kept an artificial is no warm start either way.)
+    if (std::any_of(root.basis.basic.begin(), root.basis.basic.end(),
+                    [&](int v) { return v >= form.num_vars; })) {
+      continue;
+    }
+    ASSERT_EQ(root.binv.rows(), form.num_rows);
+    ASSERT_EQ(root.binv.cols(), form.num_rows);
+    const BasisInverse parent{&root.binv, root.etas_since_refactor};
+    const LpResult child = solver.resolve_dual(lb, ub, root.basis, &parent);
+    EXPECT_FALSE(dual.inherited_inverse);
+    EXPECT_EQ(dual.ops.refactor, 1) << "trial " << trial;
+    EXPECT_TRUE(child.inherited_inverse) << "trial " << trial;
+    EXPECT_EQ(child.ops.refactor, 0) << "trial " << trial;
+    ASSERT_EQ(child.status, dual.status) << "trial " << trial;
+    if (dual.status == LpStatus::Optimal) {
+      EXPECT_NEAR(child.objective, dual.objective, 1e-9) << "trial " << trial;
+      for (std::size_t k = 0; k < dual.x.size(); ++k) {
+        EXPECT_NEAR(child.x[k], dual.x[k], 1e-9) << "trial " << trial << " var " << k;
+      }
+      EXPECT_EQ(child.etas_since_refactor, root.etas_since_refactor + child.ops.eta_updates);
+    }
+    ++inherited;
   }
+  EXPECT_GE(inherited, 5);
+}
+
+TEST(DualSimplex, UnusableInheritedInverseRefactorizesOnce) {
+  // An inverse whose eta count is due, or whose size does not match the
+  // basis, is ignored: the warm start refactorizes exactly once.
+  LpModel m;
+  m.set_sense(Sense::Maximize);
+  const int x = m.add_col(3.0, 0, 10), y = m.add_col(5.0, 0, 10);
+  m.add_row_le({{x, 1.0}}, 4.0);
+  m.add_row_le({{y, 2.0}}, 12.0);
+  m.add_row_le({{x, 3.0}, {y, 2.0}}, 18.0);
+  const StandardForm form = build_standard_form(m);
+  SimplexSolver solver(form);
+  LpResult root = solver.solve_default();
+  ASSERT_EQ(root.status, LpStatus::Optimal);
+  Vector lb = form.lb, ub = form.ub;
+  ub[0] = 1.0;
+
+  const linalg::Matrix wrong_size(form.num_rows + 1, form.num_rows + 1);
+  for (const BasisInverse& unusable :
+       {BasisInverse{&root.binv, solver.options().refactor_interval},
+        BasisInverse{&root.binv, solver.options().refactor_interval + 5},
+        BasisInverse{&wrong_size, 0}}) {
+    const LpResult child = solver.resolve_dual(lb, ub, root.basis, &unusable);
+    ASSERT_EQ(child.status, LpStatus::Optimal);
+    EXPECT_FALSE(child.inherited_inverse);
+    EXPECT_EQ(child.ops.refactor, 1);
+    EXPECT_NEAR(form.user_objective(child.objective), 33.0, 1e-7);  // x=1, y=6
+  }
+  const BasisInverse usable{&root.binv, root.etas_since_refactor};
+  const LpResult child = solver.resolve_dual(lb, ub, root.basis, &usable);
+  EXPECT_TRUE(child.inherited_inverse);
+  EXPECT_EQ(child.ops.refactor, 0);
+  EXPECT_NEAR(form.user_objective(child.objective), 33.0, 1e-7);
 }
 
 // ---------- interior point ----------

@@ -264,6 +264,72 @@ TEST(Trace, RecordsPerNodeOps) {
   EXPECT_FALSE(solver.trace().front().hot);
 }
 
+TEST(Trace, ChildrenInheritTheParentInverse) {
+  // Branching changes bounds, never B, so a child starts from its parent's
+  // final B⁻¹: on 16x28 random MIPs (the perfbench bnb_tree shape) well
+  // under one in three node solves refactorizes.
+  long nodes = 0, refactors = 0, inherited = 0;
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    RandomMipConfig cfg;
+    cfg.rows = 16;
+    cfg.cols = 28;
+    cfg.bound = 4.0;
+    BnbSolver solver(problems::random_mip(cfg, rng));
+    MipResult r = solver.solve();
+    ASSERT_EQ(r.status, MipStatus::Optimal) << "seed " << seed;
+    nodes += r.stats.nodes_evaluated;
+    refactors += r.stats.total_ops.refactor;
+    for (const NodeTrace& t : solver.trace()) inherited += t.inherited ? 1 : 0;
+    EXPECT_FALSE(solver.trace().front().inherited);  // the root has no parent
+  }
+  ASSERT_GT(nodes, 100);
+  EXPECT_LT(static_cast<double>(refactors) / static_cast<double>(nodes), 0.3);
+  EXPECT_GT(inherited, nodes / 2);
+}
+
+TEST(Trace, InverseStoreEvictionKeepsTheOptimum) {
+  // Jeroslow-style parity rows (2·Σx + y = odd, y in [0, 1]) give LP bounds
+  // that stay flat for many levels, so the best-first frontier grows far
+  // past the store's 64 slots. More than 128 active nodes means some slot
+  // was evicted: a slot serves at most two children, and one with an active
+  // child is never reclaimed. Evicted children refactorize; the optimum
+  // must still match enumeration.
+  for (int rows : {2, 3, 4}) {
+    for (std::uint64_t seed : {1u, 2u}) {
+      Rng rng(seed);
+      MipModel m;
+      std::vector<int> x;
+      for (int i = 0; i < 13; ++i) x.push_back(m.add_bin_col(1e-3 * rng.uniform(0.0, 1.0)));
+      for (int r = 0; r < rows; ++r) {
+        std::vector<lp::Term> terms{{m.add_col(1.0, 0.0, 1.0), 1.0}};
+        int count = 0;
+        for (int v : x) {
+          if (rng.uniform(0.0, 1.0) < 0.6) {
+            terms.push_back({v, 2.0});
+            ++count;
+          }
+        }
+        m.lp().add_row_eq(terms, static_cast<double>(count | 1));
+      }
+      const MipResult exact = solve_by_enumeration(m);
+      ASSERT_EQ(exact.status, MipStatus::Optimal);
+      MipOptions opts;
+      opts.enable_cuts = false;
+      opts.enable_heuristics = false;
+      opts.lp_method = lp::LpMethod::Simplex;
+      BnbSolver solver(m, opts);
+      const MipResult r = solver.solve();
+      const std::string label = "rows " + std::to_string(rows) + " seed " + std::to_string(seed);
+      EXPECT_GT(r.stats.anatomy.active_peak, 2 * 64) << label;
+      ASSERT_EQ(r.status, MipStatus::Optimal) << label;
+      EXPECT_NEAR(r.objective, exact.objective, 1e-9) << label;
+      EXPECT_TRUE(m.is_integral(r.x)) << label;
+      EXPECT_TRUE(m.is_feasible(r.x)) << label;
+    }
+  }
+}
+
 TEST(Trace, GpuLocalityRaisesHotFraction) {
   Rng rng(51);
   RandomMipConfig cfg;

@@ -3,6 +3,8 @@
 #include <atomic>
 #include <cmath>
 
+#include "gpu/device.hpp"
+#include "lp/op_stats.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/simmpi.hpp"
 #include "parallel/strategies.hpp"
@@ -447,17 +449,20 @@ TEST(Strategies, AllFourReachTheSameOptimum) {
 }
 
 TEST(Strategies, SeededBnbTreeReplayIsBitExact) {
-  // Golden values recorded before the multi-right-hand-side DenseLU
-  // inverse: a host-only speedup must leave the search and every
-  // simulated second unchanged, bit for bit.
+  // A host-only speedup must leave the search and every simulated second
+  // unchanged, bit for bit. Re-recorded when children began inheriting
+  // their parent's B⁻¹: refactorizations fell from 656 and 33 to what the
+  // host now runs, and a non-hot inherited node is charged one device
+  // refactorization instead (seed 1's sim_seconds was 0x1.722c6c83838cdp-4;
+  // seed 2's did not move).
   struct Golden {
     std::uint64_t seed;
     long nodes;
     long refactor;
     double sim_seconds;
   };
-  for (const Golden& g : {Golden{1, 653, 656, 0x1.722c6c83838cdp-4},
-                          Golden{2, 31, 33, 0x1.b1c3131b96643p-8}}) {
+  for (const Golden& g : {Golden{1, 653, 58, 0x1.72442842dcb8p-4},
+                          Golden{2, 31, 3, 0x1.b1c3131b96643p-8}}) {
     const mip::MipModel m = test_mip(g.seed, 16, 28);
     const StrategyReport r = run_strategy(Strategy::S2_CpuOrchestrated, m, StrategyConfig{});
     ASSERT_TRUE(r.completed) << r.failure;
@@ -465,6 +470,41 @@ TEST(Strategies, SeededBnbTreeReplayIsBitExact) {
     EXPECT_EQ(r.result.stats.nodes_evaluated, g.nodes) << "seed " << g.seed;
     EXPECT_EQ(r.result.stats.total_ops.refactor, g.refactor) << "seed " << g.seed;
     EXPECT_EQ(r.sim_seconds, g.sim_seconds) << "seed " << g.seed;
+  }
+}
+
+TEST(Strategies, InheritedInverseIsRebuiltOnceOnTheDevice) {
+  // A node that inherited its parent's B⁻¹ while another node's basis was
+  // resident costs the S2 replay exactly one device refactorization on top
+  // of the operations the host ran, and no extra transfer.
+  const mip::MipModel m = test_mip(1, 16, 28);
+  StrategyConfig cfg;
+  mip::BnbSolver solver(m, cfg.mip);
+  static_cast<void>(solver.solve());
+  long rebuilt = 0;
+  std::uint64_t hot = 0;
+  gpu::Device host_ops(cfg.device);
+  for (const mip::NodeTrace& t : solver.trace()) {
+    rebuilt += t.inherited && !t.hot ? 1 : 0;
+    hot += t.hot ? 1 : 0;
+    lp::charge_to_device(host_ops, 0, t.ops, /*sparse_pricing=*/false);
+  }
+  ASSERT_GT(rebuilt, 0);
+  const std::uint64_t nodes = solver.trace().size();
+
+  auto launches = [] {
+    return obs::kObsEnabled ? obs::counter("gpumip.gpu.kernel.launches").value() : 0;
+  };
+  const std::uint64_t before = launches();
+  const StrategyReport r = run_strategy(Strategy::S2_CpuOrchestrated, m, cfg);
+  const std::uint64_t replay_launches = launches() - before;
+  ASSERT_TRUE(r.completed) << r.failure;
+  ASSERT_EQ(r.result.stats.nodes_evaluated, static_cast<long>(nodes));
+  // Matrix upload; per node a bound delta (hot) or bounds + basis (cold),
+  // then the objective readback.
+  EXPECT_EQ(r.transfers, 1 + hot + 2 * (nodes - hot) + nodes);
+  if (obs::kObsEnabled) {
+    EXPECT_EQ(replay_launches, host_ops.stats().kernels + static_cast<std::uint64_t>(rebuilt));
   }
 }
 
