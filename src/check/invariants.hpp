@@ -21,7 +21,6 @@
 
 #include <cmath>
 #include <string>
-#include <vector>
 
 #include "check/registry.hpp"
 #include "linalg/matrix.hpp"
@@ -180,10 +179,10 @@ inline void check_tree(const mip::NodePool& pool, double tol = 1e-9) {
 /// Validates a consistent snapshot: every frontier node has matching,
 /// ordered bound vectors; node bounds do not exceed the incumbent (worse
 /// nodes must have been pruned before capture); and when the standard form
-/// is supplied, vector sizes match it and the incumbent point respects its
-/// structural bounds. `in_flight` is the number of nodes currently assigned
-/// to workers — a parallel snapshot is only consistent when it is zero
-/// (section 2.1's in-flight hazard).
+/// is supplied, vector sizes match it, every carried basis fits it, and the
+/// incumbent point respects its structural bounds. `in_flight` is the
+/// number of nodes currently assigned to workers — a parallel snapshot is
+/// only consistent when it is zero (section 2.1's in-flight hazard).
 inline void check_snapshot(const mip::ConsistentSnapshot& snap,
                            const lp::StandardForm* form = nullptr, long in_flight = 0,
                            double tol = 1e-6) {
@@ -211,6 +210,11 @@ inline void check_snapshot(const mip::ConsistentSnapshot& snap,
     require(!(node.bound > snap.incumbent_objective + tol), s,
             "frontier node " + std::to_string(i) +
                 " bound exceeds the incumbent (should have been pruned)");
+    if (form != nullptr && !node.basis.empty()) {
+      if (const char* fault = lp::basis_fault(node.basis, form->num_rows, form->num_vars)) {
+        detail::fail(s, "frontier node " + std::to_string(i) + " basis: " + fault);
+      }
+    }
   }
   // An incumbent objective without a point is a bound-only cutoff (e.g. a
   // worker inheriting the supervisor's global incumbent value): nothing to
@@ -237,28 +241,9 @@ inline void check_snapshot(const mip::ConsistentSnapshot& snap,
 /// distinct; exactly num_rows Basic entries in `status`.
 inline void check_basis(const lp::StandardForm& form, const lp::Basis& basis) {
   count_check(Subsystem::kBasis);
-  using detail::require;
-  const Subsystem s = Subsystem::kBasis;
-  require(basis.basic.size() == static_cast<std::size_t>(form.num_rows), s,
-          "basic size != num_rows");
-  require(basis.status.size() == static_cast<std::size_t>(form.num_vars), s,
-          "status size != num_vars");
-  std::vector<char> seen(static_cast<std::size_t>(form.num_vars), 0);
-  for (std::size_t i = 0; i < basis.basic.size(); ++i) {
-    const int v = basis.basic[i];
-    require(v >= 0 && v < form.num_vars, s,
-            "basic variable out of range in row " + std::to_string(i));
-    require(!seen[static_cast<std::size_t>(v)], s,
-            "variable " + std::to_string(v) + " basic in two rows");
-    seen[static_cast<std::size_t>(v)] = 1;
-    require(basis.status[static_cast<std::size_t>(v)] == lp::VarStatus::Basic, s,
-            "basic variable " + std::to_string(v) + " not flagged Basic");
+  if (const char* fault = lp::basis_fault(basis, form.num_rows, form.num_vars)) {
+    detail::fail(Subsystem::kBasis, fault);
   }
-  long basic_count = 0;
-  for (lp::VarStatus st : basis.status) {
-    if (st == lp::VarStatus::Basic) ++basic_count;
-  }
-  require(basic_count == form.num_rows, s, "Basic status count != num_rows");
 }
 
 /// Residual ‖B·(B⁻¹x) − x‖∞ for the probe x = (1,…,1): measures how far the

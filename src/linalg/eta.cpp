@@ -5,19 +5,23 @@
 namespace gpumip::linalg {
 
 Eta Eta::from_ftran(std::span<const double> y, int r, double tol) {
+  Eta eta;
+  eta.column.resize(y.size());
+  eta.assign_from_ftran(y, r, tol);
+  return eta;
+}
+
+void Eta::assign_from_ftran(std::span<const double> y, int r, double tol) {
   check_arg(r >= 0 && r < static_cast<int>(y.size()), "Eta::from_ftran: bad pivot row");
+  check_arg(column.size() == y.size(), "Eta::assign_from_ftran: column size mismatch");
   const double yr = y[static_cast<std::size_t>(r)];
   if (std::fabs(yr) < tol) {
     throw NumericalError("eta update: pivot element " + std::to_string(yr) + " too small");
   }
-  Eta eta;
-  eta.pivot_row = r;
-  // gpumip-lint: hot-alloc(one eta column per pivot IS the product-form representation; freed at refactorization)
-  eta.column.resize(y.size());
+  pivot_row = r;
   const double inv = 1.0 / yr;
-  for (std::size_t i = 0; i < y.size(); ++i) eta.column[i] = -y[i] * inv;
-  eta.column[static_cast<std::size_t>(r)] = inv;
-  return eta;
+  for (std::size_t i = 0; i < y.size(); ++i) column[i] = -y[i] * inv;
+  column[static_cast<std::size_t>(r)] = inv;
 }
 
 // The per-pivot B⁻¹ update of the simplex. Its entry is pinned to a 64-byte

@@ -25,6 +25,11 @@ struct Eta {
   /// Throws NumericalError if |y_r| < tol (unstable pivot).
   static Eta from_ftran(std::span<const double> y, int r, double tol = 1e-11);
 
+  /// from_ftran into this eta's own storage: `column` must already have
+  /// y.size() entries, so a simplex pivot rebuilds its eta without
+  /// allocating. Throws like from_ftran.
+  void assign_from_ftran(std::span<const double> y, int r, double tol = 1e-11);
+
   /// M := E M, column by column (dense rank-1-style kernel; the form a GPU
   /// would run to keep an explicit device-resident B⁻¹ current).
   void apply_to_matrix(Matrix& m) const;

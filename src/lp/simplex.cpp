@@ -52,10 +52,13 @@ struct SimplexSolver::Workspace {
   LpOpStats ops;
   // Per-pivot scratch, sized once in init_workspace so the iteration loop
   // never allocates: compute_duals fills dual_cb/dual_y, ftran_column
-  // fills ftran_w, each returning a reference to its buffer.
+  // fills ftran_w, each returning a reference to its buffer; the dual loop
+  // copies row r of B⁻¹ into rho, and each pivot rebuilds eta in place.
   linalg::Vector dual_cb;  // size m
   linalg::Vector dual_y;   // size m
   linalg::Vector ftran_w;  // size m
+  linalg::Vector rho;      // size m
+  linalg::Eta eta;         // column of size m
 };
 
 SimplexSolver::SimplexSolver(const StandardForm& form, SimplexOptions options)
@@ -92,6 +95,8 @@ void SimplexSolver::init_workspace(Workspace& ws, std::span<const double> lb,
   ws.dual_cb.assign(static_cast<std::size_t>(m), 0.0);
   ws.dual_y.assign(static_cast<std::size_t>(m), 0.0);
   ws.ftran_w.assign(static_cast<std::size_t>(m), 0.0);
+  ws.rho.assign(static_cast<std::size_t>(m), 0.0);
+  ws.eta.column.assign(static_cast<std::size_t>(m), 0.0);
   ws.ops.m = m;
   ws.ops.n = n;
   ws.ops.nnz = form_->a_rows.nnz();
@@ -149,12 +154,14 @@ bool SimplexSolver::try_warm_start(Workspace& ws, const Basis& warm,
   for (int v : warm.basic) {
     if (v < 0 || v >= ws.n) return false;  // basis mentions artificials: unusable
   }
-  // Install statuses, repairing ones that no longer match the bounds.
+  // Install statuses, repairing ones that no longer match the bounds (a
+  // nonbasic Free variable rests at 0, which a finite bound may exclude).
   for (int v = 0; v < ws.n; ++v) {
     const std::size_t k = static_cast<std::size_t>(v);
     VarStatus st = warm.status[k];
     if (st == VarStatus::AtLower && !std::isfinite(ws.lb[k])) st = default_status(ws.lb[k], ws.ub[k]);
     if (st == VarStatus::AtUpper && !std::isfinite(ws.ub[k])) st = default_status(ws.lb[k], ws.ub[k]);
+    if (st == VarStatus::Free) st = default_status(ws.lb[k], ws.ub[k]);
     ws.status[k] = st;
   }
   for (int i = 0; i < ws.m; ++i) {
@@ -447,8 +454,8 @@ SimplexSolver::PhaseResult SimplexSolver::primal_loop(Workspace& ws,
     ws.basic[static_cast<std::size_t>(leaving_row)] = entering;
 
     try {
-      const linalg::Eta eta = linalg::Eta::from_ftran(w, leaving_row);
-      eta.apply_to_matrix(ws.binv);
+      ws.eta.assign_from_ftran(w, leaving_row);
+      ws.eta.apply_to_matrix(ws.binv);
     } catch (const NumericalError&) {
       return PhaseResult::Singular;
     }
@@ -632,7 +639,7 @@ LpResult SimplexSolver::resolve_dual(std::span<const double> lb, std::span<const
 
     const linalg::Vector& y = compute_duals(ws, cost);
     // Row r of B⁻¹ (the BTRAN of e_r).
-    linalg::Vector rho(static_cast<std::size_t>(ws.m));
+    linalg::Vector& rho = ws.rho;
     for (int k = 0; k < ws.m; ++k) rho[static_cast<std::size_t>(k)] = ws.binv(row, k);
     ++ws.ops.btran;
     ++ws.ops.price_full;
@@ -698,8 +705,8 @@ LpResult SimplexSolver::resolve_dual(std::span<const double> lb, std::span<const
     ws.basic[static_cast<std::size_t>(row)] = entering;
 
     try {
-      const linalg::Eta eta = linalg::Eta::from_ftran(w, row);
-      eta.apply_to_matrix(ws.binv);
+      ws.eta.assign_from_ftran(w, row);
+      ws.eta.apply_to_matrix(ws.binv);
     } catch (const NumericalError&) {
       return finish(ws, LpStatus::NumericalTrouble);
     }

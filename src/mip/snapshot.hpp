@@ -7,6 +7,12 @@
 // must additionally account for in-flight and in-transit nodes (see
 // parallel/supervisor.hpp). Snapshots serialize to a portable text format
 // for checkpoint/restart.
+//
+// In memory a frontier node also carries the optimal basis of its parent,
+// so a resumed node (a subproblem shipped to a supervised worker) starts
+// with a dual-simplex warm start instead of a cold primal solve. The text
+// format stays bounds-only: a node resumed from a checkpoint file has an
+// empty basis and cold-starts.
 #pragma once
 
 #include <iosfwd>
@@ -14,6 +20,7 @@
 #include <vector>
 
 #include "linalg/matrix.hpp"
+#include "lp/basis.hpp"
 
 namespace gpumip::mip {
 
@@ -21,6 +28,9 @@ struct SnapshotNode {
   linalg::Vector lb, ub;  ///< full standard-form bound vectors
   double bound = -1e300;  ///< known lower bound (min form)
   int depth = 0;
+  /// Parent's optimal basis, fully structural (every index < num_vars);
+  /// empty = cold start. Not serialized.
+  lp::Basis basis = {};
 };
 
 struct ConsistentSnapshot {

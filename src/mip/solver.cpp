@@ -191,6 +191,12 @@ ConsistentSnapshot BnbSolver::capture_snapshot() const {
   for (int id : pool_->active_ids()) {
     const BnbNode& n = pool_->node(id);
     snap.frontier.push_back({n.lb, n.ub, n.bound, n.depth});
+    // Only a fully structural basis can warm-start (try_warm_start rejects
+    // artificials), so any other one is not worth carrying.
+    if (std::all_of(n.warm_basis.basic.begin(), n.warm_basis.basic.end(),
+                    [&](int v) { return v < form_->num_vars; })) {
+      snap.frontier.back().basis = n.warm_basis;
+    }
   }
   GPUMIP_VALIDATE(check::check_snapshot(snap, form_.get()));
   return snap;
@@ -204,6 +210,10 @@ MipResult BnbSolver::run(const ConsistentSnapshot* snapshot) {
   incumbent_obj_ = options_.initial_cutoff;  // external bound, no solution yet
   incumbent_x_.clear();
 
+  // The form and its LP solvers are built once and kept across solve_from
+  // calls (a supervised worker resumes every subproblem on one solver);
+  // root cuts rebuild them.
+  const bool new_form = form_ == nullptr || (options_.enable_cuts && snapshot == nullptr);
   if (options_.enable_cuts && snapshot == nullptr) {
     root_cut_loop();
   }
@@ -211,11 +221,13 @@ MipResult BnbSolver::run(const ConsistentSnapshot* snapshot) {
     form_ = std::make_unique<lp::StandardForm>(lp::build_standard_form(model_.lp()));
     lp_solver_ = std::make_unique<lp::SimplexSolver>(*form_, options_.lp);
   }
-  // The alternative relaxation backends work on the same (cut-strengthened)
-  // form. Root cut separation itself stays on the simplex path: the GMI
-  // separator needs a basis, which the basis-free methods cannot supply.
-  ipm_solver_ = std::make_unique<lp::InteriorPointSolver>(*form_, options_.ipm);
-  pdhg_solver_ = std::make_unique<lp::PdhgSolver>(*form_, options_.pdhg);
+  if (new_form) {
+    // The alternative relaxation backends work on the same (cut-strengthened)
+    // form. Root cut separation itself stays on the simplex path: the GMI
+    // separator needs a basis, which the basis-free methods cannot supply.
+    ipm_solver_ = std::make_unique<lp::InteriorPointSolver>(*form_, options_.ipm);
+    pdhg_solver_ = std::make_unique<lp::PdhgSolver>(*form_, options_.pdhg);
+  }
   pool_ = std::make_unique<NodePool>(options_.node_selection);
 
   if (snapshot != nullptr) {
@@ -231,6 +243,7 @@ MipResult BnbSolver::run(const ConsistentSnapshot* snapshot) {
       node.bound = sn.bound;
       node.lb = sn.lb;
       node.ub = sn.ub;
+      node.warm_basis = sn.basis;  // check_resumable proved it fits the form
       pool_->push(std::move(node));
     }
   } else {
@@ -514,6 +527,15 @@ void check_resumable(const MipModel& model, const lp::StandardForm& form,
         throw Error(ErrorCode::kInvalidArgument,
                     "snapshot frontier node " + std::to_string(i) + ": bounds of variable " +
                         std::to_string(j) + " lie outside the model's");
+      }
+    }
+    // The simplex warm start trusts a basis's statuses: a column flagged
+    // Basic but missing from `basic` would sit at 0 unpriced, and the node
+    // would still report Optimal.
+    if (!node.basis.empty()) {
+      if (const char* fault = lp::basis_fault(node.basis, form.num_rows, form.num_vars)) {
+        throw Error(ErrorCode::kInvalidArgument,
+                    "snapshot frontier node " + std::to_string(i) + ": basis " + fault);
       }
     }
   }

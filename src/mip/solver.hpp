@@ -113,13 +113,18 @@ class BnbSolver {
   /// Full solve from the root.
   [[nodiscard]] MipResult solve();
 
-  /// Continue a search from a consistent snapshot (checkpoint restart).
-  /// Throws Error(kInvalidArgument) before any node is evaluated when the
-  /// snapshot does not fit the model (see check_resumable).
+  /// Continue a search from a consistent snapshot (checkpoint restart, or a
+  /// supervised worker's subproblem). A frontier node that carries a basis
+  /// starts from it with the dual simplex. The solver may be reused: each
+  /// call starts a fresh tree on the same form and LP solvers. Throws
+  /// Error(kInvalidArgument) before any node is evaluated when the snapshot
+  /// does not fit the model (see check_resumable).
   [[nodiscard]] MipResult solve_from(const ConsistentSnapshot& snapshot);
 
   /// A consistent snapshot of the current frontier (valid during/after
   /// solve; between node evaluations the active set is exactly consistent).
+  /// Each node carries its parent's basis when that basis is fully
+  /// structural.
   [[nodiscard]] ConsistentSnapshot capture_snapshot() const;
 
   /// Tree inspection (Figure 1 reproduction).
@@ -152,10 +157,11 @@ class BnbSolver {
 
 /// Throws Error(kInvalidArgument) unless `snapshot` can resume a search on
 /// `model`, whose standard form is `form`: every frontier node has
-/// form.num_vars bounds lying inside the form's bounds, and a non-empty
-/// incumbent has form.num_struct entries, is feasible for the model and is
-/// integral within `int_tol`. Allocates nothing when the snapshot fits, so
-/// a per-subproblem resume can afford it.
+/// form.num_vars bounds lying inside the form's bounds and an empty basis or
+/// one that passes lp::basis_fault for the form, and a non-empty incumbent
+/// has form.num_struct entries, is feasible for the model and is integral
+/// within `int_tol`. Allocates nothing when the snapshot fits, so a
+/// per-subproblem resume can afford it.
 void check_resumable(const MipModel& model, const lp::StandardForm& form,
                      const ConsistentSnapshot& snapshot, double int_tol);
 

@@ -445,7 +445,8 @@ RunReport run_ranks(int n, const std::function<void(Comm&)>& body, const RunOpti
 // pointer is undefined behaviour even for zero bytes (UBSan flags it), and
 // empty vectors legitimately cross the wire (e.g. a report with no frontier).
 
-void ByteWriter::write_doubles(std::span<const double> values) {
+template <typename T>
+void ByteWriter::write_array(std::span<const T> values) {
   write<std::uint64_t>(values.size());
   if (values.empty()) return;
   const auto* p = reinterpret_cast<const std::byte*>(values.data());
@@ -453,37 +454,27 @@ void ByteWriter::write_doubles(std::span<const double> values) {
   buffer_.insert(buffer_.end(), p, p + values.size_bytes());
 }
 
-void ByteWriter::write_ints(std::span<const int> values) {
-  write<std::uint64_t>(values.size());
-  if (values.empty()) return;
-  const auto* p = reinterpret_cast<const std::byte*>(values.data());
-  buffer_.insert(buffer_.end(), p, p + values.size_bytes());
-}
+void ByteWriter::write_doubles(std::span<const double> values) { write_array(values); }
 
-std::vector<double> ByteReader::read_doubles() {
+void ByteWriter::write_ints(std::span<const int> values) { write_array(values); }
+
+template <typename T>
+std::vector<T> ByteReader::read_array() {
   const auto count = read<std::uint64_t>();
   // Division form so a corrupt count header cannot overflow the bound
   // check (count * 8 wraps u64 for count >= 2^61); corruption is a
   // protocol error, not a caller bug.
-  check_protocol(count <= (data_.size() - pos_) / sizeof(double),
-                 "read_doubles: out of data");
+  check_protocol(count <= (data_.size() - pos_) / sizeof(T), "ByteReader: array out of data");
   // gpumip-lint: hot-alloc(decode materializes the vector the caller keeps; sized exactly, allocated once)
-  std::vector<double> out(count);
+  std::vector<T> out(count);
   if (count == 0) return out;
-  std::memcpy(out.data(), data_.data() + pos_, count * sizeof(double));
-  pos_ += count * sizeof(double);
+  std::memcpy(out.data(), data_.data() + pos_, count * sizeof(T));
+  pos_ += count * sizeof(T);
   return out;
 }
 
-std::vector<int> ByteReader::read_ints() {
-  const auto count = read<std::uint64_t>();
-  check_protocol(count <= (data_.size() - pos_) / sizeof(int),
-                 "read_ints: out of data");
-  std::vector<int> out(count);
-  if (count == 0) return out;
-  std::memcpy(out.data(), data_.data() + pos_, count * sizeof(int));
-  pos_ += count * sizeof(int);
-  return out;
-}
+std::vector<double> ByteReader::read_doubles() { return read_array<double>(); }
+
+std::vector<int> ByteReader::read_ints() { return read_array<int>(); }
 
 }  // namespace gpumip::parallel

@@ -180,6 +180,9 @@ class ByteWriter {
   std::size_t size() const noexcept { return buffer_.size(); }
 
  private:
+  template <typename T>
+  void write_array(std::span<const T> values);
+
   std::vector<std::byte> buffer_;
 };
 
@@ -201,8 +204,13 @@ class ByteReader {
   std::vector<double> read_doubles();
   std::vector<int> read_ints();
   bool exhausted() const noexcept { return pos_ == data_.size(); }
+  /// Bytes not yet read: the bound a decoder checks a count header against.
+  std::size_t remaining() const noexcept { return data_.size() - pos_; }
 
  private:
+  template <typename T>
+  std::vector<T> read_array();
+
   std::span<const std::byte> data_;
   std::size_t pos_ = 0;
 };

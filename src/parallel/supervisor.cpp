@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <functional>
 #include <optional>
 
 #include "check/invariants.hpp"
@@ -24,49 +25,70 @@ enum Tag : int {
   kTagStop = 4,     // supervisor -> worker: shut down
 };
 
-struct Subproblem {
-  linalg::Vector lb, ub;
-  double bound = -1e300;
-  int depth = 0;
-};
+/// Smallest encoding of a frontier node: bound, depth and four empty arrays.
+constexpr std::size_t kMinNodeBytes = sizeof(double) + sizeof(int) + 4 * sizeof(std::uint64_t);
 
-std::vector<std::byte> encode_subproblem(const Subproblem& sub, double cutoff,
+/// One frontier node's fields in wire order; bases travel as `basic` ints
+/// and one status byte each.
+void write_node(ByteWriter& w, const mip::SnapshotNode& node) {
+  w.write(node.bound);
+  w.write(node.depth);
+  w.write_doubles(node.lb);
+  w.write_doubles(node.ub);
+  w.write_ints(node.basis.basic);
+  w.write<std::uint64_t>(node.basis.status.size());
+  for (lp::VarStatus st : node.basis.status) w.write<std::uint8_t>(static_cast<std::uint8_t>(st));
+}
+
+mip::SnapshotNode read_node(ByteReader& r) {
+  mip::SnapshotNode node;
+  node.bound = r.read<double>();
+  node.depth = r.read<int>();
+  node.lb = r.read_doubles();
+  node.ub = r.read_doubles();
+  node.basis.basic = r.read_ints();
+  const auto count = r.read<std::uint64_t>();
+  check_protocol(count <= r.remaining(), "read_node: status count exceeds the payload");
+  // gpumip-lint: hot-alloc(decode materializes the basis the worker keeps; sized exactly from the header)
+  node.basis.status.resize(count);
+  for (lp::VarStatus& st : node.basis.status) {
+    const auto code = r.read<std::uint8_t>();
+    check_protocol(code <= static_cast<std::uint8_t>(lp::VarStatus::Free),
+                   "read_node: status byte out of range");
+    st = static_cast<lp::VarStatus>(code);
+  }
+  return node;
+}
+
+}  // namespace
+
+std::vector<std::byte> encode_subproblem(const mip::SnapshotNode& node, double cutoff,
                                          std::uint64_t track_id) {
   ByteWriter w;
   w.write(track_id);
   w.write(cutoff);
-  w.write(sub.bound);
-  w.write(sub.depth);
-  w.write_doubles(sub.lb);
-  w.write_doubles(sub.ub);
+  write_node(w, node);
   return std::move(w).take();
 }
-
-struct WorkItem {
-  std::uint64_t track_id = 0;  ///< message-audit tracking id
-  double cutoff;
-  Subproblem sub;
-};
 
 WorkItem decode_subproblem(std::span<const std::byte> payload) {
   ByteReader r(payload);
   WorkItem item;
   item.track_id = r.read<std::uint64_t>();
   item.cutoff = r.read<double>();
-  item.sub.bound = r.read<double>();
-  item.sub.depth = r.read<int>();
-  item.sub.lb = r.read_doubles();
-  item.sub.ub = r.read_doubles();
+  item.node = read_node(r);
   check_protocol(r.exhausted(), "decode_subproblem: trailing bytes after payload");
   return item;
 }
+
+namespace {
 
 struct WorkerReport {
   std::uint64_t track_id = 0;  ///< echo of the assignment's tracking id
   bool improved = false;
   double objective = 0.0;
   linalg::Vector x;
-  std::vector<Subproblem> frontier;  // unsolved remainder (node budget hit)
+  std::vector<mip::SnapshotNode> frontier;  // unsolved remainder (node budget hit)
   long nodes = 0;
   double busy_seconds = 0.0;
 };
@@ -80,12 +102,7 @@ std::vector<std::byte> encode_report(const WorkerReport& report) {
   w.write(report.nodes);
   w.write(report.busy_seconds);
   w.write<std::uint64_t>(report.frontier.size());
-  for (const Subproblem& sub : report.frontier) {
-    w.write(sub.bound);
-    w.write(sub.depth);
-    w.write_doubles(sub.lb);
-    w.write_doubles(sub.ub);
-  }
+  for (const mip::SnapshotNode& node : report.frontier) write_node(w, node);
   return std::move(w).take();
 }
 
@@ -99,14 +116,11 @@ WorkerReport decode_report(std::span<const std::byte> payload) {
   report.nodes = r.read<long>();
   report.busy_seconds = r.read<double>();
   const auto count = r.read<std::uint64_t>();
+  check_protocol(count <= r.remaining() / kMinNodeBytes,
+                 "decode_report: frontier count exceeds the payload");
   // gpumip-lint: hot-alloc(decode materializes the worker's returned frontier; sized exactly from the header)
   report.frontier.resize(count);
-  for (Subproblem& sub : report.frontier) {
-    sub.bound = r.read<double>();
-    sub.depth = r.read<int>();
-    sub.lb = r.read_doubles();
-    sub.ub = r.read_doubles();
-  }
+  for (mip::SnapshotNode& node : report.frontier) node = read_node(r);
   check_protocol(r.exhausted(), "decode_report: trailing bytes after payload");
   return report;
 }
@@ -171,10 +185,10 @@ SupervisorResult run_supervised(const mip::MipModel& model,
   const mip::MipModel& working_model =
       resume != nullptr ? model : ramp_solver.working_model();
 
-  std::deque<Subproblem> pool;
-  for (const mip::SnapshotNode& node : seed.frontier) {
+  std::deque<mip::SnapshotNode> pool;
+  for (mip::SnapshotNode& node : seed.frontier) {
     // gpumip-lint: hot-alloc(the subproblem pool IS the search state; its size is the frontier width, not the node count)
-    pool.push_back({node.lb, node.ub, node.bound, node.depth});
+    pool.push_back(std::move(node));
   }
 
   const int ranks = options.workers + 1;
@@ -191,6 +205,7 @@ SupervisorResult run_supervised(const mip::MipModel& model,
       comm.advance(out.ramp_up_seconds);
       int outstanding = 0;
       std::vector<int> waiting;  // idle workers with no work yet
+      int first_requests = 0;    // workers heard from in the first round
       int stopped = 0;
       long completed = 0;
 
@@ -203,7 +218,7 @@ SupervisorResult run_supervised(const mip::MipModel& model,
       };
       auto dispatch = [&](int worker) {
         const std::size_t idx = best_pool_node();
-        Subproblem sub = std::move(pool[idx]);
+        mip::SnapshotNode sub = std::move(pool[idx]);
         pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(idx));
         const std::uint64_t track_id = auditor.shipped(worker);
         comm.send(worker, kTagWork, encode_subproblem(sub, incumbent_obj, track_id));
@@ -230,9 +245,9 @@ SupervisorResult run_supervised(const mip::MipModel& model,
         snap.incumbent_objective = incumbent_obj;
         snap.incumbent_x = incumbent_x;
         snap.nodes_solved_so_far = completed;
-        for (const Subproblem& sub : pool) {
+        for (const mip::SnapshotNode& sub : pool) {
           // gpumip-lint: hot-alloc(checkpoint snapshot copies the live frontier by design (C2 coverage proof))
-          snap.frontier.push_back({sub.lb, sub.ub, sub.bound, sub.depth});
+          snap.frontier.push_back(sub);
         }
         // Paper C2: the emitted snapshot must cover the live search — the
         // in-flight count is part of the validated condition.
@@ -266,27 +281,36 @@ SupervisorResult run_supervised(const mip::MipModel& model,
             incumbent_obj = report.objective;
             incumbent_x = report.x;
             // Prune the pool against the new incumbent.
-            std::erase_if(pool, [&](const Subproblem& sub) {
+            std::erase_if(pool, [&](const mip::SnapshotNode& sub) {
               return sub.bound >= incumbent_obj - 1e-9;
             });
           }
-          for (Subproblem& sub : report.frontier) {
-            // gpumip-lint: hot-alloc(surviving subproblems move into the pool; bound vectors are moved, not copied)
+          for (mip::SnapshotNode& sub : report.frontier) {
+            // gpumip-lint: hot-alloc(surviving subproblems move into the pool; bound vectors and bases are moved, not copied)
             if (sub.bound < incumbent_obj - 1e-9) pool.push_back(std::move(sub));
           }
           emit_checkpoint();
           continue;
         }
         check_internal(msg.tag == kTagRequest, "supervisor: unexpected tag");
-        if (!pool.empty()) {
+        // The first round waits for every worker's first request: all of
+        // them carry simulated time ~0, while a worker that re-requests has
+        // already spent its busy time, so serving on arrival would let the
+        // fastest thread take the whole frontier.
+        const bool first_round = first_requests < options.workers;
+        if (first_round) ++first_requests;
+        if (!first_round && !pool.empty()) {
           dispatch(msg.source);
-        } else if (outstanding > 0) {
+        } else if (first_round || outstanding > 0) {
           // gpumip-lint: hot-alloc(idle-worker list bounded by the worker count)
           waiting.push_back(msg.source);
         } else {
           comm.send(msg.source, kTagStop, std::span<const std::byte>{});
           ++stopped;
         }
+        if (first_requests < options.workers) continue;
+        // Serve the first round lowest rank first (the loop pops the back).
+        if (first_round) std::sort(waiting.begin(), waiting.end(), std::greater<>());
         // Serve newly available work to waiting workers.
         while (!waiting.empty() && !pool.empty()) {
           const int worker = waiting.back();
@@ -316,30 +340,32 @@ SupervisorResult run_supervised(const mip::MipModel& model,
         // gpumip-lint: hot-alloc(one arena per worker rank; it amortizes per-node allocations away)
         if (options.worker_arena) warena.emplace(*wdevice, "worker.node.lp");
       }
+      // One solver per rank: its model copy, standard form and LP solvers
+      // serve every subproblem. The cutoff rides in each task's incumbent
+      // objective.
+      mip::MipOptions wopts = options.mip;
+      wopts.enable_cuts = false;  // the model is already strengthened
+      wopts.max_nodes = options.worker_node_budget;
+      wopts.relax_device = wdevice ? &*wdevice : nullptr;
+      wopts.relax_arena = warena ? &*warena : nullptr;
+      mip::BnbSolver solver(working_model, wopts);
+      mip::ConsistentSnapshot task;
+      // gpumip-lint: hot-alloc(the one-node task of the worker's solver, sized once per rank)
+      task.frontier.resize(1);
       for (;;) {
         comm.send(0, kTagRequest, std::span<const std::byte>{});
         Message msg = comm.recv(0);
         if (msg.tag == kTagStop) break;
         check_internal(msg.tag == kTagWork, "worker: unexpected tag");
-        const WorkItem item = decode_subproblem(msg.payload);
+        WorkItem item = decode_subproblem(msg.payload);
         auditor.delivered(item.track_id, comm.rank());
-
-        mip::ConsistentSnapshot task;
         task.incumbent_objective = item.cutoff;
-        // gpumip-lint: hot-alloc(one-node snapshot seeding the worker's solver; one per dispatched subproblem)
-        task.frontier.push_back({item.sub.lb, item.sub.ub, item.sub.bound, item.sub.depth});
+        task.frontier.front() = std::move(item.node);
 
-        mip::MipOptions wopts = options.mip;
-        wopts.enable_cuts = false;  // the model is already strengthened
-        wopts.max_nodes = options.worker_node_budget;
-        wopts.initial_cutoff = item.cutoff;
-        wopts.relax_device = wdevice ? &*wdevice : nullptr;
-        wopts.relax_arena = warena ? &*warena : nullptr;
         // Span closes after the advance() below, so its simulated duration
         // is the subproblem's compute time — the per-rank "busy" segments
         // the trace analyzer aggregates.
         GPUMIP_TRACE_BEGIN("gpumip.worker.subproblem", item.track_id);
-        mip::BnbSolver solver(working_model, wopts);
         mip::MipResult r = solver.solve_from(task);
 
         WorkerReport report;
@@ -358,11 +384,9 @@ SupervisorResult run_supervised(const mip::MipModel& model,
           report.x = r.x;
         }
         if (r.status == mip::MipStatus::NodeLimit) {
-          mip::ConsistentSnapshot rest = solver.capture_snapshot();
-          for (const mip::SnapshotNode& node : rest.frontier) {
-            // gpumip-lint: hot-alloc(unfinished frontier rides back to the supervisor in the report payload)
-            report.frontier.push_back({node.lb, node.ub, node.bound, node.depth});
-          }
+          // The unfinished frontier, bases included, rides back to the
+          // supervisor in the report payload.
+          report.frontier = std::move(solver.capture_snapshot().frontier);
         }
         comm.send(0, kTagResult, encode_report(report));
       }

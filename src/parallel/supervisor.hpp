@@ -4,7 +4,8 @@
 //  * ramp-up: the supervisor expands the tree breadth-style until there are
 //    enough open subproblems to feed the workers,
 //  * dynamic load balancing: workers solve subproblems under a node budget
-//    and return their unsolved frontier to the supervisor's pool,
+//    and return their unsolved frontier to the supervisor's pool; every
+//    subproblem carries its parent's basis, so it starts warm,
 //  * incumbent sharing: new incumbents propagate as cutoffs with the next
 //    assignment,
 //  * checkpointing: the supervisor can emit consistent snapshots that
@@ -14,8 +15,12 @@
 //  * restart: a run can resume from such a snapshot.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "mip/solver.hpp"
 #include "parallel/simmpi.hpp"
@@ -60,6 +65,27 @@ struct SupervisorResult {
   std::vector<long> worker_nodes;  ///< nodes evaluated per worker (balance)
   std::vector<double> worker_busy; ///< simulated busy seconds per worker
 };
+
+/// One subproblem as a worker receives it: a frontier node {lb, ub, bound,
+/// depth, basis}, the cutoff (the supervisor's incumbent objective, min
+/// form) and the message-audit tracking id. The node's basis lets the
+/// worker start with the dual simplex instead of a cold primal solve.
+struct WorkItem {
+  std::uint64_t track_id = 0;
+  double cutoff = 1e300;
+  mip::SnapshotNode node;
+};
+
+/// Wire format of a WorkItem: the node's bounds as doubles, its basis as
+/// `basic` ints and one byte per status.
+std::vector<std::byte> encode_subproblem(const mip::SnapshotNode& node, double cutoff,
+                                         std::uint64_t track_id);
+
+/// Inverse of encode_subproblem. Throws Error(kProtocolError) on a
+/// malformed payload: truncated, overlong, or a status byte that names no
+/// lp::VarStatus. Whether the basis fits the model is check_resumable's
+/// call, on the worker.
+[[nodiscard]] WorkItem decode_subproblem(std::span<const std::byte> payload);
 
 /// Solves `model` with one supervisor rank and options.workers workers.
 SupervisorResult solve_supervised(const mip::MipModel& model, const SupervisorOptions& options);

@@ -357,6 +357,27 @@ TEST(DualSimplex, UnusableInheritedInverseRefactorizesOnce) {
   EXPECT_NEAR(form.user_objective(child.objective), 33.0, 1e-7);
 }
 
+TEST(DualSimplex, FreeStatusOnABoundedColumnIsRepaired) {
+  // A basis arriving from outside (a shipped subproblem) may flag a bounded
+  // nonbasic column Free. Free columns rest at 0, outside x's [1, 5], so
+  // the warm start puts the column at its bound instead.
+  LpModel m;
+  const int x = m.add_col(2.0, 1.0, 5.0), y = m.add_col(1.0, 0.0, 5.0);
+  m.add_row_ge({{x, 1.0}, {y, 1.0}}, 3.0);
+  const StandardForm form = build_standard_form(m);
+  SimplexSolver solver(form);
+  const LpResult cold = solver.solve_default();
+  ASSERT_EQ(cold.status, LpStatus::Optimal);
+  ASSERT_EQ(cold.basis.status[static_cast<std::size_t>(x)], VarStatus::AtLower);
+
+  Basis free_x = cold.basis;
+  free_x.status[static_cast<std::size_t>(x)] = VarStatus::Free;
+  const LpResult warm = solver.resolve_dual(form.lb, form.ub, free_x);
+  ASSERT_EQ(warm.status, LpStatus::Optimal);
+  EXPECT_NEAR(warm.x[static_cast<std::size_t>(x)], 1.0, 1e-9);
+  EXPECT_NEAR(warm.objective, cold.objective, 1e-9);  // x = 1, y = 2
+}
+
 // ---------- interior point ----------
 
 TEST(InteriorPoint, MatchesSimplexOnTextbookLp) {

@@ -407,6 +407,67 @@ TEST(Snapshot, MidSearchSnapshotPreservesOptimum) {
   }
 }
 
+TEST(Snapshot, CapturedBasesStartTheFrontierWarm) {
+  // A mid-search snapshot carries each frontier node's parent basis; a
+  // fresh solver resumed from it starts every such node with the dual
+  // simplex from that basis (no phase 1) and reaches solve()'s optimum. The
+  // text format drops the bases, and the cold-started resume agrees too.
+  Rng rng(61);
+  RandomMipConfig cfg;
+  cfg.rows = 10;
+  cfg.cols = 18;
+  cfg.bound = 4.0;
+  MipModel m = problems::random_mip(cfg, rng);
+
+  std::vector<ConsistentSnapshot> snapshots;
+  MipOptions opts;
+  opts.enable_cuts = false;
+  opts.enable_heuristics = false;
+  opts.snapshot_interval = 5;
+  opts.on_snapshot = [&](const ConsistentSnapshot& s) { snapshots.push_back(s); };
+  const MipResult full = BnbSolver(m, opts).solve();
+  ASSERT_EQ(full.status, MipStatus::Optimal);
+  ASSERT_GE(snapshots.size(), 2u);
+  const ConsistentSnapshot& snap = snapshots[snapshots.size() / 2];
+  ASSERT_GE(snap.frontier.size(), 2u);
+  for (const SnapshotNode& node : snap.frontier) ASSERT_FALSE(node.basis.empty());
+
+  MipOptions resume_opts;
+  resume_opts.enable_cuts = false;
+  resume_opts.enable_heuristics = false;
+  BnbSolver warm(m, resume_opts);
+  const MipResult r = warm.solve_from(snap);
+  ASSERT_EQ(r.status, MipStatus::Optimal);
+  EXPECT_NEAR(r.objective, full.objective, 1e-6);
+
+  // Frontier nodes are pushed first, so their ids are 0..frontier.size()-1.
+  const lp::StandardForm form = lp::build_standard_form(m.lp());
+  lp::SimplexSolver lp_solver(form);
+  int warm_nodes = 0;
+  long warm_iterations = 0, cold_iterations = 0;
+  for (const NodeTrace& tr : warm.trace()) {
+    if (tr.node_id >= static_cast<int>(snap.frontier.size())) continue;
+    const SnapshotNode& node = snap.frontier[static_cast<std::size_t>(tr.node_id)];
+    const lp::LpResult dual = lp_solver.resolve_dual(node.lb, node.ub, node.basis);
+    const lp::LpResult cold = lp_solver.solve(node.lb, node.ub, nullptr);
+    EXPECT_EQ(tr.ops.iterations, dual.ops.iterations) << "node " << tr.node_id;
+    EXPECT_EQ(tr.ops.refactor, dual.ops.refactor) << "node " << tr.node_id;
+    EXPECT_EQ(tr.lp_status, dual.status) << "node " << tr.node_id;
+    warm_iterations += tr.ops.iterations;
+    cold_iterations += cold.ops.iterations;
+    ++warm_nodes;
+  }
+  ASSERT_GE(warm_nodes, 1);
+  EXPECT_LT(warm_iterations, cold_iterations);
+
+  // Reused solver, text round trip: bounds only, every node cold-starts.
+  const ConsistentSnapshot text = ConsistentSnapshot::from_string(snap.to_string());
+  for (const SnapshotNode& node : text.frontier) EXPECT_TRUE(node.basis.empty());
+  const MipResult cold = warm.solve_from(text);
+  ASSERT_EQ(cold.status, MipStatus::Optimal);
+  EXPECT_NEAR(cold.objective, full.objective, 1e-6);
+}
+
 // A resumed search must refuse a snapshot that does not fit the model,
 // before it evaluates a single node.
 void expect_rejected(BnbSolver& solver, const ConsistentSnapshot& snap) {
@@ -475,6 +536,61 @@ TEST(Snapshot, ResumeRejectsMisfitIncumbent) {
 
   snap.incumbent_x.assign(n, 0.0);  // the empty knapsack fits
   EXPECT_NO_THROW(check_resumable(m, form, snap, opts.int_tol));
+}
+
+TEST(Snapshot, ResumeRejectsInconsistentBasis) {
+  // The warm start trusts a basis's statuses, so a basis that breaks
+  // lp::basis_fault's rules must be refused before any node is solved.
+  Rng rng(7);
+  RandomMipConfig cfg;
+  cfg.rows = 6;
+  cfg.cols = 10;
+  cfg.bound = 4.0;
+  const MipModel m = problems::random_mip(cfg, rng);
+  const lp::StandardForm form = lp::build_standard_form(m.lp());
+  MipOptions opts;
+  opts.enable_cuts = false;
+  BnbSolver solver(m, opts);
+
+  ConsistentSnapshot good = root_snapshot(form);
+  good.frontier[0].basis = lp::SimplexSolver(form).solve_default().basis;
+  ASSERT_EQ(lp::basis_fault(good.frontier[0].basis, form.num_rows, form.num_vars), nullptr);
+  EXPECT_NO_THROW(check_resumable(m, form, good, opts.int_tol));
+  const int basic = good.frontier[0].basis.basic[0];
+  int nonbasic = 0;
+  while (good.frontier[0].basis.status[static_cast<std::size_t>(nonbasic)] == lp::VarStatus::Basic) {
+    ++nonbasic;
+  }
+
+  ConsistentSnapshot snap = good;
+  snap.frontier[0].basis.status.pop_back();  // wrong status size
+  expect_rejected(solver, snap);
+
+  snap = good;
+  snap.frontier[0].basis.basic.push_back(nonbasic);  // wrong basic size
+  expect_rejected(solver, snap);
+
+  snap = good;
+  snap.frontier[0].basis.basic[0] = form.num_vars;  // out of range
+  expect_rejected(solver, snap);
+
+  snap = good;
+  snap.frontier[0].basis.status[static_cast<std::size_t>(basic)] = lp::VarStatus::AtLower;
+  expect_rejected(solver, snap);  // basic variable not flagged Basic
+
+  snap = good;
+  snap.frontier[0].basis.status[static_cast<std::size_t>(nonbasic)] = lp::VarStatus::Basic;
+  expect_rejected(solver, snap);  // flagged Basic, missing from `basic`
+
+  snap = good;
+  snap.frontier[0].basis.basic[1] = basic;  // basic in two rows
+  snap.frontier[0].basis.status[static_cast<std::size_t>(good.frontier[0].basis.basic[1])] =
+      lp::VarStatus::AtLower;
+  expect_rejected(solver, snap);
+
+  const MipResult r = solver.solve_from(good);
+  ASSERT_EQ(r.status, MipStatus::Optimal);
+  EXPECT_NEAR(r.objective, solve(m, opts).objective, 1e-9);
 }
 
 TEST(Snapshot, FinalSnapshotIsEmptyFrontierWithIncumbent) {

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 
 #include "gpu/device.hpp"
 #include "lp/op_stats.hpp"
@@ -255,6 +256,75 @@ TEST(SimMpi, MutationFuzzOnlyRaisesTypedErrors) {
   EXPECT_GT(typed_failures, 0);
 }
 
+/// A frontier node as the supervisor ships it: bounds with infinities and
+/// a basis that uses every status.
+mip::SnapshotNode shipped_node() {
+  mip::SnapshotNode node;
+  node.lb = {0.0, -std::numeric_limits<double>::infinity(), 1.0, 0.0, 2.5};
+  node.ub = {4.0, std::numeric_limits<double>::infinity(), 1.0, 3.0, 2.5};
+  node.bound = -17.25;
+  node.depth = 6;
+  node.basis.basic = {4, 0};
+  node.basis.status = {lp::VarStatus::Basic, lp::VarStatus::Free, lp::VarStatus::AtUpper,
+                       lp::VarStatus::AtLower, lp::VarStatus::Basic};
+  return node;
+}
+
+TEST(SimMpi, SubproblemRoundTripIsExact) {
+  const mip::SnapshotNode node = shipped_node();
+  const WorkItem item = decode_subproblem(encode_subproblem(node, -3.5, 99));
+  EXPECT_EQ(item.track_id, 99u);
+  EXPECT_EQ(item.cutoff, -3.5);
+  EXPECT_EQ(item.node.lb, node.lb);
+  EXPECT_EQ(item.node.ub, node.ub);
+  EXPECT_EQ(item.node.bound, node.bound);
+  EXPECT_EQ(item.node.depth, node.depth);
+  EXPECT_EQ(item.node.basis, node.basis);
+
+  mip::SnapshotNode cold = node;  // a checkpoint-file node: no basis
+  cold.basis = {};
+  EXPECT_TRUE(decode_subproblem(encode_subproblem(cold, 1e300, 1)).node.basis.empty());
+}
+
+TEST(SimMpi, StatusByteOutOfRangeRaisesProtocolError) {
+  // The last byte of a subproblem payload is its last basis status.
+  std::vector<std::byte> bytes = encode_subproblem(shipped_node(), 0.0, 7);
+  bytes.back() = std::byte{4};
+  try {
+    (void)decode_subproblem(bytes);
+    FAIL() << "status byte 4 accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kProtocolError);
+  }
+}
+
+TEST(SimMpi, SubproblemMutationFuzzOnlyRaisesTypedErrors) {
+  // The real subproblem decoder under seeded corruption of a payload that
+  // carries a basis: a decode either succeeds with in-range statuses or
+  // raises the typed protocol error.
+  const std::vector<std::byte> original = encode_subproblem(shipped_node(), -1.0, 42);
+  Rng rng(0xBA515u);
+  int typed_failures = 0;
+  for (int trial = 0; trial < 512; ++trial) {
+    std::vector<std::byte> bytes = original;
+    const int flips = 1 + static_cast<int>(rng.index(4));
+    for (int f = 0; f < flips; ++f) {
+      const std::size_t at = rng.index(bytes.size());
+      bytes[at] = static_cast<std::byte>(rng.index(256));
+    }
+    try {
+      const WorkItem item = decode_subproblem(bytes);
+      for (lp::VarStatus st : item.node.basis.status) {
+        EXPECT_LE(static_cast<int>(st), static_cast<int>(lp::VarStatus::Free)) << "trial " << trial;
+      }
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kProtocolError) << "trial " << trial;
+      ++typed_failures;
+    }
+  }
+  EXPECT_GT(typed_failures, 0);
+}
+
 // ---------------- supervisor-worker ----------------
 
 mip::MipModel test_mip(std::uint64_t seed, int rows = 10, int cols = 18) {
@@ -423,6 +493,34 @@ TEST(Supervisor, ResumeRejectsSnapshotOutsideTheModel) {
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument) << e.what();
   }
+}
+
+TEST(Supervisor, ShippedFrontierCarriesBases) {
+  // Ramp-up nodes and the frontiers workers send back both travel with
+  // their parent's basis, so the supervisor's pool (seen through its
+  // checkpoints) holds warm-startable nodes only. One worker: nothing is
+  // in flight after each result, so every result emits a checkpoint.
+  mip::MipModel m = test_mip(66, 12, 22);
+  std::vector<mip::ConsistentSnapshot> checkpoints;
+  SupervisorOptions opts;
+  opts.workers = 1;
+  opts.worker_node_budget = 4;
+  opts.ramp_up_nodes = 8;
+  opts.mip.enable_cuts = false;
+  opts.checkpoint_interval = 1;
+  opts.on_checkpoint = [&](const mip::ConsistentSnapshot& snap) { checkpoints.push_back(snap); };
+  SupervisorResult r = solve_supervised(m, opts);
+  ASSERT_EQ(r.result.status, mip::MipStatus::Optimal);
+
+  const lp::StandardForm form = lp::build_standard_form(m.lp());
+  std::size_t nodes = 0;
+  for (const mip::ConsistentSnapshot& snap : checkpoints) {
+    for (const mip::SnapshotNode& node : snap.frontier) {
+      EXPECT_EQ(lp::basis_fault(node.basis, form.num_rows, form.num_vars), nullptr);
+      ++nodes;
+    }
+  }
+  EXPECT_GT(nodes, 0u) << "no checkpoint saw a queued node";
 }
 
 // ---------------- strategies ----------------
