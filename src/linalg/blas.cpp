@@ -3,12 +3,13 @@
 namespace gpumip::linalg {
 
 // The row update below is the inner loop of every simplex refactorization
-// (DenseLU::inverse), the largest share of a branch-and-bound run's host
-// time. Two lanes per step let GCC's -O2 pack the body into one mulpd and
-// one subpd. Its entry is pinned to a 64-byte boundary so the placement of
-// its loop does not depend on the size of unrelated code linked before it:
-// unpinned, deleting unrelated code elsewhere moved the branch-and-bound
-// benchmark by about 20% on a 4-core Xeon.
+// (DenseLU's elimination and DenseLU::inverse), the largest share of a
+// branch-and-bound run's host time. Two lanes per step let GCC's -O2 pack
+// the body into one mulpd and one subpd. Its entry is pinned to a 64-byte
+// boundary so the placement of its loop does not depend on the size of
+// unrelated code linked before it: unpinned, deleting unrelated code
+// elsewhere moved the branch-and-bound benchmark by about 20% on a 4-core
+// Xeon.
 [[gnu::aligned(64)]] void sub_scaled(double alpha, const double* __restrict x,
                                      double* __restrict y, std::size_t n) {
   for (std::size_t i = 0; i < n; i += 2) {
@@ -27,18 +28,6 @@ void gemv(double alpha, const Matrix& a, std::span<const double> x, double beta,
     if (xc == 0.0) continue;
     auto column = a.col(c);
     for (int r = 0; r < a.rows(); ++r) y[r] += xc * column[r];
-  }
-}
-
-void gemv_t(double alpha, const Matrix& a, std::span<const double> x, double beta,
-            std::span<double> y) {
-  check_arg(static_cast<int>(x.size()) == a.rows(), "gemv_t: x size mismatch");
-  check_arg(static_cast<int>(y.size()) == a.cols(), "gemv_t: y size mismatch");
-  for (int c = 0; c < a.cols(); ++c) {
-    auto column = a.col(c);
-    double sum = 0.0;
-    for (int r = 0; r < a.rows(); ++r) sum += column[r] * x[r];
-    y[c] = alpha * sum + beta * y[c];
   }
 }
 

@@ -11,16 +11,14 @@ namespace gpumip::linalg {
 
 // ----- vector update -----
 /// y[i] -= alpha * x[i] for i < n; n even, x and y do not overlap. The row
-/// update of DenseLU::inverse's multi-right-hand-side substitution.
+/// update of DenseLU's elimination and of DenseLU::inverse's
+/// multi-right-hand-side substitution.
 void sub_scaled(double alpha, const double* __restrict x, double* __restrict y, std::size_t n);
 
 // ----- BLAS-2 -----
 /// y = alpha * A x + beta * y
 void gemv(double alpha, const Matrix& a, std::span<const double> x, double beta,
           std::span<double> y);
-/// y = alpha * Aᵀ x + beta * y
-void gemv_t(double alpha, const Matrix& a, std::span<const double> x, double beta,
-            std::span<double> y);
 
 // ----- BLAS-3 -----
 /// C = alpha * A B + beta * C

@@ -1,5 +1,6 @@
 #include "linalg/lu.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <utility>
@@ -13,18 +14,31 @@ namespace {
 /// A pivot smaller than this in magnitude makes the matrix singular.
 constexpr double kSingularPivot = 1e-12;
 
+void transpose_in_place(Matrix& a) {
+  for (int c = 1; c < a.cols(); ++c) {
+    for (int r = 0; r < c; ++r) std::swap(a(r, c), a(c, r));
+  }
+}
+
 }  // namespace
 
 DenseLU::DenseLU(const Matrix& a) : lu_(a) {
   check_arg(a.rows() == a.cols(), "DenseLU requires a square matrix");
   const int n = a.rows();
   pivots_.resize(static_cast<std::size_t>(n));
+  transpose_in_place(lu_);
+  // The elimination runs on Aᵀ, so row i of the working matrix is the
+  // contiguous column i of lu_'s storage: w(i, c) = lu_(c, i). A row swap
+  // and a row update (w(i, c) -= mult·w(k, c) for c > k) are then runs of
+  // adjacent doubles. Each element gets the same operations in the same
+  // order as a row-by-row elimination in place, so every bit matches one.
+  auto w = [&](int i, int c) -> double& { return lu_(c, i); };
   for (int k = 0; k < n; ++k) {
     // Partial pivot: largest |value| in column k at or below the diagonal.
     int pivot_row = k;
-    double pivot_abs = std::fabs(lu_(k, k));
+    double pivot_abs = std::fabs(w(k, k));
     for (int i = k + 1; i < n; ++i) {
-      const double v = std::fabs(lu_(i, k));
+      const double v = std::fabs(w(i, k));
       if (v > pivot_abs) {
         pivot_abs = v;
         pivot_row = i;
@@ -37,16 +51,24 @@ DenseLU::DenseLU(const Matrix& a) : lu_(a) {
     }
     pivots_[static_cast<std::size_t>(k)] = pivot_row;
     if (pivot_row != k) {
-      for (int c = 0; c < n; ++c) std::swap(lu_(k, c), lu_(pivot_row, c));
+      std::swap_ranges(lu_.col(k).begin(), lu_.col(k).end(), lu_.col(pivot_row).begin());
     }
-    const double inv_pivot = 1.0 / lu_(k, k);
+    const double inv_pivot = 1.0 / w(k, k);
+    const double* pivot = lu_.col(k).data() + k + 1;  // w(k, k+1 ..)
+    const std::size_t tail = static_cast<std::size_t>(n - k - 1);
+    const std::size_t even = tail & ~std::size_t{1};
     for (int i = k + 1; i < n; ++i) {
-      const double mult = lu_(i, k) * inv_pivot;
-      lu_(i, k) = mult;
+      const double mult = w(i, k) * inv_pivot;
+      w(i, k) = mult;
+      // A zero multiplier skips its row: subtracting a ±0 product is not
+      // exact on a -0 entry.
       if (mult == 0.0) continue;
-      for (int c = k + 1; c < n; ++c) lu_(i, c) -= mult * lu_(k, c);
+      double* row = lu_.col(i).data() + k + 1;
+      sub_scaled(mult, pivot, row, even);
+      if (even < tail) row[even] -= mult * pivot[even];
     }
   }
+  transpose_in_place(lu_);  // back to the column-major packed factors
 }
 
 Vector DenseLU::solve(std::span<const double> b) const {

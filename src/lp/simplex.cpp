@@ -44,21 +44,24 @@ struct SimplexSolver::Workspace {
   linalg::Vector x;               // size total
   std::vector<VarStatus> status;  // size total
   std::vector<int> basic;         // size m
-  linalg::Matrix binv;            // m x m explicit inverse
+  linalg::Matrix binv;            // m x m explicit inverse (set by the start)
   int etas_since_refactor = 0;
   bool inherited = false;         // binv was installed from a BasisInverse
   long iterations = 0;
   int degenerate_streak = 0;
   LpOpStats ops;
   // Per-pivot scratch, sized once in init_workspace so the iteration loop
-  // never allocates: compute_duals fills dual_cb/dual_y, ftran_column
-  // fills ftran_w, each returning a reference to its buffer; the dual loop
-  // copies row r of B⁻¹ into rho, and each pivot rebuilds eta in place.
-  linalg::Vector dual_cb;  // size m
-  linalg::Vector dual_y;   // size m
-  linalg::Vector ftran_w;  // size m
-  linalg::Vector rho;      // size m
-  linalg::Eta eta;         // column of size m
+  // never allocates: compute_duals fills dual_y, ftran_column fills
+  // ftran_w, each returning a reference to its buffer; the dual loop copies
+  // row r of B⁻¹ into rho, each pivot rebuilds eta in place, and
+  // recompute_basic_values forms its right-hand side and x_B in basic_rhs
+  // and basic_x.
+  linalg::Vector dual_y;     // size m
+  linalg::Vector ftran_w;    // size m
+  linalg::Vector rho;        // size m
+  linalg::Eta eta;           // column of size m
+  linalg::Vector basic_rhs;  // size m
+  linalg::Vector basic_x;    // size m
 };
 
 SimplexSolver::SimplexSolver(const StandardForm& form, SimplexOptions options)
@@ -89,14 +92,16 @@ void SimplexSolver::init_workspace(Workspace& ws, std::span<const double> lb,
   ws.x.assign(static_cast<std::size_t>(ws.total), 0.0);
   ws.status.assign(static_cast<std::size_t>(ws.total), VarStatus::AtLower);
   ws.basic.assign(static_cast<std::size_t>(m), -1);
-  ws.binv = linalg::Matrix(m, m);
+  // binv stays as it is: cold_start writes the identity, a warm start
+  // copies an inherited inverse or refactorizes into it.
   ws.etas_since_refactor = 0;
   ws.inherited = false;
-  ws.dual_cb.assign(static_cast<std::size_t>(m), 0.0);
   ws.dual_y.assign(static_cast<std::size_t>(m), 0.0);
   ws.ftran_w.assign(static_cast<std::size_t>(m), 0.0);
   ws.rho.assign(static_cast<std::size_t>(m), 0.0);
   ws.eta.column.assign(static_cast<std::size_t>(m), 0.0);
+  ws.basic_rhs.assign(static_cast<std::size_t>(m), 0.0);
+  ws.basic_x.assign(static_cast<std::size_t>(m), 0.0);
   ws.ops.m = m;
   ws.ops.n = n;
   ws.ops.nnz = form_->a_rows.nnz();
@@ -134,6 +139,7 @@ void SimplexSolver::cold_start(Workspace& ws) const {
   // Row residuals define the artificial values and signs.
   linalg::Vector residual = form_->b;
   sparse::spmv(-1.0, form_->a_rows, std::span<const double>(ws.x.data(), ws.n), 1.0, residual);
+  ws.binv = linalg::Matrix(ws.m, ws.m);
   for (int i = 0; i < ws.m; ++i) {
     const std::size_t k = static_cast<std::size_t>(i);
     ws.art_sign[k] = residual[k] >= 0.0 ? 1.0 : -1.0;
@@ -235,7 +241,8 @@ void SimplexSolver::refactorize(Workspace& ws) const {
 
 void SimplexSolver::recompute_basic_values(Workspace& ws) const {
   // x_B = B⁻¹ (b - Σ_{nonbasic j} x_j A_j)
-  linalg::Vector rhs = form_->b;
+  linalg::Vector& rhs = ws.basic_rhs;
+  std::copy(form_->b.begin(), form_->b.end(), rhs.begin());
   for (int v = 0; v < ws.total; ++v) {
     const std::size_t k = static_cast<std::size_t>(v);
     if (ws.status[k] == VarStatus::Basic || ws.x[k] == 0.0) continue;
@@ -249,7 +256,10 @@ void SimplexSolver::recompute_basic_values(Workspace& ws) const {
       }
     }
   }
-  linalg::Vector xb(static_cast<std::size_t>(ws.m), 0.0);
+  // gemv scales xb by beta = 0 first, so stale entries must be +0.0 (a
+  // negative one would leave a -0.0 in a row whose products are all skipped).
+  linalg::Vector& xb = ws.basic_x;
+  std::fill(xb.begin(), xb.end(), 0.0);
   linalg::gemv(1.0, ws.binv, rhs, 0.0, xb);
   ++ws.ops.ftran;
   for (int i = 0; i < ws.m; ++i) {
@@ -286,16 +296,25 @@ void SimplexSolver::recompute_basic_values(Workspace& ws) const {
 
 const linalg::Vector& SimplexSolver::compute_duals(Workspace& ws,
                                                    const linalg::Vector& cost) const {
-  linalg::Vector& cb = ws.dual_cb;
-  for (int i = 0; i < ws.m; ++i) {
+  // y = B⁻ᵀ c_B as a combination of the rows of B⁻¹: y[c] is the sum over
+  // r of B⁻¹(r,c)·c_B[r] in ascending r, the order of a column-by-column
+  // dot product, so every bit matches one. A zero cost adds a ±0 product
+  // to a sum that starts at +0 and so is never -0, which leaves it as it
+  // is: those rows (slacks, retired artificials) are skipped, and the m
+  // sums run side by side instead of as m serial chains.
+  linalg::Vector& y = ws.dual_y;
+  std::fill(y.begin(), y.end(), 0.0);
+  const std::size_t m = static_cast<std::size_t>(ws.m);
+  for (std::size_t r = 0; r < m; ++r) {
     // A basic variable beyond `cost` is an artificial still in the basis
     // after an abnormal stop (iteration limit / singularity during phase 1);
     // its phase-2 cost is zero, it is not an out-of-bounds read.
-    const std::size_t v = static_cast<std::size_t>(ws.basic[static_cast<std::size_t>(i)]);
-    cb[static_cast<std::size_t>(i)] = v < cost.size() ? cost[v] : 0.0;
+    const std::size_t v = static_cast<std::size_t>(ws.basic[r]);
+    const double cr = v < cost.size() ? cost[v] : 0.0;
+    if (cr == 0.0) continue;
+    const double* row = ws.binv.data() + r;  // B⁻¹(r, c) = row[c·m]
+    for (std::size_t c = 0; c < m; ++c) y[c] += row[c * m] * cr;
   }
-  linalg::Vector& y = ws.dual_y;
-  linalg::gemv_t(1.0, ws.binv, cb, 0.0, y);
   ++ws.ops.btran;
   return y;
 }
@@ -647,10 +666,20 @@ LpResult SimplexSolver::resolve_dual(std::span<const double> lb, std::span<const
     int entering = -1;
     double best_ratio = kInf;
     double best_alpha = 0.0;
+    const sparse::Csc& a = form_->a_cols;
     for (int v = 0; v < ws.n; ++v) {
       const std::size_t k = static_cast<std::size_t>(v);
       if (ws.status[k] == VarStatus::Basic || ws.lb[k] == ws.ub[k]) continue;
-      const double alpha = sparse::column_dot(form_->a_cols, v, rho);
+      // alpha = a_v·rho and a_v·y in one pass over the column, each summed
+      // in column_dot's order.
+      double alpha = 0.0;
+      double ay = 0.0;
+      for (int e = a.col_start[k]; e < a.col_start[k + 1]; ++e) {
+        const double av = a.values[static_cast<std::size_t>(e)];
+        const std::size_t r = static_cast<std::size_t>(a.row_index[static_cast<std::size_t>(e)]);
+        alpha += av * rho[r];
+        ay += av * y[r];
+      }
       if (std::fabs(alpha) <= kPivotTol) continue;
       bool admissible;
       if (increase) {
@@ -663,7 +692,7 @@ LpResult SimplexSolver::resolve_dual(std::span<const double> lb, std::span<const
                      ws.status[k] == VarStatus::Free;
       }
       if (!admissible) continue;
-      const double d = reduced_cost(ws, y, cost, v);
+      const double d = cost[k] - ay;
       const double ratio = std::fabs(d) / std::fabs(alpha);
       if (ratio < best_ratio - 1e-12 ||
           (ratio < best_ratio + 1e-12 && std::fabs(alpha) > std::fabs(best_alpha))) {

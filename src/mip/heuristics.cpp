@@ -19,7 +19,8 @@ double min_objective(const MipModel& model, const lp::StandardForm& form,
 
 }  // namespace
 
-HeuristicResult rounding_heuristic(const MipModel& model, const lp::StandardForm& form,
+HeuristicResult rounding_heuristic(const MipModel& model, const sparse::Csr& rows,
+                                   const lp::StandardForm& form,
                                    std::span<const double> lp_x, double int_tol) {
   HeuristicResult result;
   linalg::Vector rounded(lp_x.begin(), lp_x.begin() + model.num_cols());
@@ -28,7 +29,7 @@ HeuristicResult rounding_heuristic(const MipModel& model, const lp::StandardForm
       rounded[static_cast<std::size_t>(j)] = std::round(rounded[static_cast<std::size_t>(j)]);
     }
   }
-  if (model.is_feasible(rounded, 1e-6) && model.is_integral(rounded, int_tol)) {
+  if (model.is_feasible(rounded, rows, 1e-6) && model.is_integral(rounded, int_tol)) {
     result.found = true;
     result.x = std::move(rounded);
     result.objective = min_objective(model, form, result.x);

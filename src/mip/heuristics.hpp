@@ -15,7 +15,9 @@ struct HeuristicResult {
 };
 
 /// Rounds the LP point to the nearest integers and accepts if feasible.
-HeuristicResult rounding_heuristic(const MipModel& model, const lp::StandardForm& form,
+/// `rows` is model.lp().matrix() (see MipModel::is_feasible).
+HeuristicResult rounding_heuristic(const MipModel& model, const sparse::Csr& rows,
+                                   const lp::StandardForm& form,
                                    std::span<const double> lp_x, double int_tol = 1e-6);
 
 /// Fractional diving: repeatedly fix the most fractional variable to its

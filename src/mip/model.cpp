@@ -51,17 +51,22 @@ bool MipModel::is_integral(std::span<const double> x, double tol) const {
 }
 
 bool MipModel::is_feasible(std::span<const double> x, double tol) const {
+  return is_feasible(x, lp_.matrix(), tol);
+}
+
+bool MipModel::is_feasible(std::span<const double> x, const sparse::Csr& rows,
+                           double tol) const {
+  check_arg(rows.rows == num_rows() && rows.cols == num_cols(),
+            "is_feasible: row matrix does not fit the model");
   for (int j = 0; j < num_cols(); ++j) {
     const auto& c = lp_.col(j);
     const double v = x[static_cast<std::size_t>(j)];
     if (v < c.lb - tol || v > c.ub + tol) return false;
   }
-  const sparse::Csr a = lp_.matrix();
-  linalg::Vector activity(static_cast<std::size_t>(num_rows()), 0.0);
-  sparse::spmv(1.0, a, x.subspan(0, static_cast<std::size_t>(num_cols())), 0.0, activity);
+  const std::span<const double> xs = x.subspan(0, static_cast<std::size_t>(num_cols()));
   for (int i = 0; i < num_rows(); ++i) {
     const auto& r = lp_.row(i);
-    const double v = activity[static_cast<std::size_t>(i)];
+    const double v = sparse::row_dot(rows, i, xs);  // spmv's per-row sum
     if (v < r.lb - tol || v > r.ub + tol) return false;
   }
   return true;

@@ -39,6 +39,10 @@ class MipModel {
 
   /// True when x satisfies all row and column bounds within tol.
   bool is_feasible(std::span<const double> x, double tol = 1e-6) const;
+  /// The same check on `rows`, which must be lp().matrix(): a caller that
+  /// checks many points builds the matrix once instead of once per call.
+  bool is_feasible(std::span<const double> x, const sparse::Csr& rows,
+                   double tol = 1e-6) const;
 
   void validate() const;
 

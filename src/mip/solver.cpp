@@ -140,8 +140,7 @@ void BnbSolver::root_cut_loop() {
     // round-trip latency the paper's C4 tension is about (the trace analyzer
     // aggregates these into the cut-latency report).
     GPUMIP_TRACE_SCOPE("gpumip.mip.cuts.round", round);
-    form_ = std::make_unique<lp::StandardForm>(lp::build_standard_form(model_.lp()));
-    lp_solver_ = std::make_unique<lp::SimplexSolver>(*form_, options_.lp);
+    rebuild_form();
     lp::LpResult root = lp_solver_->solve_default();
     stats_.total_ops.add(root.ops);
     stats_.lp_iterations += root.iterations;
@@ -174,8 +173,13 @@ void BnbSolver::root_cut_loop() {
     GPUMIP_OBS_ADD("gpumip.mip.cuts.bytes_h2d", cut_payload);
   }
   // Rebuild once more so the form includes the last round's cuts.
+  rebuild_form();
+}
+
+void BnbSolver::rebuild_form() {
   form_ = std::make_unique<lp::StandardForm>(lp::build_standard_form(model_.lp()));
   lp_solver_ = std::make_unique<lp::SimplexSolver>(*form_, options_.lp);
+  rows_ = model_.lp().matrix();
 }
 
 MipResult BnbSolver::solve() { return run(nullptr); }
@@ -217,10 +221,7 @@ MipResult BnbSolver::run(const ConsistentSnapshot* snapshot) {
   if (options_.enable_cuts && snapshot == nullptr) {
     root_cut_loop();
   }
-  if (form_ == nullptr) {
-    form_ = std::make_unique<lp::StandardForm>(lp::build_standard_form(model_.lp()));
-    lp_solver_ = std::make_unique<lp::SimplexSolver>(*form_, options_.lp);
-  }
+  if (form_ == nullptr) rebuild_form();
   if (new_form) {
     // The alternative relaxation backends work on the same (cut-strengthened)
     // form. Root cut separation itself stays on the simplex path: the GMI
@@ -418,7 +419,7 @@ MipResult BnbSolver::run(const ConsistentSnapshot* snapshot) {
 
     // Heuristics at the root.
     if (options_.enable_heuristics && node.parent < 0) {
-      HeuristicResult h = rounding_heuristic(model_, *form_, lp_result.x, options_.int_tol);
+      HeuristicResult h = rounding_heuristic(model_, rows_, *form_, lp_result.x, options_.int_tol);
       if (!h.found) {
         h = diving_heuristic(model_, *form_, *lp_solver_, lp_result, 2 * model_.num_cols() + 10,
                              options_.int_tol);

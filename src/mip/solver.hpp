@@ -140,10 +140,13 @@ class BnbSolver {
   struct Impl;
   MipResult run(const ConsistentSnapshot* snapshot);
   void root_cut_loop();
+  /// Builds form_, its simplex solver and rows_ from model_'s current rows.
+  void rebuild_form();
 
   MipModel model_;  // private copy; cuts append rows
   MipOptions options_;
   std::unique_ptr<lp::StandardForm> form_;
+  sparse::Csr rows_;  // model_.lp().matrix(), for the rounding heuristic
   std::unique_ptr<lp::SimplexSolver> lp_solver_;
   std::unique_ptr<lp::InteriorPointSolver> ipm_solver_;
   std::unique_ptr<lp::PdhgSolver> pdhg_solver_;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <vector>
 
 #include "linalg/batched.hpp"
 #include "linalg/blas.hpp"
@@ -43,17 +45,6 @@ TEST(Blas2, GemvMatchesManual) {
   EXPECT_DOUBLE_EQ(y[0], 4 - 4 + 3 + 1);
   EXPECT_DOUBLE_EQ(y[1], -2 + 10 - 3 + 1);
   EXPECT_DOUBLE_EQ(y[2], 1 - 2 + 9 + 1);
-}
-
-TEST(Blas2, GemvTransposeConsistent) {
-  Rng rng(5);
-  Matrix a = Matrix::random(4, 6, rng);
-  Vector x(4, 0.0), y(6, 0.0);
-  for (auto& v : x) v = rng.uniform();
-  gemv_t(1.0, a, x, 0.0, y);
-  Vector y2(6, 0.0);
-  gemv(1.0, a.transposed(), x, 0.0, y2);
-  EXPECT_LT(max_abs_diff(y, y2), 1e-14);
 }
 
 TEST(Blas3, GemmMatchesGemvColumns) {
@@ -109,7 +100,7 @@ TEST(LU, SolveAndTransposeSolve) {
   for (auto& v : xtrue) v = rng.uniform(-5, 5);
   Vector b(12, 0.0), bt(12, 0.0);
   gemv(1.0, a, xtrue, 0.0, b);
-  gemv_t(1.0, a, xtrue, 0.0, bt);
+  gemv(1.0, a.transposed(), xtrue, 0.0, bt);
   EXPECT_LT(max_abs_diff(lu.solve(b), xtrue), 1e-9);
   EXPECT_LT(max_abs_diff(lu.solve_transpose(bt), xtrue), 1e-9);
 }
@@ -196,6 +187,82 @@ TEST(DenseLU, InverseIsBitIdenticalToColumnSolves) {
     }
   }
   EXPECT_GT(compared, 200);
+}
+
+/// DenseLU's factorization as a row-wise elimination (each row below the
+/// pivot updated across the columns): the reference the column-wise loop
+/// must match bit for bit. Returns false where DenseLU throws.
+bool row_elimination(Matrix& lu, std::vector<int>& pivots) {
+  const int n = lu.rows();
+  pivots.assign(static_cast<std::size_t>(n), 0);
+  for (int k = 0; k < n; ++k) {
+    int pivot_row = k;
+    double pivot_abs = std::fabs(lu(k, k));
+    for (int i = k + 1; i < n; ++i) {
+      if (std::fabs(lu(i, k)) > pivot_abs) {
+        pivot_abs = std::fabs(lu(i, k));
+        pivot_row = i;
+      }
+    }
+    if (pivot_abs < 1e-12) return false;
+    pivots[static_cast<std::size_t>(k)] = pivot_row;
+    if (pivot_row != k) {
+      for (int c = 0; c < n; ++c) std::swap(lu(k, c), lu(pivot_row, c));
+    }
+    const double inv_pivot = 1.0 / lu(k, k);
+    for (int i = k + 1; i < n; ++i) {
+      const double mult = lu(i, k) * inv_pivot;
+      lu(i, k) = mult;
+      if (mult == 0.0) continue;
+      for (int c = k + 1; c < n; ++c) lu(i, c) -= mult * lu(k, c);
+    }
+  }
+  return true;
+}
+
+TEST(LU, FactorsAreBitIdenticalToRowElimination) {
+  // Random sparse matrices with exact zeros and -0.0 entries, rows shuffled
+  // so the factorization swaps rows: the packed factors, signed zeros
+  // included, and the pivot sequence must equal the row-wise reference's.
+  Rng rng(131);
+  int compared = 0;
+  int swapped = 0;
+  int negative_zeros = 0;
+  for (int n = 1; n <= 48; ++n) {
+    for (int family = 0; family < 3; ++family) {
+      Matrix a = family == 0 ? basis_like(n, 0.5, rng) : basis_like(n, 0.15, rng);
+      if (family == 2) {
+        for (int r = 0; r < n; ++r) {
+          for (int c = 0; c < n; ++c) {
+            if (a(r, c) != 0.0 && rng.flip(0.5)) a(r, c) = rng.uniform(-3.0, 3.0);
+          }
+        }
+      }
+      Matrix reference = a;
+      std::vector<int> reference_pivots;
+      if (!row_elimination(reference, reference_pivots)) {
+        EXPECT_THROW(DenseLU{a}, NumericalError) << "n=" << n << " family=" << family;
+        continue;
+      }
+      const DenseLU lu(a);
+      ASSERT_EQ(lu.pivots(), reference_pivots) << "n=" << n << " family=" << family;
+      ASSERT_EQ(std::memcmp(lu.packed().data(), reference.data(), a.size() * sizeof(double)), 0)
+          << "n=" << n << " family=" << family;
+      ++compared;
+      for (int k = 0; k < n; ++k) {
+        if (reference_pivots[static_cast<std::size_t>(k)] != k) {
+          ++swapped;
+          break;
+        }
+      }
+      for (std::size_t k = 0; k < a.size(); ++k) {
+        if (reference.data()[k] == 0.0 && std::signbit(reference.data()[k])) ++negative_zeros;
+      }
+    }
+  }
+  EXPECT_GT(compared, 100);
+  EXPECT_GT(swapped, 100);
+  EXPECT_GT(negative_zeros, 0);
 }
 
 TEST(Cholesky, SolvesSpdSystem) {

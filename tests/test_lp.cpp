@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "lp/interior_point.hpp"
 #include "lp/model.hpp"
@@ -11,7 +16,9 @@
 #include "lp/simplex.hpp"
 #include "lp/standard_form.hpp"
 #include "obs/metrics.hpp"
+#include "problems/generators.hpp"
 #include "sparse/ops.hpp"
+#include "support/rng.hpp"
 
 namespace gpumip::lp {
 namespace {
@@ -376,6 +383,163 @@ TEST(DualSimplex, FreeStatusOnABoundedColumnIsRepaired) {
   ASSERT_EQ(warm.status, LpStatus::Optimal);
   EXPECT_NEAR(warm.x[static_cast<std::size_t>(x)], 1.0, 1e-9);
   EXPECT_NEAR(warm.objective, cold.objective, 1e-9);  // x = 1, y = 2
+}
+
+// ---------- bit-exact replay ----------
+
+/// One simplex solve, pinned bit for bit: the vectors and the final B⁻¹ by
+/// a 64-bit FNV-1a hash of their bytes, so any changed bit (a signed zero
+/// included) changes the pin.
+struct SimplexPin {
+  LpStatus status;
+  long iterations;
+  std::array<long, 14> ops;  ///< every LpOpStats field, declaration order
+  double objective;
+  std::uint64_t x, duals, reduced_costs, binv;
+  int etas_since_refactor;
+  bool inherited_inverse;
+
+  bool operator==(const SimplexPin&) const = default;
+};
+
+std::uint64_t bits_hash(std::span<const double> v) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (double d : v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof bits);
+    for (int b = 0; b < 8; ++b) {
+      h ^= (bits >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+SimplexPin pin(const LpResult& r) {
+  const LpOpStats& o = r.ops;
+  return {r.status,
+          r.iterations,
+          {o.m, o.n, o.nnz, o.ftran, o.btran, o.price_full, o.eta_updates, o.refactor,
+           o.iterations, o.bound_flips, o.cholesky, o.matvec_n, o.spmv, o.restarts},
+          r.objective,
+          bits_hash(r.x),
+          bits_hash(r.duals),
+          bits_hash(r.reduced_costs),
+          bits_hash({r.binv.data(), static_cast<std::size_t>(r.binv.rows()) *
+                                        static_cast<std::size_t>(r.binv.cols())}),
+          r.etas_since_refactor,
+          r.inherited_inverse};
+}
+
+/// The pin as a table row, printed on a mismatch so a deliberate change of
+/// the numerics can re-record it.
+std::string describe(const SimplexPin& p) {
+  std::ostringstream out;
+  out << "{LpStatus::" << lp_status_name(p.status) << ", " << p.iterations << ", {";
+  for (std::size_t i = 0; i < p.ops.size(); ++i) out << (i ? ", " : "") << p.ops[i];
+  out << "}, " << std::hexfloat << p.objective << std::hex << ", 0x" << p.x << "ull, 0x"
+      << p.duals << "ull, 0x" << p.reduced_costs << "ull, 0x" << p.binv << "ull" << std::dec
+      << ", " << p.etas_since_refactor << ", " << (p.inherited_inverse ? "true" : "false")
+      << "}";
+  return out.str();
+}
+
+/// The bnb_tree relaxation shape (random_mip 16x28, maximized) plus a
+/// zero-cost column (its minimization cost is -0.0), a >= row and an
+/// equality row, so phase 1 has artificials to drive out.
+LpModel pinned_model(std::uint64_t seed) {
+  Rng rng(seed);
+  problems::RandomMipConfig config;
+  config.rows = 16;
+  config.cols = 28;
+  LpModel m = problems::random_mip(config, rng).lp();
+  const int z = m.add_col(0.0, 0.0, 5.0);
+  m.add_row_ge({{0, 1.0}, {3, 2.0}, {z, 1.0}}, 2.5);
+  m.add_row_eq({{1, 1.0}, {2, 1.0}, {z, -1.0}}, 1.25);
+  return m;
+}
+
+TEST(Simplex, SeededSolvesAreBitExact) {
+  // Golden values recorded with the gemv_t duals, the two-column_dot dual
+  // ratio test, the row-wise LU elimination and the zero-filled workspace
+  // inverse: the kernels that replaced them must reproduce every result bit.
+  std::vector<std::pair<std::string, SimplexPin>> got;
+  for (std::uint64_t seed : {1, 2}) {
+    const std::string tag = "seed " + std::to_string(seed) + ": ";
+    LpModel model = pinned_model(seed);
+    const StandardForm form = build_standard_form(model);
+    SimplexSolver solver(form);
+    const LpResult root = solver.solve_default();
+    ASSERT_EQ(root.status, LpStatus::Optimal);
+    ASSERT_TRUE(std::all_of(root.basis.basic.begin(), root.basis.basic.end(),
+                            [&](int v) { return v < form.num_vars; }));
+    got.emplace_back(tag + "cold primal", pin(root));
+
+    // A branching child: the first fractional column's upper bound drops
+    // to its floor.
+    int j = 0;
+    while (j < form.num_struct &&
+           std::fabs(root.x[static_cast<std::size_t>(j)] -
+                     std::round(root.x[static_cast<std::size_t>(j)])) < 1e-6) {
+      ++j;
+    }
+    ASSERT_LT(j, form.num_struct);
+    Vector ub = form.ub;
+    ub[static_cast<std::size_t>(j)] = std::floor(root.x[static_cast<std::size_t>(j)]);
+    const BasisInverse inherited{&root.binv, root.etas_since_refactor};
+    const LpResult warm = solver.resolve_dual(form.lb, ub, root.basis, &inherited);
+    EXPECT_TRUE(warm.inherited_inverse);
+    got.emplace_back(tag + "dual, inherited B⁻¹", pin(warm));
+    const LpResult refactored = solver.resolve_dual(form.lb, ub, root.basis);
+    EXPECT_EQ(refactored.ops.refactor, 1);
+    got.emplace_back(tag + "dual, refactorized", pin(refactored));
+
+    // The optimal basis of the opposite objective is primal feasible but
+    // not dual feasible: resolve_dual falls back to a warm primal solve,
+    // which installs that solve's B⁻¹.
+    model.set_sense(Sense::Minimize);
+    const StandardForm flipped = build_standard_form(model);
+    const LpResult other = SimplexSolver(flipped).solve_default();
+    ASSERT_EQ(other.status, LpStatus::Optimal);
+    const BasisInverse other_inverse{&other.binv, other.etas_since_refactor};
+    got.emplace_back(tag + "dual-infeasible fallback",
+                     pin(solver.resolve_dual(form.lb, form.ub, other.basis, &other_inverse)));
+  }
+
+  const std::array<SimplexPin, 8> golden = {{
+      // seed 1: cold primal, dual with inherited B⁻¹, dual refactorized,
+      // dual-infeasible fallback
+      {LpStatus::Optimal, 51, {18, 46, 146, 51, 53, 53, 51, 0, 51, 0, 0, 0, 0, 0},
+       -0x1.26332ed7272cep+8, 0xe715c5900faab192ull, 0x6144441d9f560838ull,
+       0x65e71315a1412404ull, 0x95a3876fe4a77f8bull, 51, false},
+      {LpStatus::Optimal, 3, {18, 46, 146, 4, 7, 4, 3, 0, 3, 0, 0, 0, 0, 0},
+       -0x1.24bf7524f9ff9p+8, 0xd12f662fc7626f27ull, 0x178d38e1c93586ddull,
+       0x8fccc41c8d35563bull, 0xc5afb89404f3f833ull, 54, true},
+      {LpStatus::Optimal, 3, {18, 46, 146, 4, 7, 4, 3, 1, 3, 0, 0, 0, 0, 0},
+       -0x1.24bf7524f9ff9p+8, 0x15d21d55dcff8939ull, 0x69b3a8e9d0afccf7ull,
+       0x4e52ba8d34a7ba76ull, 0xca9583eef76bb206ull, 3, false},
+      {LpStatus::Optimal, 36, {18, 46, 146, 37, 37, 37, 32, 0, 36, 4, 0, 0, 0, 0},
+       -0x1.26332ed7272dp+8, 0x9fd78c6c036dfbebull, 0x7f523704b5d42531ull,
+       0xadee55cef8dfd3d5ull, 0x732e781b70725b5aull, 46, true},
+      // seed 2, same four
+      {LpStatus::Optimal, 53, {18, 46, 158, 53, 55, 55, 50, 0, 53, 3, 0, 0, 0, 0},
+       -0x1.5e93056bdb8a2p+8, 0x20217e5a1cee2cd7ull, 0xff3dc90c667decb5ull,
+       0x97638aef3fa908dbull, 0x90307b0e098de5c3ull, 50, false},
+      {LpStatus::Optimal, 1, {18, 46, 158, 2, 3, 2, 1, 0, 1, 0, 0, 0, 0, 0},
+       -0x1.5e8927a2920c5p+8, 0x8979cbc6e5ed068full, 0xda721781e7dabf80ull,
+       0xf700d0662de0de5eull, 0xacf7e06c306aad3bull, 51, true},
+      {LpStatus::Optimal, 1, {18, 46, 158, 2, 3, 2, 1, 1, 1, 0, 0, 0, 0, 0},
+       -0x1.5e8927a2920c4p+8, 0xc207fca155c8c3d1ull, 0x13707f045e3b62f0ull,
+       0x9baa7f1659106491ull, 0x488b966a20d33c2ull, 1, false},
+      {LpStatus::Optimal, 27, {18, 46, 158, 28, 28, 28, 24, 0, 27, 3, 0, 0, 0, 0},
+       -0x1.5e93056bdb8ap+8, 0x108c7a2a5f99d516ull, 0x18de3286f4fbb1a1ull,
+       0x915332a06e18a5a2ull, 0x4996f59e1bb9ca35ull, 36, true},
+  }};
+  ASSERT_EQ(got.size(), golden.size());
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    EXPECT_TRUE(got[k].second == golden[k])
+        << got[k].first << " differs; got " << describe(got[k].second);
+  }
 }
 
 // ---------- interior point ----------

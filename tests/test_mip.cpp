@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <string>
 
 #include "mip/solver.hpp"
 #include "problems/generators.hpp"
+#include "sparse/ops.hpp"
 
 namespace gpumip::mip {
 namespace {
@@ -27,6 +30,76 @@ TEST(MipModel, BuildersAndIntegrality) {
   EXPECT_EQ(m.num_integer(), 2);
   EXPECT_TRUE(m.is_integral(linalg::Vector{0.5, 2.0, 1.0}));
   EXPECT_FALSE(m.is_integral(linalg::Vector{0.5, 2.5, 1.0}));
+}
+
+/// MipModel::is_feasible with the model's CSR rebuilt for the call and the
+/// row activities formed by spmv: the reference for the check on prebuilt
+/// rows.
+bool feasible_by_rebuild(const MipModel& m, std::span<const double> x, double tol) {
+  for (int j = 0; j < m.num_cols(); ++j) {
+    const double v = x[static_cast<std::size_t>(j)];
+    if (v < m.lp().col(j).lb - tol || v > m.lp().col(j).ub + tol) return false;
+  }
+  const sparse::Csr a = m.lp().matrix();
+  linalg::Vector activity(static_cast<std::size_t>(m.num_rows()), 0.0);
+  sparse::spmv(1.0, a, x.subspan(0, static_cast<std::size_t>(m.num_cols())), 0.0, activity);
+  for (int i = 0; i < m.num_rows(); ++i) {
+    const double v = activity[static_cast<std::size_t>(i)];
+    if (v < m.lp().row(i).lb - tol || v > m.lp().row(i).ub + tol) return false;
+  }
+  return true;
+}
+
+TEST(MipModel, FeasibilityOnPrebuiltRowsMatchesRebuild) {
+  // Cut-strengthened random MIPs: on random points, and on points whose
+  // activity sits exactly on a row's upper bound or one ulp past it, the
+  // check on rows built once agrees with the per-call rebuild.
+  int cut_rows = 0;
+  int feasible = 0;
+  int on_bound_feasible = 0;
+  for (std::uint64_t seed : {1, 2, 3, 4}) {
+    Rng rng(seed);
+    RandomMipConfig cfg;
+    cfg.rows = 10;
+    cfg.cols = 16;
+    BnbSolver solver(problems::random_mip(cfg, rng));
+    ASSERT_EQ(solver.solve().status, MipStatus::Optimal);
+    MipModel m = solver.working_model();  // a copy: row bounds move below
+    cut_rows += m.num_rows() - cfg.rows;
+    const sparse::Csr rows = m.lp().matrix();
+    for (int trial = 0; trial < 200; ++trial) {
+      linalg::Vector x(static_cast<std::size_t>(m.num_cols()));
+      for (int j = 0; j < m.num_cols(); ++j) {
+        x[static_cast<std::size_t>(j)] =
+            m.is_integer(j) ? static_cast<double>(rng.uniform_int(0, 1)) : rng.uniform(0.0, 1.0);
+      }
+      for (double tol : {1e-6, 0.0}) {
+        const bool expected = feasible_by_rebuild(m, x, tol);
+        EXPECT_EQ(m.is_feasible(x, rows, tol), expected) << "seed " << seed << " trial " << trial;
+        feasible += expected ? 1 : 0;
+      }
+      const int i = trial % m.num_rows();
+      linalg::Vector activity(static_cast<std::size_t>(m.num_rows()), 0.0);
+      sparse::spmv(1.0, rows, x, 0.0, activity);
+      const double on = activity[static_cast<std::size_t>(i)];
+      lp::RowDef& row = m.lp().row(i);
+      const lp::RowDef saved = row;
+      for (double ub : {on, std::nextafter(on, -lp::kInf)}) {
+        row.ub = ub;
+        row.lb = std::min(saved.lb, ub);
+        for (double tol : {1e-6, 0.0}) {
+          const bool expected = feasible_by_rebuild(m, x, tol);
+          EXPECT_EQ(m.is_feasible(x, rows, tol), expected)
+              << "seed " << seed << " trial " << trial << " row " << i << " ub " << ub;
+          on_bound_feasible += expected && ub == on && tol == 0.0 ? 1 : 0;
+        }
+      }
+      row = saved;
+    }
+  }
+  EXPECT_GT(cut_rows, 0);
+  EXPECT_GT(feasible, 100);
+  EXPECT_GT(on_bound_feasible, 50);
 }
 
 TEST(Bnb, SimpleTwoVarInteger) {
@@ -740,7 +813,7 @@ TEST(Heuristics, RoundingFindsObviousSolution) {
   lp::SimplexSolver solver(form);
   lp::LpResult root = solver.solve_default();
   ASSERT_EQ(root.status, lp::LpStatus::Optimal);
-  HeuristicResult h = rounding_heuristic(m, form, root.x);
+  HeuristicResult h = rounding_heuristic(m, m.lp().matrix(), form, root.x);
   if (h.found) {
     EXPECT_TRUE(m.is_feasible(h.x));
     EXPECT_TRUE(m.is_integral(h.x));
