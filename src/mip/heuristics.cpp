@@ -39,10 +39,11 @@ HeuristicResult rounding_heuristic(const MipModel& model, const sparse::Csr& row
 
 HeuristicResult diving_heuristic(const MipModel& model, const lp::StandardForm& form,
                                  lp::SimplexSolver& solver, const lp::LpResult& relaxation,
+                                 const linalg::Vector& node_lb, const linalg::Vector& node_ub,
                                  int max_dives, double int_tol) {
   HeuristicResult result;
   if (relaxation.status != lp::LpStatus::Optimal) return result;
-  linalg::Vector lb = form.lb, ub = form.ub;
+  linalg::Vector lb = node_lb, ub = node_ub;
   lp::LpResult current = relaxation;
 
   for (int dive = 0; dive < max_dives; ++dive) {
@@ -77,7 +78,7 @@ HeuristicResult diving_heuristic(const MipModel& model, const lp::StandardForm& 
     const double second = first > value ? std::floor(value) : std::ceil(value);
     bool advanced = false;
     for (const double target : {first, second}) {
-      if (target < form.lb[k] - 1e-9 || target > form.ub[k] + 1e-9) continue;
+      if (target < lb[k] - 1e-9 || target > ub[k] + 1e-9) continue;
       linalg::Vector try_lb = lb, try_ub = ub;
       try_lb[k] = try_ub[k] = target;
       const lp::BasisInverse inverse{&current.binv, current.etas_since_refactor};

@@ -20,11 +20,14 @@ HeuristicResult rounding_heuristic(const MipModel& model, const sparse::Csr& row
                                    const lp::StandardForm& form,
                                    std::span<const double> lp_x, double int_tol = 1e-6);
 
-/// Fractional diving: repeatedly fix the most fractional variable to its
-/// nearest integer and dual-resolve from the previous level's basis and
-/// B⁻¹; backtracks once per level on infeasibility.
+/// Fractional diving from the node whose box is [node_lb, node_ub] and
+/// whose LP solution is `relaxation`: repeatedly fix the most fractional
+/// variable to its nearest integer inside the current box and dual-resolve
+/// from the previous level's basis and B⁻¹; backtracks once per level on
+/// infeasibility. Every point it visits lies inside the node's box.
 HeuristicResult diving_heuristic(const MipModel& model, const lp::StandardForm& form,
                                  lp::SimplexSolver& solver, const lp::LpResult& relaxation,
+                                 const linalg::Vector& node_lb, const linalg::Vector& node_ub,
                                  int max_dives = 100, double int_tol = 1e-6);
 
 }  // namespace gpumip::mip

@@ -12,7 +12,9 @@
 // so a resumed node (a subproblem shipped to a supervised worker) starts
 // with a dual-simplex warm start instead of a cold primal solve. The text
 // format stays bounds-only: a node resumed from a checkpoint file has an
-// empty basis and cold-starts.
+// empty basis and cold-starts. A resumed node is not the root: it runs the
+// rounding and diving heuristics inside its own bounds, and it does not
+// set MipStats::root_bound.
 #pragma once
 
 #include <iosfwd>

@@ -263,9 +263,7 @@ MipResult BnbSolver::run(const ConsistentSnapshot* snapshot) {
       incumbent_x_.assign(x_struct.begin(), x_struct.end());
       pool_->prune_worse_than(incumbent_obj_ - 1e-9);
       GPUMIP_OBS_COUNT("gpumip.mip.incumbent.updates");
-      return true;
     }
-    return false;
   };
 
   int last_evaluated = -1;
@@ -417,18 +415,18 @@ MipResult BnbSolver::run(const ConsistentSnapshot* snapshot) {
       continue;
     }
 
-    // Heuristics at the root.
+    // Heuristics at the root and at each resumed frontier node, where a
+    // supervised worker finds incumbents of its own; the dive stays inside
+    // the node's box.
     if (options_.enable_heuristics && node.parent < 0) {
       HeuristicResult h = rounding_heuristic(model_, rows_, *form_, lp_result.x, options_.int_tol);
       if (!h.found) {
-        h = diving_heuristic(model_, *form_, *lp_solver_, lp_result, 2 * model_.num_cols() + 10,
-                             options_.int_tol);
+        h = diving_heuristic(model_, *form_, *lp_solver_, lp_result, node.lb, node.ub,
+                             2 * model_.num_cols() + 10, options_.int_tol);
       }
-      if (h.found && try_incumbent(h.objective, h.x)) {
-        ++stats_.heuristic_incumbents;
-      }
+      if (h.found) try_incumbent(h.objective, h.x);
     }
-    if (node.parent < 0) stats_.root_bound = lp_result.objective;
+    if (snapshot == nullptr && node.parent < 0) stats_.root_bound = lp_result.objective;
 
     const int var = select_branch_var(lp_result.x, model_.integer_flags(), options_.int_tol);
     check_internal(var >= 0, "no fractional variable in a non-integral node");

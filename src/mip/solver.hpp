@@ -85,9 +85,10 @@ struct MipStats {
   long lp_iterations = 0;
   long cuts_added = 0;
   int cut_rounds_used = 0;
-  long heuristic_incumbents = 0;
   long hot_nodes = 0;  ///< nodes warm-continuing from the previous node
-  double root_bound = 0.0;  ///< LP bound after cuts (min form)
+  /// LP bound of the root after cuts (min form). Set by solve() only: a
+  /// solve_from() search has no root, so it leaves this at 0.
+  double root_bound = 0.0;
   lp::LpOpStats total_ops;
   TreeAnatomy anatomy;
 };

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <string>
 
+#include "mip/branching.hpp"
 #include "mip/solver.hpp"
 #include "problems/generators.hpp"
 #include "sparse/ops.hpp"
@@ -830,10 +831,99 @@ TEST(Heuristics, DivingProducesFeasiblePoint) {
   lp::SimplexSolver solver(form);
   lp::LpResult root = solver.solve_default();
   ASSERT_EQ(root.status, lp::LpStatus::Optimal);
-  HeuristicResult h = diving_heuristic(m, form, solver, root);
+  HeuristicResult h = diving_heuristic(m, form, solver, root, form.lb, form.ub);
   ASSERT_TRUE(h.found);
   EXPECT_TRUE(m.is_feasible(h.x));
   EXPECT_TRUE(m.is_integral(h.x));
+}
+
+TEST(Heuristics, DiveStaysInsideTheNodeBox) {
+  // A dive from a child node must fix variables inside the child's box: a
+  // resumed subproblem's dive that wandered back into the global box would
+  // search (and report) points its node excludes. On this seed both
+  // children's dives from the global box land outside the child's box, so
+  // the test tells the two apart.
+  Rng rng(23);
+  RandomMipConfig cfg;
+  cfg.rows = 8;
+  cfg.cols = 14;
+  MipModel m = problems::random_mip(cfg, rng);
+  const lp::StandardForm form = lp::build_standard_form(m.lp());
+  lp::SimplexSolver solver(form);
+  const lp::LpResult root = solver.solve_default();
+  ASSERT_EQ(root.status, lp::LpStatus::Optimal);
+  const int var = select_branch_var(root.x, m.integer_flags(), 1e-6);
+  ASSERT_GE(var, 0);
+  const auto k = static_cast<std::size_t>(var);
+
+  auto inside = [&](const linalg::Vector& x, const linalg::Vector& lb, const linalg::Vector& ub) {
+    for (int j = 0; j < m.num_cols(); ++j) {
+      const auto i = static_cast<std::size_t>(j);
+      if (x[i] < lb[i] - 1e-9 || x[i] > ub[i] + 1e-9) return false;
+    }
+    return true;
+  };
+  for (const bool up : {false, true}) {
+    linalg::Vector lb = form.lb, ub = form.ub;
+    if (up) {
+      lb[k] = std::ceil(root.x[k]);
+    } else {
+      ub[k] = std::floor(root.x[k]);
+    }
+    const lp::BasisInverse inverse{&root.binv, root.etas_since_refactor};
+    const lp::LpResult child = solver.resolve_dual(lb, ub, root.basis, &inverse);
+    ASSERT_EQ(child.status, lp::LpStatus::Optimal) << "up " << up;
+    ASSERT_FALSE(m.is_integral(child.x)) << "up " << up;
+
+    const HeuristicResult global = diving_heuristic(m, form, solver, child, form.lb, form.ub);
+    ASSERT_TRUE(global.found) << "up " << up;
+    ASSERT_FALSE(inside(global.x, lb, ub)) << "fixture: the global-box dive stays in the box";
+
+    const HeuristicResult h = diving_heuristic(m, form, solver, child, lb, ub);
+    ASSERT_TRUE(h.found) << "up " << up;
+    EXPECT_TRUE(inside(h.x, lb, ub)) << "up " << up;
+    EXPECT_TRUE(m.is_feasible(h.x)) << "up " << up;
+    EXPECT_TRUE(m.is_integral(h.x)) << "up " << up;
+    EXPECT_GE(h.objective, child.objective - 1e-9) << "up " << up;
+  }
+}
+
+TEST(MipStats, RootBoundIsSetOnlyAtTheTrueRoot) {
+  // solve() records the root LP's objective; solve_from() has no root, so
+  // its frontier nodes (parentless in the resumed pool) leave it unset.
+  Rng rng(61);
+  RandomMipConfig cfg;
+  cfg.rows = 10;
+  cfg.cols = 18;
+  cfg.bound = 4.0;
+  MipModel m = problems::random_mip(cfg, rng);
+
+  std::vector<ConsistentSnapshot> snapshots;
+  MipOptions opts;
+  opts.enable_cuts = false;
+  opts.snapshot_interval = 5;
+  opts.on_snapshot = [&](const ConsistentSnapshot& s) { snapshots.push_back(s); };
+  BnbSolver fresh(m, opts);
+  const MipResult full = fresh.solve();
+  ASSERT_EQ(full.status, MipStatus::Optimal);
+  const lp::StandardForm form = lp::build_standard_form(m.lp());
+  const lp::LpResult root = lp::SimplexSolver(form).solve_default();
+  ASSERT_EQ(root.status, lp::LpStatus::Optimal);
+  ASSERT_NE(root.objective, 0.0);
+  EXPECT_NEAR(full.stats.root_bound, root.objective, 1e-9);
+  EXPECT_EQ(full.stats.root_bound, fresh.pool().node(0).lp_objective);
+
+  ASSERT_GE(snapshots.size(), 2u);
+  const ConsistentSnapshot& snap = snapshots[snapshots.size() / 2];
+  ASSERT_FALSE(snap.frontier.empty());
+  MipOptions resume_opts;
+  resume_opts.enable_cuts = false;
+  BnbSolver resumed(m, resume_opts);
+  const MipResult r = resumed.solve_from(snap);
+  ASSERT_EQ(r.status, MipStatus::Optimal);
+  EXPECT_NEAR(r.objective, full.objective, 1e-6);
+  EXPECT_GT(r.stats.nodes_evaluated, 0);
+  EXPECT_EQ(r.stats.root_bound, MipStats{}.root_bound);
 }
 
 TEST(Enumeration, RejectsHugeDomains) {

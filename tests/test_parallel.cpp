@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "gpu/device.hpp"
 #include "lp/op_stats.hpp"
@@ -352,6 +353,39 @@ TEST(Supervisor, MatchesSequentialOptimum) {
     SupervisorResult parallel = solve_supervised(m, opts);
     ASSERT_EQ(parallel.result.status, mip::MipStatus::Optimal) << "seed " << seed;
     EXPECT_NEAR(parallel.result.objective, sequential.objective, 1e-6) << "seed " << seed;
+  }
+}
+
+TEST(Supervisor, MatchesEnumeration) {
+  // Every worker node is a resumed subproblem root or one of its
+  // descendants; with a budget of 1 almost every node is shipped on its
+  // own, so the resumed nodes' heuristics and dives decide the incumbent.
+  for (std::uint64_t seed : {1u, 2u, 3u, 6u}) {
+    Rng rng(500 + seed);
+    RandomMipConfig cfg;
+    cfg.rows = 6;
+    cfg.cols = 9;
+    cfg.density = 0.5;
+    cfg.integer_fraction = 0.8;
+    cfg.bound = 3.0;
+    const mip::MipModel m = problems::random_mip(cfg, rng);
+    const mip::MipResult exact = mip::solve_by_enumeration(m);
+    ASSERT_EQ(exact.status, mip::MipStatus::Optimal) << "seed " << seed;
+
+    for (long budget : {1L, 4L, 15L}) {
+      SupervisorOptions opts;
+      opts.workers = 3;
+      opts.worker_node_budget = budget;
+      opts.ramp_up_nodes = 2;
+      opts.mip.enable_cuts = false;
+      const SupervisorResult r = solve_supervised(m, opts);
+      const std::string label = "seed " + std::to_string(seed) + " budget " + std::to_string(budget);
+      ASSERT_EQ(r.result.status, mip::MipStatus::Optimal) << label;
+      EXPECT_GT(r.subproblems_dispatched, 0) << label << ": fixture never reached the workers";
+      EXPECT_NEAR(r.result.objective, exact.objective, 1e-6) << label;
+      EXPECT_TRUE(m.is_integral(r.result.x)) << label;
+      EXPECT_TRUE(m.is_feasible(r.result.x)) << label;
+    }
   }
 }
 
