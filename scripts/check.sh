@@ -140,7 +140,7 @@ timed tsan run_gate tsan build-tsan -DGPUMIP_SANITIZE=thread
 # determinism sweep (test_schedule) already ran in every gate above.
 schedule_gate() {
   local build_dir="build-checked"
-  local filter='SimMpi|Supervisor\.(MatchesSequentialOptimum|CheckpointAndResume)|BatchedPdhg'
+  local filter='SimMpi|Supervisor\.(MatchesSequentialOptimum|MatchesEnumeration|CheckpointAndResume)|BatchedPdhg'
   if [ ! -d "$build_dir" ]; then
     echo "==> [schedule] SKIPPED: no $build_dir (checked gate did not configure)"
     return

@@ -25,9 +25,14 @@ HeuristicResult rounding_heuristic(const MipModel& model, const sparse::Csr& row
 /// variable to its nearest integer inside the current box and dual-resolve
 /// from the previous level's basis and B⁻¹; backtracks once per level on
 /// infeasibility. Every point it visits lies inside the node's box.
+/// `cutoff` is the caller's incumbent objective: the dive gives up (found =
+/// false) once its LP bound shows that no point it can still reach has an
+/// objective below `cutoff - 1e-12`, so every solution it would have
+/// returned below that line it still returns, bit for bit.
 HeuristicResult diving_heuristic(const MipModel& model, const lp::StandardForm& form,
                                  lp::SimplexSolver& solver, const lp::LpResult& relaxation,
                                  const linalg::Vector& node_lb, const linalg::Vector& node_ub,
-                                 int max_dives = 100, double int_tol = 1e-6);
+                                 int max_dives = 100, double int_tol = 1e-6,
+                                 double cutoff = 1e300);
 
 }  // namespace gpumip::mip

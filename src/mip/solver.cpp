@@ -417,12 +417,12 @@ MipResult BnbSolver::run(const ConsistentSnapshot* snapshot) {
 
     // Heuristics at the root and at each resumed frontier node, where a
     // supervised worker finds incumbents of its own; the dive stays inside
-    // the node's box.
+    // the node's box and stops once it cannot beat the incumbent.
     if (options_.enable_heuristics && node.parent < 0) {
       HeuristicResult h = rounding_heuristic(model_, rows_, *form_, lp_result.x, options_.int_tol);
       if (!h.found) {
         h = diving_heuristic(model_, *form_, *lp_solver_, lp_result, node.lb, node.ub,
-                             2 * model_.num_cols() + 10, options_.int_tol);
+                             2 * model_.num_cols() + 10, options_.int_tol, incumbent_obj_);
       }
       if (h.found) try_incumbent(h.objective, h.x);
     }

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "mip/branching.hpp"
 #include "mip/solver.hpp"
+#include "obs/obs.hpp"
 #include "problems/generators.hpp"
 #include "sparse/ops.hpp"
 
@@ -885,6 +889,88 @@ TEST(Heuristics, DiveStaysInsideTheNodeBox) {
     EXPECT_TRUE(m.is_feasible(h.x)) << "up " << up;
     EXPECT_TRUE(m.is_integral(h.x)) << "up " << up;
     EXPECT_GE(h.objective, child.objective - 1e-9) << "up " << up;
+  }
+}
+
+TEST(Heuristics, BoundedDiveKeepsEveryImprovingIncumbent) {
+  // The cutoff stop may only drop dives that could not have beaten the
+  // cutoff: whenever the unbounded dive returns an objective below
+  // cutoff - 1e-12 (what try_incumbent accepts), the bounded dive returns
+  // the same point, bit for bit, and it never solves more LPs. Dives start
+  // at the root and at both of its children, on the bnb_tree (16x28) and
+  // supervised (17x30) perfbench shapes.
+  const obs::Counter& dive_lps = obs::counter("gpumip.mip.dive.lps");
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  int improving = 0;
+  std::uint64_t saved_lps = 0;
+  for (const auto& [rows, cols] : {std::pair{16, 28}, std::pair{17, 30}}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      Rng rng(900 + seed);
+      RandomMipConfig cfg;
+      cfg.rows = rows;
+      cfg.cols = cols;
+      cfg.bound = 4.0;
+      const MipModel m = problems::random_mip(cfg, rng);
+      const lp::StandardForm form = lp::build_standard_form(m.lp());
+      lp::SimplexSolver solver(form);
+      const lp::LpResult root = solver.solve_default();
+      ASSERT_EQ(root.status, lp::LpStatus::Optimal);
+      const int var = select_branch_var(root.x, m.integer_flags(), 1e-6);
+      if (var < 0) continue;
+      const auto k = static_cast<std::size_t>(var);
+
+      struct Start {
+        lp::LpResult lp;
+        linalg::Vector lb, ub;
+      };
+      std::vector<Start> starts{{root, form.lb, form.ub}};
+      for (const bool up : {false, true}) {
+        Start child{{}, form.lb, form.ub};
+        if (up) {
+          child.lb[k] = std::ceil(root.x[k]);
+        } else {
+          child.ub[k] = std::floor(root.x[k]);
+        }
+        const lp::BasisInverse inverse{&root.binv, root.etas_since_refactor};
+        child.lp = solver.resolve_dual(child.lb, child.ub, root.basis, &inverse);
+        if (child.lp.status == lp::LpStatus::Optimal && !m.is_integral(child.lp.x)) {
+          starts.push_back(std::move(child));
+        }
+      }
+
+      const int max_dives = 2 * cols + 10;
+      for (const Start& start : starts) {
+        std::uint64_t before = dive_lps.value();
+        const HeuristicResult open =
+            diving_heuristic(m, form, solver, start.lp, start.lb, start.ub, max_dives);
+        const std::uint64_t open_lps = dive_lps.value() - before;
+        const double lo = start.lp.objective;
+        const double hi = open.found ? open.objective : lo + 1.0;
+        std::vector<double> cutoffs{lo, hi + 1e-9, hi + 1e-6 * (1.0 + std::fabs(hi)),
+                                    hi - 1e-9, hi - 1e-6 * (1.0 + std::fabs(hi))};
+        for (const double t : {0.1, 0.25, 0.5, 0.75, 0.9}) cutoffs.push_back(lo + t * (hi - lo));
+        for (const double cutoff : cutoffs) {
+          before = dive_lps.value();
+          const HeuristicResult h = diving_heuristic(m, form, solver, start.lp, start.lb,
+                                                     start.ub, max_dives, 1e-6, cutoff);
+          const std::uint64_t lps = dive_lps.value() - before;
+          EXPECT_LE(lps, open_lps) << "seed " << seed << " cutoff " << cutoff;
+          saved_lps += open_lps - std::min(lps, open_lps);
+          if (!open.found || !(open.objective < cutoff - 1e-12)) continue;
+          ++improving;
+          ASSERT_TRUE(h.found) << "seed " << seed << " cutoff " << cutoff;
+          EXPECT_EQ(bits(h.objective), bits(open.objective)) << "seed " << seed;
+          ASSERT_EQ(h.x.size(), open.x.size());
+          for (std::size_t j = 0; j < h.x.size(); ++j) {
+            EXPECT_EQ(bits(h.x[j]), bits(open.x[j])) << "seed " << seed << " column " << j;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(improving, 0) << "fixture: no cutoff lies above a dive's objective";
+  if (obs::kObsEnabled) {
+    EXPECT_GT(saved_lps, 0u) << "fixture: the cutoff never stopped a dive";
   }
 }
 
