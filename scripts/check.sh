@@ -47,9 +47,12 @@
 #                   call-graph rules R6-R9 enforce the hot-path manifest
 #                   (no allocation / payload copy / blocking call reachable
 #                   from a declared root without a justified waiver, every
-#                   root instrumented), and the CFG/dataflow lifetime rules
-#                   R10-R12 catch use-after-move, arena use-after-reset,
-#                   and unbalanced raw trace spans path-sensitively. The
+#                   root instrumented), the CFG/dataflow lifetime rules
+#                   R11-R12 catch arena use-after-reset and unbalanced raw
+#                   trace spans path-sensitively, R14 holds every sent tag
+#                   to a handler and every decoder to an exhausted()
+#                   check, and R15-R16 ban replay-determinism hazards and
+#                   unseeded RNG engines in src/. The
 #                   gate first runs the tool's test suite (test_lint), so
 #                   a rule that silently stopped firing also fails the
 #                   gate.
@@ -313,8 +316,8 @@ timed methods methods_gate
 # Gate 7: gpumip-lint. A dedicated small Release tree builds just the tool,
 # its test suite and the R5 header target (none of them link the solver,
 # so this is cheap even from scratch). test_lint proves each rule R1-R4,
-# the call-graph rules R6-R9, the CFG/dataflow lifetime rules R10-R12, and
-# the protocol/determinism rules R13-R16 still fire on their
+# the call-graph rules R6-R9, the CFG/dataflow lifetime rules R11-R12, and
+# the protocol/determinism rules R14-R16 still fire on their
 # seeded-violation fixtures and that the suppression round trip holds;
 # gpumip_lint_headers compiles every src/ header as its own translation
 # unit (R5); the sweep then requires src/ to be clean modulo the justified
@@ -344,7 +347,7 @@ lint_gate() {
     FAILURES=$((FAILURES + 1))
     return
   fi
-  echo "==> [lint] R1-R16 over src/ (suppressions: tools/gpumip-lint/suppressions.txt, hot paths: tools/gpumip-lint/hotpaths.txt)"
+  echo "==> [lint] R1-R4, R6-R9, R11-R12, R14-R16 over src/ (suppressions: tools/gpumip-lint/suppressions.txt, hot paths: tools/gpumip-lint/hotpaths.txt)"
   mapfile -t lint_sources < <(find src -name '*.cpp' -o -name '*.hpp' | sort)
   if ! "./$build_dir/tools/gpumip-lint/gpumip-lint" \
          --metrics-doc docs/METRICS.md --tracing-doc docs/TRACING.md \

@@ -1,6 +1,7 @@
 // gpumip-lint engine tests (tools/gpumip-lint/): seeded-violation
-// fixtures for every rule R1-R4 and R6-R16 proving the rule fires, the
-// matching clean fixtures and inline waivers proving it stays quiet, the
+// fixtures for every rule R1-R4, R6-R9, R11-R12 and R14-R16 proving the
+// rule fires, the matching clean fixtures and inline waivers proving it
+// stays quiet, the
 // suppression-file (SUP) and hot-path manifest (HOT) checks, lexer
 // regressions (raw strings, digit separators, annotation extent), the
 // call-graph edge cases (overload merge, templates, address-taken,
@@ -768,113 +769,6 @@ TEST(LintDataflow, JoinIsKeywiseOrAndFixpointCoversBranches) {
   EXPECT_EQ(in[3].count("right"), 0u);
 }
 
-// ---- R10: use-after-move ----------------------------------------------------
-
-TEST(LintR10, UseAfterMoveFires) {
-  const auto findings = lint_one(
-      "src/fix.cpp", "void f() { auto v = make(); sink(std::move(v)); use(v.size()); }\n",
-      doc_options());
-  ASSERT_TRUE(has_rule(findings, "R10"));
-  EXPECT_EQ(findings[0].line, 1);
-}
-
-TEST(LintR10, ReassignmentAndReinitKill) {
-  EXPECT_FALSE(has_rule(
-      lint_one("src/fix.cpp",
-               "void f() { auto v = make(); sink(std::move(v)); v = make(); use(v.size()); }\n",
-               doc_options()),
-      "R10"));
-  EXPECT_FALSE(has_rule(
-      lint_one("src/fix.cpp",
-               "void f() { auto v = make(); sink(std::move(v)); v.clear(); use(v.size()); }\n",
-               doc_options()),
-      "R10"));
-}
-
-TEST(LintR10, EarlyReturnInsideLoopKeepsMovedPathApart) {
-  // The moving path leaves the function from inside the loop; the use after
-  // the loop is only reachable with v intact.
-  const auto findings = lint_one("src/fix.cpp",
-                                 "void f() {\n"
-                                 "  auto v = make();\n"
-                                 "  while (go()) {\n"
-                                 "    if (bad()) { sink(std::move(v)); return; }\n"
-                                 "    step();\n"
-                                 "  }\n"
-                                 "  use(v.size());\n"
-                                 "}\n",
-                                 doc_options());
-  EXPECT_FALSE(has_rule(findings, "R10"));
-  EXPECT_FALSE(has_rule(lint_one("src/fix.cpp",
-                                 "void f() {\n"
-                                 "  auto v = make();\n"
-                                 "  if (c) { sink(std::move(v)); return; }\n"
-                                 "  use(v.size());\n"
-                                 "}\n",
-                                 doc_options()),
-                        "R10"));
-}
-
-TEST(LintR10, LoopBackEdgeCarriesTheMovedState) {
-  // `continue` instead of `return`: the moved state survives the back edge
-  // and reaches both the next iteration and the code after the loop.
-  const auto findings = lint_one("src/fix.cpp",
-                                 "void f() {\n"
-                                 "  auto v = make();\n"
-                                 "  while (go()) {\n"
-                                 "    if (bad()) { sink(std::move(v)); continue; }\n"
-                                 "    step();\n"
-                                 "  }\n"
-                                 "  use(v.size());\n"
-                                 "}\n",
-                                 doc_options());
-  EXPECT_TRUE(has_rule(findings, "R10"));
-  // Moved at the bottom of the body, used at the top of the next iteration.
-  EXPECT_TRUE(has_rule(
-      lint_one("src/fix.cpp",
-               "void f() { auto v = make(); while (go()) { use(v.size()); sink(std::move(v)); } }\n",
-               doc_options()),
-      "R10"));
-}
-
-TEST(LintR10, LambdaCapturingMovedLocalFires) {
-  const auto findings = lint_one(
-      "src/fix.cpp",
-      "void f() { auto v = make(); sink(std::move(v)); auto cb = [v]() { return 0; }; cb(); }\n",
-      doc_options());
-  EXPECT_TRUE(has_rule(findings, "R10"));
-}
-
-TEST(LintR10, MovedOkAnnotationWaives) {
-  const auto findings =
-      lint_one("src/fix.cpp",
-               "void f() { auto v = make(); sink(std::move(v));\n"
-               "  use(v.size());  // gpumip-lint: moved-ok(fixture: intentional reuse)\n"
-               "}\n",
-               doc_options());
-  EXPECT_FALSE(has_rule(findings, "R10"));
-}
-
-TEST(LintR10, SuppressionRoundTripAndStaleDetection) {
-  std::vector<lint::Finding> parse_findings;
-  auto sups = lint::parse_suppressions(
-      "R10 fix.cpp use(v.size()) -- fixture: reuse audited by hand\n", "(suppressions)",
-      parse_findings);
-  ASSERT_TRUE(parse_findings.empty());
-  auto findings = lint::run_lint(
-      {{"src/fix.cpp", "void f() { auto v = make(); sink(std::move(v)); use(v.size()); }\n"}},
-      doc_options(), sups);
-  EXPECT_FALSE(has_rule(findings, "R10"));
-  EXPECT_TRUE(sups[0].used);
-  // The same entry against clean code is reported stale.
-  auto stale_sups = lint::parse_suppressions(
-      "R10 fix.cpp use(v.size()) -- fixture: reuse audited by hand\n", "(suppressions)",
-      parse_findings);
-  auto stale = lint::run_lint({{"src/fix.cpp", "void f() { work(); }\n"}}, doc_options(),
-                              stale_sups);
-  EXPECT_TRUE(has_rule(stale, "SUP"));
-}
-
 // ---- R11: arena/buffer use-after-reset --------------------------------------
 
 TEST(LintR11, DirectResetThenUseFires) {
@@ -903,6 +797,27 @@ TEST(LintR11, SingleBranchResetFiresAsMayAnalysis) {
       "void f(Arena& arena) { auto blk = arena.allot(64); if (c) arena.reset(); use(blk); }\n",
       doc_options());
   EXPECT_TRUE(has_rule(findings, "R11"));
+}
+
+TEST(LintR11, LoopBackEdgeCarriesTheResetState) {
+  // Reset at the bottom of the body, used at the top of the next iteration.
+  EXPECT_TRUE(has_rule(
+      lint_one("src/fix.cpp",
+               "void f(Arena& arena) {\n"
+               "  auto blk = arena.allot(64);\n"
+               "  while (go()) { use(blk); arena.reset(); }\n"
+               "}\n",
+               doc_options()),
+      "R11"));
+  // Re-deriving at the top of each iteration kills the back-edge state.
+  EXPECT_FALSE(has_rule(
+      lint_one("src/fix.cpp",
+               "void f(Arena& arena) {\n"
+               "  auto blk = arena.allot(64);\n"
+               "  while (go()) { blk = arena.allot(64); use(blk); arena.reset(); }\n"
+               "}\n",
+               doc_options()),
+      "R11"));
 }
 
 TEST(LintR11, CallGraphProvenResetterFires) {
@@ -1073,100 +988,6 @@ TEST(LintLexer, WordIndexMatchesWholeWordSearch) {
   ASSERT_EQ(positions.size(), 1u);
   EXPECT_EQ(lint::find_word(scanned.clean, "move", 0), positions[0]);
   EXPECT_TRUE(lint::word_positions(scanned, "absent_word").empty());
-}
-
-// ---- R13: wire-format symmetry ---------------------------------------------
-
-namespace {
-
-// Shared deserializer fixture: reads double, int, then proves exhaustion.
-const char* const kDecodeItem =
-    "Item decode_item(std::span<const std::byte> p) {\n"
-    "  ByteReader r(p);\n"
-    "  Item it;\n"
-    "  it.a = r.read<double>();\n"
-    "  it.b = r.read<int>();\n"
-    "  check_arg(r.exhausted(), \"trailing bytes\");\n"
-    "  return it;\n"
-    "}\n";
-
-}  // namespace
-
-TEST(LintR13, TypedOpMismatchFires) {
-  const auto findings = lint_one("src/parallel/fixture.cpp",
-                                 "void encode_item(const Item& it, ByteWriter& w) {\n"
-                                 "  w.write<double>(it.a);\n"
-                                 "  w.write<double>(it.b);\n"
-                                 "}\n" +
-                                     std::string(kDecodeItem),
-                                 doc_options());
-  ASSERT_TRUE(has_rule(findings, "R13"));
-}
-
-TEST(LintR13, FieldCountMismatchFires) {
-  const auto findings = lint_one("src/parallel/fixture.cpp",
-                                 "void encode_item(const Item& it, ByteWriter& w) {\n"
-                                 "  w.write<double>(it.a);\n"
-                                 "}\n" +
-                                     std::string(kDecodeItem),
-                                 doc_options());
-  EXPECT_TRUE(has_rule(findings, "R13"));
-}
-
-TEST(LintR13, MatchingPairIsQuietAndDeducedWriteIsWildcard) {
-  // The second write has a deduced template argument -- it must match the
-  // typed read<int> on the other side instead of firing.
-  const auto findings = lint_one("src/parallel/fixture.cpp",
-                                 "void encode_item(const Item& it, ByteWriter& w) {\n"
-                                 "  w.write<double>(it.a);\n"
-                                 "  w.write(it.b);\n"
-                                 "}\n" +
-                                     std::string(kDecodeItem),
-                                 doc_options());
-  EXPECT_FALSE(has_rule(findings, "R13"));
-}
-
-TEST(LintR13, BranchAsymmetryFires) {
-  // Writer has a conditional extra field; reader decodes unconditionally.
-  const auto findings = lint_one("src/parallel/fixture.cpp",
-                                 "void encode_item(const Item& it, ByteWriter& w) {\n"
-                                 "  w.write<double>(it.a);\n"
-                                 "  if (it.extended) { w.write<int>(it.b); }\n"
-                                 "}\n" +
-                                     std::string(kDecodeItem),
-                                 doc_options());
-  EXPECT_TRUE(has_rule(findings, "R13"));
-}
-
-TEST(LintR13, MirroredCountPrefixedLoopsAreQuiet) {
-  const auto findings = lint_one(
-      "src/parallel/fixture.cpp",
-      "void encode_list(const L& l, ByteWriter& w) {\n"
-      "  w.write<std::uint64_t>(l.count);\n"
-      "  for (const auto& v : l.items) { w.write_doubles(v); }\n"
-      "}\n"
-      "L decode_list(std::span<const std::byte> p) {\n"
-      "  ByteReader r(p);\n"
-      "  L l;\n"
-      "  l.count = r.read<std::uint64_t>();\n"
-      "  for (std::uint64_t i = 0; i < l.count; ++i) { l.items.push_back(r.read_doubles()); }\n"
-      "  check_arg(r.exhausted(), \"trailing bytes\");\n"
-      "  return l;\n"
-      "}\n",
-      doc_options());
-  EXPECT_FALSE(has_rule(findings, "R13"));
-}
-
-TEST(LintR13, WireOkAnnotationWaives) {
-  const auto findings =
-      lint_one("src/parallel/fixture.cpp",
-               "// gpumip-lint: wire-ok(versioned decode accepts the legacy layout)\n"
-               "void encode_item(const Item& it, ByteWriter& w) {\n"
-               "  w.write<double>(it.a);\n"
-               "}\n" +
-                   std::string(kDecodeItem),
-               doc_options());
-  EXPECT_FALSE(has_rule(findings, "R13"));
 }
 
 // ---- R14: tag-protocol coverage --------------------------------------------

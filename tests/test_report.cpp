@@ -129,8 +129,20 @@ TEST(ReportAttribution, MissingMetricScoresAgainstZeroAndIdenticalRunsAreClean) 
   const BenchDoc base = one_bench({{"gpumip.mip.cuts.generated", 10.0}});
   const BenchDoc cur = one_bench({{"gpumip.lp.batch.solves{method=pdhg}", 5.0}});
   const Attribution a = reporttool::attribute(base, cur);
-  ASSERT_EQ(a.ranked.size(), 2u);  // vanished cuts + appeared batch metric
+  // Only the vanished cuts score; the appeared batch metric has no baseline.
+  ASSERT_EQ(a.ranked.size(), 1u);
+  EXPECT_EQ(a.ranked[0].category, "c4_cuts");
+  EXPECT_NEAR(a.ranked[0].score, 1.0, 1e-12);
   EXPECT_TRUE(reporttool::attribute(base, base).ranked.empty());
+}
+
+TEST(ReportAttribution, NewCounterDoesNotOutrankADoubledTransfer) {
+  const BenchDoc base = one_bench({{"gpumip.gpu.xfer.h2d.bytes", 1000.0}});
+  const BenchDoc cur = one_bench({{"gpumip.gpu.xfer.h2d.bytes", 2000.0},
+                                  {"gpumip.mip.dive.lps", 40.0}});
+  const Attribution a = reporttool::attribute(base, cur);
+  ASSERT_EQ(a.ranked.size(), 1u);
+  EXPECT_EQ(a.ranked[0].category, "transfer");
 }
 
 TEST(ReportAttribution, RankSplitsAggregateBeforeScoring) {

@@ -22,7 +22,7 @@
 
 namespace gpumip::lint {
 
-/// Fact key -> bitmask. Rules define the bits (lifetime.cpp: "moved",
+/// Fact key -> bitmask. Rules define the bits (lifetime.cpp:
 /// "invalidated", the set of possible open-span depths).
 using AbstractState = std::map<std::string, std::uint32_t>;
 

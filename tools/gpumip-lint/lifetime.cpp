@@ -11,7 +11,7 @@ namespace {
 
 constexpr std::size_t npos = std::string::npos;
 
-/// Methods that leave a moved-from / stale variable freshly initialized.
+/// Methods that leave a stale variable freshly initialized.
 const std::set<std::string>& reinit_methods() {
   static const std::set<std::string> k = {"clear", "assign", "resize", "reset", "swap"};
   return k;
@@ -87,22 +87,21 @@ std::size_t match_paren(const std::string& s, std::size_t pos, std::size_t end) 
   return end;
 }
 
-/// Runs all three rules over one graph: a combined transfer function (the
-/// rules use disjoint key prefixes: "m:" moved, "a:" arena-stale, "$span"
-/// open-depth set), one fixpoint, then a reporting replay per node. All
+/// Runs both rules over one graph: a combined transfer function (the
+/// rules use disjoint keys: "a:" arena-stale, "$span" open-depth set), one
+/// fixpoint, then a reporting replay per node. All
 /// occurrence queries go through the Scanned token index, so each is a
 /// binary search over that word's sites rather than a text scan.
 class LifetimeChecker {
  public:
   LifetimeChecker(const Scanned& f, const Cfg& cfg, const std::set<std::string>& resetters)
       : f_(f), s_(f.clean), cfg_(cfg), resetters_(resetters) {
-    find_moves();
     find_sources();
     derive_closure();
   }
 
   bool has_facts() const {
-    return !moves_.empty() || !root_of_.empty() || has_span_sites();
+    return !root_of_.empty() || has_span_sites();
   }
 
   void run(std::vector<Finding>& findings) {
@@ -123,7 +122,6 @@ class LifetimeChecker {
   const std::string& s_;
   const Cfg& cfg_;
   const std::set<std::string>& resetters_;
-  std::map<std::string, std::set<std::size_t>> moves_;   // var -> std::move arg offsets
   std::set<std::string> sources_;                        // arena/buffer receivers
   std::map<std::string, std::string> root_of_;           // derived var -> source
   std::map<std::string, std::vector<std::string>> family_;  // source -> derived vars
@@ -141,23 +139,6 @@ class LifetimeChecker {
   }
 
   // -- pre-passes over the graph's extent ------------------------------
-
-  void find_moves() {
-    each_word("move", cfg_.body_begin, cfg_.body_end, [&](std::size_t at) {
-      if (at < 5 || s_.compare(at - 5, 5, "std::") != 0) return;
-      std::size_t p = skip_ws(s_, at + 4);
-      if (p >= s_.size() || s_[p] != '(') return;
-      p = skip_ws(s_, p + 1);
-      const std::size_t b = p;
-      while (p < s_.size() && is_ident_char(s_[p])) ++p;
-      if (p == b) return;
-      // Only a bare local/member name: std::move(*it) / move(a.b) /
-      // move(v[i]) denote sub-objects the tracker cannot name.
-      const std::size_t q = skip_ws(s_, p);
-      if (q >= s_.size() || s_[q] != ')') return;
-      moves_[s_.substr(b, p - b)].insert(b);
-    });
-  }
 
   void find_sources() {
     for (const char* method : {"allot", "span"}) {
@@ -261,36 +242,6 @@ class LifetimeChecker {
   }
 
   void transfer(const CfgStmt& st, AbstractState& state, std::vector<Finding>* out) {
-    // R10: tracked moved-from locals.
-    for (const auto& [var, move_sites] : moves_) {
-      bool used = false, killed = false, moved = false;
-      std::size_t use_at = 0;
-      each_word(var, st.begin, st.end, [&](std::size_t at) {
-        if (move_sites.count(at) != 0) {
-          moved = true;
-          return;
-        }
-        const Occ o = classify(s_, at, var.size(), st.end);
-        if (o == Occ::kKill) {
-          killed = true;
-        } else if (o == Occ::kUse && !used) {
-          used = true;
-          use_at = at;
-        }
-      });
-      const std::string key = "m:" + var;
-      auto it = state.find(key);
-      if (used && it != state.end() && (it->second & 1u) != 0) {
-        const int line = line_of(f_, use_at);
-        report(out, line, "R10", key, "moved-ok",
-               "'" + var + "' may already have been consumed by std::move on some path "
-               "to this use; reassign/clear it on every moving path first, or annotate "
-               "'// gpumip-lint: moved-ok(reason)'");
-      }
-      if (killed) state[key] = 0;
-      if (moved) state[key] |= 1u;
-    }
-
     // R11: views of reset arenas/buffers.
     for (const auto& [var, root] : root_of_) {
       bool used = false, killed = false;

@@ -1,11 +1,6 @@
-// gpumip-lint path-sensitive lifetime rules (R10-R12), powered by the CFG
+// gpumip-lint path-sensitive lifetime rules (R11-R12), powered by the CFG
 // builder (cfg.hpp) and the forward dataflow engine (dataflow.hpp).
 //
-//  * R10 use-after-move — a local is read on some path after being passed
-//    to `std::move(x)` with no intervening reassignment / redeclaration /
-//    reinitializing call (`clear()`, `assign()`, ...). Guards the
-//    single-owner discipline the zero-copy paths force (SimMpi::send
-//    rvalue overload, ByteWriter::take() &&). Waiver: moved-ok(reason).
 //  * R11 arena/buffer use-after-reset — a value derived from a
 //    DeviceArena allocation (`allot`) or a device span (`span`, `as`,
 //    `subspan`, `first`, `last`, `data`) is used on some path after its
@@ -19,7 +14,7 @@
 //    GPUMIP_TRACE_SCOPE) are exempt by construction. Waiver:
 //    span-ok(reason).
 //
-// All three are may-analyses: a finding means SOME path exhibits the
+// Both are may-analyses: a finding means SOME path exhibits the
 // hazard. Lambda bodies are separate graphs (cfg.hpp), so a span opened in
 // a function and closed in a lambda it defines is two findings, not zero.
 #pragma once
@@ -42,7 +37,7 @@ std::set<std::string> collect_resetters(const std::vector<Scanned>& files,
                                         const std::vector<FunctionDecl>& functions,
                                         const CallGraph& graph);
 
-/// Runs R10-R12 over every indexed function (and every lambda inside it as
+/// Runs R11-R12 over every indexed function (and every lambda inside it as
 /// its own graph), appending findings.
 void check_lifetimes(const std::vector<Scanned>& files,
                      const std::vector<FunctionDecl>& functions, const CallGraph& graph,

@@ -484,8 +484,8 @@ std::vector<Finding> run_lint(const std::vector<SourceFile>& files, const Option
   }
 
   // The declaration index and call graph are built once and shared by the
-  // hot-path rules (R6-R9), the lifetime rules (R10-R12), and the
-  // protocol rules (R13-R14).
+  // hot-path rules (R6-R9) and the lifetime rules (R11-R12); R14 uses the
+  // declaration index only.
   const std::vector<FunctionDecl> functions = index_functions(scanned);
   const CallGraph graph = build_call_graph(scanned, functions);
 
@@ -496,15 +496,11 @@ std::vector<Finding> run_lint(const std::vector<SourceFile>& files, const Option
     check_hotpaths(scanned, manifest, options.hotpaths_path, functions, graph, findings);
   }
 
-  // The noreturn set feeds both CFG consumers (lifetime and protocol).
-  const std::set<std::string> noreturn_names = collect_noreturn_names(scanned);
+  // Lifetime rules R11-R12: per-function CFGs + forward dataflow.
+  check_lifetimes(scanned, functions, graph, collect_noreturn_names(scanned), findings);
 
-  // Lifetime rules R10-R12: per-function CFGs + forward dataflow.
-  check_lifetimes(scanned, functions, graph, noreturn_names, findings);
-
-  // Protocol rules R13-R14: serializer/deserializer symmetry per CFG path,
-  // tag-protocol coverage, exhausted() checks.
-  check_protocol(scanned, functions, graph, noreturn_names, findings);
+  // Protocol rule R14: tag-protocol coverage and exhausted() checks.
+  check_protocol(scanned, functions, findings);
 
   // Determinism rules R15-R16: replay-relevant nondeterminism sources and
   // seed plumbing.

@@ -16,15 +16,14 @@
 // paths reachable from the roots declared in the checked-in manifest
 // (tools/gpumip-lint/hotpaths.txt). A third layer builds per-function
 // control-flow graphs (cfg.hpp) and runs forward dataflow over them
-// (dataflow.hpp) for the path-sensitive lifetime rules R10-R12
-// (lifetime.hpp): use-after-move, arena use-after-reset, and unbalanced
-// trace spans. A fourth layer reuses the same CFGs for the protocol rules
-// R13-R14 (protocol.hpp): wire-format symmetry between each
-// ByteWriter serializer and its ByteReader deserializer compared per CFG
-// path, send-tag handler coverage, and mandatory exhausted() checks — and
-// runs the replay-determinism rules R15-R16 (determinism.hpp): no
-// wall-clock, unseeded randomness, or unordered-container iteration in
-// replay-relevant code, and explicit seed plumbing for every RNG engine.
+// (dataflow.hpp) for the path-sensitive lifetime rules R11-R12
+// (lifetime.hpp): arena use-after-reset and unbalanced trace spans. The
+// tag-protocol rule R14 (protocol.hpp) needs only the token and
+// declaration indexes: every sent tag has a handler, and every
+// deserializer checks exhausted(). The replay-determinism rules R15-R16
+// (determinism.hpp) run on the token index alone: no wall-clock, unseeded
+// randomness, or unordered-container iteration in replay-relevant code,
+// and explicit seed plumbing for every RNG engine.
 // Implemented as a lexer plus lightweight
 // semantic matching — deliberately no libclang dependency, so the tool
 // builds everywhere the library builds and runs in milliseconds over src/.
@@ -40,10 +39,11 @@
 
 namespace gpumip::lint {
 
-/// One diagnostic. `rule` is "R1".."R16", "SUP" (suppression-file problems:
-/// syntax errors, missing justification, stale entries), or "HOT"
-/// (hot-path manifest problems: syntax errors, entries matching no indexed
-/// function). SUP and HOT findings are not themselves suppressible.
+/// One diagnostic. `rule` is a rule ID (R1-R4, R6-R9, R11, R12, R14-R16),
+/// "SUP" (suppression-file problems: syntax errors, missing justification,
+/// stale entries), or "HOT" (hot-path manifest problems: syntax errors,
+/// entries matching no indexed function). SUP and HOT findings are not
+/// themselves suppressible.
 struct Finding {
   std::string file;
   int line = 0;
@@ -103,8 +103,8 @@ struct Options {
 std::vector<Suppression> parse_suppressions(const std::string& text, const std::string& path,
                                             std::vector<Finding>& findings);
 
-/// Runs rules R1-R4, the lifetime dataflow rules R10-R12, the protocol
-/// rules R13-R14, the determinism rules R15-R16 — and, when
+/// Runs rules R1-R4, the lifetime dataflow rules R11-R12, the protocol
+/// rule R14, the determinism rules R15-R16 — and, when
 /// `options.hotpaths` is set, the call-graph hot-path rules R6-R9 — over
 /// `files`, consuming `suppressions` (marking used entries) and appending
 /// stale-suppression findings. Returns all unsuppressed findings, ordered

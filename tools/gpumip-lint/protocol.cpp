@@ -2,53 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdint>
-#include <map>
-
-#include "cfg.hpp"
+#include <set>
 
 namespace gpumip::lint {
 namespace {
 
 constexpr std::size_t npos = std::string::npos;
-
-/// Distinct write/read op sequences per side are capped: a body whose CFG
-/// yields more paths than this is skipped (documented limitation) rather
-/// than half-compared.
-constexpr std::size_t kMaxPaths = 64;
-
-// ---- R13: wire-format symmetry ---------------------------------------------
-
-/// One serialization operation. `type` is the normalized explicit template
-/// argument of write<T>/read<T>; empty means deduced (`w.write(x)`), which
-/// matches any scalar on the other side.
-struct WireOp {
-  enum class Kind : std::uint8_t { kScalar, kDoubles, kInts };
-  std::size_t at = 0;
-  Kind kind = Kind::kScalar;
-  std::string type;
-};
-
-std::string normalize_type(const std::string& raw) {
-  std::string out;
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    if (is_space(raw[i])) continue;
-    out += raw[i];
-  }
-  if (out.compare(0, 5, "std::") == 0) out = out.substr(5);
-  return out;
-}
-
-std::string describe(const WireOp& op, bool write_side) {
-  const char* verb = write_side ? "write" : "read";
-  switch (op.kind) {
-    case WireOp::Kind::kDoubles: return std::string(verb) + "_doubles";
-    case WireOp::Kind::kInts: return std::string(verb) + "_ints";
-    case WireOp::Kind::kScalar: break;
-  }
-  if (op.type.empty()) return std::string(verb) + "(<deduced>)";
-  return std::string(verb) + "<" + op.type + ">";
-}
 
 /// True when the word occurrence at `at` is a member call (`.op` / `->op`).
 bool is_member_call(const std::string& s, std::size_t at) {
@@ -58,271 +17,12 @@ bool is_member_call(const std::string& s, std::size_t at) {
   return prev == '>' && at >= 2 && s[at - 2] == '-';
 }
 
-/// Collects the wire ops of one side inside [begin,end) of `f.clean`, in
-/// textual order. `write_side` selects the write_* or read_* vocabulary.
-std::vector<WireOp> collect_ops(const Scanned& f, std::size_t begin, std::size_t end,
-                                bool write_side) {
-  const std::string& s = f.clean;
-  std::vector<WireOp> ops;
-  struct Vocab {
-    const char* word;
-    WireOp::Kind kind;
-  };
-  const Vocab vocab[3] = {
-      {write_side ? "write" : "read", WireOp::Kind::kScalar},
-      {write_side ? "write_doubles" : "read_doubles", WireOp::Kind::kDoubles},
-      {write_side ? "write_ints" : "read_ints", WireOp::Kind::kInts},
-  };
-  for (const Vocab& v : vocab) {
-    const std::vector<std::size_t>& sites = word_positions(f, v.word);
-    auto it = std::lower_bound(sites.begin(), sites.end(), begin);
-    for (; it != sites.end() && *it < end; ++it) {
-      const std::size_t at = *it;
-      if (!is_member_call(s, at)) continue;
-      std::size_t pos = at + std::string(v.word).size();
-      WireOp op;
-      op.at = at;
-      op.kind = v.kind;
-      if (v.kind == WireOp::Kind::kScalar && pos < s.size() && s[pos] == '<') {
-        // Explicit template argument: write<std::uint64_t>(...).
-        int depth = 0;
-        std::size_t close = pos;
-        while (close < end) {
-          if (s[close] == '<') ++depth;
-          if (s[close] == '>' && --depth == 0) break;
-          ++close;
-        }
-        if (close >= end) continue;
-        op.type = normalize_type(s.substr(pos + 1, close - pos - 1));
-        pos = close + 1;
-      }
-      pos = skip_ws(s, pos);
-      if (pos >= s.size() || s[pos] != '(') continue;  // not a call
-      ops.push_back(std::move(op));
-    }
-  }
-  std::sort(ops.begin(), ops.end(),
-            [](const WireOp& a, const WireOp& b) { return a.at < b.at; });
-  return ops;
-}
-
-/// Enumerates entry->exit node paths of `cfg` with every directed edge used
-/// at most once per path (so each loop contributes its zero- and
-/// one-iteration variants). Returns false when the path set exceeds
-/// kMaxPaths — the caller then skips the comparison.
-bool enumerate_paths(const Cfg& cfg, std::vector<std::vector<int>>& out) {
-  std::vector<int> path = {cfg.entry};
-  std::set<std::pair<int, int>> used;
-  bool ok = true;
-  auto dfs = [&](auto&& self, int node) -> void {
-    if (!ok) return;
-    if (node == cfg.exit) {
-      if (out.size() >= kMaxPaths) {
-        ok = false;
-        return;
-      }
-      out.push_back(path);
-      return;
-    }
-    for (int next : cfg.nodes[static_cast<std::size_t>(node)].succ) {
-      const std::pair<int, int> edge{node, next};
-      if (used.count(edge) != 0) continue;
-      used.insert(edge);
-      path.push_back(next);
-      self(self, next);
-      path.pop_back();
-      used.erase(edge);
-    }
-  };
-  dfs(dfs, cfg.entry);
-  return ok;
-}
-
-bool in_carved(const Cfg& cfg, std::size_t pos) {
-  for (const auto& [b, e] : cfg.carved) {
-    if (pos >= b && pos < e) return true;
-  }
-  return false;
-}
-
-/// The distinct wire-op sequences along the CFG paths of one function
-/// body. Empty optional-style: `ok` false means the path set was too
-/// large to enumerate.
-struct PathSequences {
-  bool ok = true;
-  std::vector<std::vector<WireOp>> seqs;  ///< deduplicated, sorted for pairing
-};
-
-PathSequences path_sequences(const Scanned& f, const FunctionDecl& fn,
-                             const std::set<std::string>& noreturn_names, bool write_side) {
-  PathSequences out;
-  const std::vector<Cfg> cfgs = build_cfgs(f.clean, fn.body_begin, fn.body_end, noreturn_names);
-  if (cfgs.empty()) return out;
-  const Cfg& cfg = cfgs.front();  // lambda graphs are skipped (carved below)
-  std::vector<WireOp> ops = collect_ops(f, fn.body_begin, fn.body_end, write_side);
-  ops.erase(std::remove_if(ops.begin(), ops.end(),
-                           [&](const WireOp& op) { return in_carved(cfg, op.at); }),
-            ops.end());
-  std::vector<std::vector<int>> paths;
-  if (!enumerate_paths(cfg, paths)) {
-    out.ok = false;
-    return out;
-  }
-  std::set<std::string> seen;
-  for (const std::vector<int>& path : paths) {
-    std::vector<WireOp> seq;
-    for (int node : path) {
-      for (const CfgStmt& st : cfg.nodes[static_cast<std::size_t>(node)].stmts) {
-        auto lo = std::lower_bound(ops.begin(), ops.end(), st.begin,
-                                   [](const WireOp& op, std::size_t b) { return op.at < b; });
-        for (; lo != ops.end() && lo->at < st.end; ++lo) seq.push_back(*lo);
-      }
-    }
-    // Dedup by shape: paths that differ only in op-free branches collapse.
-    std::string key;
-    for (const WireOp& op : seq) {
-      key += static_cast<char>('0' + static_cast<int>(op.kind));
-      key += op.type;
-      key += '|';
-    }
-    if (seen.insert(key).second) out.seqs.push_back(std::move(seq));
-  }
-  // Sort by (length, kind string) so the two sides pair up positionally;
-  // wildcard types deliberately do not participate in the sort key.
-  std::sort(out.seqs.begin(), out.seqs.end(),
-            [](const std::vector<WireOp>& a, const std::vector<WireOp>& b) {
-              if (a.size() != b.size()) return a.size() < b.size();
-              for (std::size_t i = 0; i < a.size(); ++i) {
-                if (a[i].kind != b[i].kind) return a[i].kind < b[i].kind;
-              }
-              return false;
-            });
-  return out;
-}
-
-/// True when ops at the same position are compatible: vector ops must match
-/// exactly, scalars match when either side deduced its type or the
-/// normalized types agree.
-bool ops_match(const WireOp& w, const WireOp& r) {
-  if (w.kind != r.kind) return false;
-  if (w.kind != WireOp::Kind::kScalar) return true;
-  if (w.type.empty() || r.type.empty()) return true;
-  return w.type == r.type;
-}
-
-/// Known serializer->deserializer naming conventions.
-const char* counterpart_name(const std::string& name, std::string& out) {
-  static const std::pair<const char*, const char*> kPairs[] = {
-      {"encode", "decode"},
-      {"serialize", "deserialize"},
-      {"write", "read"},
-      {"save", "load"},
-  };
-  for (const auto& [w, r] : kPairs) {
-    const std::string prefix(w);
-    if (name.size() > prefix.size() && name.compare(0, prefix.size(), prefix) == 0) {
-      out = r + name.substr(prefix.size());
-      return w;
-    }
-  }
-  return nullptr;
-}
-
 /// Whole-word presence of `word` inside [begin,end) of `f`.
 bool word_in_extent(const Scanned& f, const std::string& word, std::size_t begin,
                     std::size_t end) {
   const std::vector<std::size_t>& sites = word_positions(f, word);
   auto it = std::lower_bound(sites.begin(), sites.end(), begin);
   return it != sites.end() && *it < end;
-}
-
-void check_r13(const std::vector<Scanned>& files, const std::vector<FunctionDecl>& functions,
-               const std::set<std::string>& noreturn_names, std::vector<Finding>& findings) {
-  // A serializer drives a ByteWriter and issues write ops; a deserializer
-  // drives a ByteReader and issues read ops. The ByteWriter/ByteReader
-  // word gate keeps unrelated write()/read() vocabularies (iostreams,
-  // files) out of the rule.
-  auto is_side = [&](const FunctionDecl& fn, bool write_side) {
-    const Scanned& f = files[static_cast<std::size_t>(fn.file_index)];
-    if (!word_in_extent(f, write_side ? "ByteWriter" : "ByteReader", fn.name_begin,
-                        fn.body_end)) {
-      return false;
-    }
-    return !collect_ops(f, fn.body_begin, fn.body_end, write_side).empty();
-  };
-
-  std::map<std::string, std::vector<std::size_t>> by_name;
-  for (std::size_t i = 0; i < functions.size(); ++i) {
-    by_name[functions[i].name].push_back(i);
-  }
-
-  for (const FunctionDecl& ser : functions) {
-    std::string reader_name;
-    if (counterpart_name(ser.name, reader_name) == nullptr) continue;
-    if (!is_side(ser, /*write_side=*/true)) continue;
-    auto candidates = by_name.find(reader_name);
-    if (candidates == by_name.end()) continue;
-    const FunctionDecl* deser = nullptr;
-    for (std::size_t idx : candidates->second) {
-      if (is_side(functions[idx], /*write_side=*/false)) {
-        // Prefer a same-file counterpart; fall back to the first match.
-        if (deser == nullptr || functions[idx].file_index == ser.file_index) {
-          deser = &functions[idx];
-        }
-      }
-    }
-    if (deser == nullptr) continue;
-
-    const Scanned& wf = files[static_cast<std::size_t>(ser.file_index)];
-    const Scanned& rf = files[static_cast<std::size_t>(deser->file_index)];
-    if (has_annotation(wf, ser.line, "wire-ok") || has_annotation(rf, deser->line, "wire-ok")) {
-      continue;
-    }
-    const PathSequences w = path_sequences(wf, ser, noreturn_names, /*write_side=*/true);
-    const PathSequences r = path_sequences(rf, *deser, noreturn_names, /*write_side=*/false);
-    if (!w.ok || !r.ok) continue;  // path explosion: skipped, see docs/LINT.md
-
-    const std::string pair_label = "serializer '" + ser.name + "' and deserializer '" +
-                                   deser->name + "' (" + rf.src->path + ":" +
-                                   std::to_string(deser->line) + ")";
-    if (w.seqs.size() != r.seqs.size()) {
-      findings.push_back(
-          {wf.src->path, ser.line, "R13",
-           "wire-format asymmetry: " + pair_label + " disagree on branch/loop structure — " +
-               std::to_string(w.seqs.size()) + " distinct write sequence(s) vs " +
-               std::to_string(r.seqs.size()) +
-               " read sequence(s) across their CFG paths; mirror the control flow on both "
-               "sides or annotate '// gpumip-lint: wire-ok(reason)'"});
-      continue;
-    }
-    for (std::size_t p = 0; p < w.seqs.size(); ++p) {
-      const std::vector<WireOp>& ws = w.seqs[p];
-      const std::vector<WireOp>& rs = r.seqs[p];
-      if (ws.size() != rs.size()) {
-        findings.push_back(
-            {wf.src->path, ser.line, "R13",
-             "wire-format asymmetry: " + pair_label + " — one path writes " +
-                 std::to_string(ws.size()) + " field(s) but reads " +
-                 std::to_string(rs.size()) +
-                 "; every written field must be read back in order (or annotate "
-                 "'// gpumip-lint: wire-ok(reason)')"});
-        break;
-      }
-      bool reported = false;
-      for (std::size_t k = 0; k < ws.size(); ++k) {
-        if (ops_match(ws[k], rs[k])) continue;
-        findings.push_back(
-            {wf.src->path, line_of(wf, ws[k].at), "R13",
-             "wire-format asymmetry: " + pair_label + " — field " + std::to_string(k + 1) +
-                 " is " + describe(ws[k], true) + " on the wire but " + describe(rs[k], false) +
-                 " on decode; the byte layouts differ, so every later field misaligns (or "
-                 "annotate '// gpumip-lint: wire-ok(reason)')"});
-        reported = true;
-        break;
-      }
-      if (reported) break;
-    }
-  }
 }
 
 // ---- R14: tag-protocol coverage --------------------------------------------
@@ -484,11 +184,8 @@ void check_r14_exhausted(const std::vector<Scanned>& files,
 }  // namespace
 
 void check_protocol(const std::vector<Scanned>& files,
-                    const std::vector<FunctionDecl>& functions, const CallGraph& graph,
-                    const std::set<std::string>& noreturn_names,
+                    const std::vector<FunctionDecl>& functions,
                     std::vector<Finding>& findings) {
-  (void)graph;  // reserved: call-graph-scoped handler reachability
-  check_r13(files, functions, noreturn_names, findings);
   check_r14_tags(files, findings);
   check_r14_exhausted(files, functions, findings);
 }

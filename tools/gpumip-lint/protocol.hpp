@@ -1,49 +1,30 @@
-// gpumip-lint protocol analysis: wire-format symmetry (R13) and
-// tag-protocol coverage (R14) over the simmpi serialization layer.
+// gpumip-lint protocol analysis: tag-protocol coverage (R14) over the
+// simmpi message layer.
 //
-// Every simmpi message is a hand-written ByteWriter/ByteReader pair, and
-// nothing in the type system ties the two sides together: a serializer can
-// write a field the deserializer never reads, write it as a different
-// type, or guard it behind a branch the other side does not mirror — and
-// the bug only surfaces as a corrupted decode (or worse, a silently
-// misaligned one) at runtime. R13 makes the symmetry machine-checked: it
-// pairs each serializer with its deserializer by naming convention
-// (encode_/decode_, serialize_/deserialize_, write_/read_, save_/load_),
-// extracts the typed operation sequence (write<T>/read<T>,
-// write_doubles/read_doubles, write_ints/read_ints) along every CFG path
-// of both bodies, and compares the path sets: mismatched types, field
-// counts, or branch/loop asymmetries are findings. An untyped `w.write(x)`
-// (deduced T) is a wildcard that matches any scalar read.
+// R14 works on the token index and the declaration index, not on control
+// flow: (a) every message tag passed to a send site must be examined by
+// some receive/dispatch handler somewhere in the scanned set (an `== tag` /
+// `!= tag` comparison, a `case tag:` label, or a recv-site argument) — a
+// tag that is only ever sent is a dead or mistyped protocol leg; and (b)
+// every function that constructs a ByteReader (a top-level deserializer)
+// must check `exhausted()` in its body, so trailing bytes in a payload are
+// a typed protocol error instead of silent acceptance.
 //
-// R14 covers the dispatch layer above the bytes: (a) every message tag
-// passed to a send site must be examined by some receive/dispatch handler
-// somewhere in the scanned set (an `== tag` / `!= tag` comparison, a
-// `case tag:` label, or a recv-site argument) — a tag that is only ever
-// sent is a dead or mistyped protocol leg; and (b) every function that
-// constructs a ByteReader (a top-level deserializer) must check
-// `exhausted()` before returning, so trailing bytes in a payload are a
-// typed protocol error instead of silent acceptance.
-//
-// Both rules share the `wire-ok` inline waiver.
+// Waiver: wire-ok(reason).
 #pragma once
 
-#include <set>
-#include <string>
 #include <vector>
 
-#include "callgraph.hpp"
 #include "index.hpp"
 #include "lexer.hpp"
 #include "lint.hpp"
 
 namespace gpumip::lint {
 
-/// Runs R13 + R14 over the scanned set. `functions`/`graph` are the shared
-/// declaration index and call graph built by run_lint; `noreturn_names`
-/// feeds the CFG builder for the per-path sequence extraction.
+/// Runs R14 over the scanned set. `functions` is the shared declaration
+/// index built by run_lint.
 void check_protocol(const std::vector<Scanned>& files,
-                    const std::vector<FunctionDecl>& functions, const CallGraph& graph,
-                    const std::set<std::string>& noreturn_names,
+                    const std::vector<FunctionDecl>& functions,
                     std::vector<Finding>& findings);
 
 }  // namespace gpumip::lint

@@ -196,19 +196,14 @@ Attribution attribute(const BenchDoc& base, const BenchDoc& current) {
     // rank shard doubling would otherwise outscore a real regression.
     const std::map<std::string, double> base_map = aggregate_rank_splits(raw_base);
     const std::map<std::string, double> cur_map = aggregate_rank_splits(raw_cur);
-    // Union of names: a metric missing from one side scores against zero
-    // (appearing or vanishing entirely is itself a signal).
-    std::vector<std::string> names;
-    for (const auto& [name, v] : base_map) names.push_back(name);
-    for (const auto& [name, v] : cur_map) {
-      if (base_map.find(name) == base_map.end()) names.push_back(name);
-    }
-    for (const std::string& name : names) {
+    // Only the baseline's names are scored: a metric that vanished scores
+    // against its baseline value, while a new one has no baseline to move
+    // from (compare already warns about it) and would otherwise outrank any
+    // real regression through the kAbsFloor denominator.
+    for (const auto& [name, base_value] : base_map) {
       const std::string cat = category_of(name);
       if (cat.empty()) continue;
-      const auto b = base_map.find(name);
       const auto c = cur_map.find(name);
-      const double base_value = b == base_map.end() ? 0.0 : b->second;
       const double cur_value = c == cur_map.end() ? 0.0 : c->second;
       const double delta = std::fabs(cur_value - base_value);
       ++out.metrics_compared;
@@ -232,12 +227,6 @@ Attribution attribute(const BenchDoc& base, const BenchDoc& current) {
     const MetricsSnapshot& cur_snap = cur_it == current.benches.end() ? kEmpty : cur_it->second;
     score_kind(bench, base_snap.counters, cur_snap.counters);
     score_kind(bench, base_snap.gauges, cur_snap.gauges);
-  }
-  for (const auto& [bench, cur_snap] : current.benches) {
-    if (base.benches.find(bench) != base.benches.end()) continue;
-    static const MetricsSnapshot kEmpty;
-    score_kind(bench, kEmpty.counters, cur_snap.counters);
-    score_kind(bench, kEmpty.gauges, cur_snap.gauges);
   }
 
   for (auto& [cat, cd] : per_category) {

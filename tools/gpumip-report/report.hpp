@@ -89,8 +89,10 @@ struct Attribution {
 };
 
 /// Ranks which claim categories explain the metric delta between two
-/// runs. Metrics on the exclusion list contribute nothing; a metric
-/// missing from one side is scored against zero.
+/// runs. Metrics on the exclusion list contribute nothing. Only the
+/// benches and names the baseline holds are scored: a metric missing from
+/// `current` scores against its baseline value, and one missing from
+/// `base` is not scored at all (compare warns about new names).
 Attribution attribute(const BenchDoc& base, const BenchDoc& current);
 
 // ---- baseline comparison ---------------------------------------------------
