@@ -1,8 +1,9 @@
 // A1 — cost-model ablation (DESIGN.md, design choice 1).
 //
 // The experiments' conclusions must not hinge on one particular calibration
-// of the simulated device. This bench re-runs the headline comparisons
-// under swept cost-model parameters:
+// of the simulated device. This bench re-prices the headline comparisons
+// under swept cost-model parameters (A1-a searches its MIP once and prices
+// that one search at every scale):
 //   * compute/bandwidth scale (0.25x .. 4x a V100-class part),
 //   * PCIe latency (2.5us .. 40us),
 //   * sparse-kernel efficiency (0.015 .. 0.24),
@@ -28,19 +29,21 @@ void strategy_ordering() {
   cfg.rows = 12;
   cfg.cols = 20;
   cfg.bound = 3.0;
-  mip::MipModel model = problems::random_mip(cfg, rng);
+  mip::MipOptions options;
+  options.enable_cuts = false;
+  mip::BnbSolver searched(problems::random_mip(cfg, rng), options);
+  static_cast<void>(searched.solve());
   bench::row("  %-8s %-13s %-13s %-13s %-13s %-24s", "scale", "S1", "S2", "S3", "S4",
              "ordering holds?");
   for (double scale : {0.25, 1.0, 4.0}) {
     parallel::StrategyConfig config;
-    config.mip.enable_cuts = false;
     config.device = gpu::CostModelConfig{}.scaled(scale);
     config.devices = 4;
     double t[4];
     int i = 0;
     for (auto s : {parallel::Strategy::S1_GpuOnly, parallel::Strategy::S2_CpuOrchestrated,
                    parallel::Strategy::S3_Hybrid, parallel::Strategy::S4_BigMip}) {
-      t[i++] = parallel::run_strategy(s, model, config).sim_seconds;
+      t[i++] = parallel::replay_strategy(s, searched, config).sim_seconds;
     }
     const bool holds = t[2] <= t[1] + 1e-12 && t[1] < t[0] && t[1] < t[3];
     bench::row("  %-8.2f %-13s %-13s %-13s %-13s %s", scale, human_seconds(t[0]).c_str(),

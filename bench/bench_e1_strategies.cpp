@@ -5,6 +5,9 @@
 // memory as trees grow; S4 pays per-iteration interconnect synchronization
 // it does not need.
 // Scenario B (matrix exceeds one device): only S4 (Big-MIP) can run at all.
+//
+// Each instance is searched once and priced under every strategy, so all
+// strategies price the same tree (parallel::replay_strategy).
 #include "bench/common.hpp"
 #include "parallel/strategies.hpp"
 #include "problems/generators.hpp"
@@ -25,45 +28,34 @@ void report_line(const parallel::StrategyReport& r) {
              r.completed ? "" : "(device OOM)");
 }
 
-void scenario_a() {
-  bench::title("E1-A", "strategies on a MIP whose matrix fits one device");
+/// The seed-41 instance of E1-A and E1-A', searched once for both.
+mip::MipModel instance_a() {
   Rng rng(41);
   problems::RandomMipConfig cfg;
   cfg.rows = 14;
   cfg.cols = 24;
   cfg.bound = 4.0;
-  mip::MipModel model = problems::random_mip(cfg, rng);
+  return problems::random_mip(cfg, rng);
+}
 
+void scenario_a(const mip::BnbSolver& searched) {
+  bench::title("E1-A", "strategies on a MIP whose matrix fits one device");
   parallel::StrategyConfig config;
-  config.mip.enable_cuts = false;
   config.devices = 4;
-  double reference = 0.0;
   for (auto strategy : {parallel::Strategy::S1_GpuOnly, parallel::Strategy::S2_CpuOrchestrated,
                         parallel::Strategy::S3_Hybrid, parallel::Strategy::S4_BigMip}) {
-    parallel::StrategyReport r = parallel::run_strategy(strategy, model, config);
-    if (reference == 0.0) reference = r.result.objective;
-    report_line(r);
-    if (std::abs(r.result.objective - reference) > 1e-6) bench::note("OBJECTIVE MISMATCH!");
+    report_line(parallel::replay_strategy(strategy, searched, config));
   }
   bench::note("expected shape: S2/S3 fastest (S3 <= S2); S1 pays divergent tree kernels;");
   bench::note("S4 pays interconnect sync per simplex iteration.");
 }
 
-void scenario_a_small_device() {
+void scenario_a_small_device(const mip::BnbSolver& searched) {
   bench::title("E1-A'", "same MIP, device memory too small for S1's tree");
-  Rng rng(41);
-  problems::RandomMipConfig cfg;
-  cfg.rows = 14;
-  cfg.cols = 24;
-  cfg.bound = 4.0;
-  mip::MipModel model = problems::random_mip(cfg, rng);
-  const lp::StandardForm form = lp::build_standard_form(model.lp());
-
   parallel::StrategyConfig config;
-  config.mip.enable_cuts = false;
-  config.device.memory_bytes = parallel::lp_device_footprint(form) + 2048;
+  config.device.memory_bytes = parallel::lp_device_footprint(searched.form()) + 2048;
   for (auto strategy : {parallel::Strategy::S1_GpuOnly, parallel::Strategy::S2_CpuOrchestrated}) {
-    report_line(parallel::run_strategy(strategy, model, config));
+    report_line(parallel::replay_strategy(strategy, searched, config));
   }
   bench::note("expected shape: S1 fails (tree cannot fit), S2 unaffected (tree on host).");
 }
@@ -76,17 +68,18 @@ void scenario_b() {
   cfg.cols = 40;
   cfg.bound = 2.0;
   cfg.integer_fraction = 0.4;
-  mip::MipModel model = problems::random_mip(cfg, rng);
-  const lp::StandardForm form = lp::build_standard_form(model.lp());
+  mip::MipOptions options;
+  options.enable_cuts = false;
+  options.max_nodes = 200;
+  mip::BnbSolver searched(problems::random_mip(cfg, rng), options);
+  static_cast<void>(searched.solve());
 
   parallel::StrategyConfig config;
-  config.mip.enable_cuts = false;
-  config.mip.max_nodes = 200;
   config.devices = 4;
-  config.device.memory_bytes = parallel::lp_device_footprint(form) * 6 / 10;
+  config.device.memory_bytes = parallel::lp_device_footprint(searched.form()) * 6 / 10;
   for (auto strategy : {parallel::Strategy::S2_CpuOrchestrated, parallel::Strategy::S3_Hybrid,
                         parallel::Strategy::S4_BigMip}) {
-    report_line(parallel::run_strategy(strategy, model, config));
+    report_line(parallel::replay_strategy(strategy, searched, config));
   }
   bench::note("expected shape: S2/S3 fail on allocation; S4 shards columns and completes.");
 }
@@ -94,8 +87,13 @@ void scenario_b() {
 }  // namespace
 
 int main() {
-  scenario_a();
-  scenario_a_small_device();
+  using namespace gpumip;
+  mip::MipOptions options;
+  options.enable_cuts = false;
+  mip::BnbSolver searched(instance_a(), options);
+  static_cast<void>(searched.solve());
+  scenario_a(searched);
+  scenario_a_small_device(searched);
   scenario_b();
   gpumip::bench::write_exports();
 }

@@ -6,7 +6,6 @@
 #include <cmath>
 
 #include "bench/common.hpp"
-#include "obs/metrics.hpp"
 #include "parallel/supervisor.hpp"
 #include "problems/generators.hpp"
 #include "support/strings.hpp"
@@ -48,7 +47,6 @@ void print_experiment() {
     opts.worker_node_budget = 15;
     opts.ramp_up_nodes = 4L * workers;
     opts.mip.enable_cuts = false;
-    opts.model_worker_device = true;  // arena-backed per-node LP residency
     parallel::SupervisorResult r = parallel::solve_supervised(model, opts);
     if (workers == 1) base = r.makespan;
     bench::row("  %-9d %-10.3f %-12s %-9.2f %-10.1f %-10.2f %-9llu %-10s", workers,
@@ -103,36 +101,11 @@ void budget_sweep() {
   bench::note("late-arriving workers — the supervisor's classic granularity trade-off.");
 }
 
-void arena_ablation() {
-  bench::title("E8-d", "per-node device allocs: naive alloc/free vs worker arena");
-  mip::MipModel model = instance(505);
-  bench::row("  %-9s %-12s %-14s %-12s", "arena", "makespan", "alloc-calls", "nodes");
-  for (bool arena : {false, true}) {
-    parallel::SupervisorOptions opts;
-    opts.workers = 8;
-    opts.worker_node_budget = 15;
-    opts.ramp_up_nodes = 32;
-    opts.mip.enable_cuts = false;
-    opts.model_worker_device = true;
-    opts.worker_arena = arena;
-    const double before = obs::counter("gpumip.gpu.alloc.calls").value();
-    parallel::SupervisorResult r = parallel::solve_supervised(model, opts);
-    const double allocs = obs::counter("gpumip.gpu.alloc.calls").value() - before;
-    long nodes = 0;
-    for (long n : r.worker_nodes) nodes += n;
-    bench::row("  %-9s %-12s %-14.0f %-12ld", arena ? "on" : "off",
-               human_seconds(r.makespan).c_str(), allocs, nodes);
-  }
-  bench::note("the arena path reserves one slab per worker and suballocates node LPs from");
-  bench::note("it (ROADMAP item 4): alloc calls collapse from O(nodes) to O(workers).");
-}
-
 }  // namespace
 
 int main() {
   print_experiment();
   checkpoint_overhead();
   budget_sweep();
-  arena_ablation();
   gpumip::bench::write_exports();
 }

@@ -50,7 +50,8 @@ fi
 #   e8  scale-out         -> per-rank simmpi message counts/bytes + idle
 #   e9  LP methods        -> gpumip.lp.solves{method} and the batched-wave ledger
 #                            behind the simplex/IPM/PDHG crossover
-#   a1  ablation          -> the E1/E3/E6 solves re-run under swept cost models
+#   a1  ablation          -> the E1/E3/E6 comparisons re-priced under swept cost
+#                            models (A1-a searches once, prices 12 times)
 # e2 (snapshots) stays out: its E2-b supervisor section depends on thread
 # timing, so its MIP counters drift past tolerance (waits on ROADMAP item 6).
 # The suite runs in about 2.5 minutes on a 4-CPU host; e9's batched E9-d

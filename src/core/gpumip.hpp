@@ -15,7 +15,7 @@
 //   lp::SimplexSolver / lp::InteriorPointSolver   — LP engines
 //   mip::BnbSolver                                — sequential B&B/B&C
 //   parallel::solve_supervised                    — UG-style scale-out
-//   parallel::run_strategy                        — S1..S4 cost replay
+//   parallel::replay_strategy                     — S1..S4 cost replay of one search
 //   ivm::solve_flowshop_gpu                       — entirely-GPU permutation B&B
 #pragma once
 

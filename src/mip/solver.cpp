@@ -5,8 +5,6 @@
 #include <cmath>
 
 #include "check/invariants.hpp"
-#include "gpu/arena.hpp"
-#include "gpu/device.hpp"
 #include "lp/op_stats.hpp"
 #include "mip/branching.hpp"
 #include "obs/obs.hpp"
@@ -128,6 +126,11 @@ BnbSolver::~BnbSolver() = default;
 const NodePool& BnbSolver::pool() const {
   check_arg(pool_ != nullptr, "pool() before solve()");
   return *pool_;
+}
+
+const lp::StandardForm& BnbSolver::form() const {
+  check_arg(form_ != nullptr, "form() before solve()");
+  return *form_;
 }
 
 void BnbSolver::root_cut_loop() {
@@ -314,27 +317,6 @@ MipResult BnbSolver::run(const ConsistentSnapshot* snapshot) {
     method_ctx.tol = options_.pdhg.tol;
     method_ctx.forced = options_.lp_method;
     const lp::LpMethod method = lp::choose_method(form_->a_rows, method_ctx);
-    // Device-residency modeling (ROADMAP item 4): charge this node's
-    // relaxation footprint before solving. With an arena the reset+allot
-    // pair reuses the warm slab (zero Device::alloc calls in steady
-    // state); without one every node pays a real alloc/free round trip —
-    // the difference the e8 bench and gpumip.gpu.alloc.calls witness.
-    gpu::DeviceBuffer node_residency;
-    if (options_.relax_device != nullptr) {
-      const std::uint64_t footprint =
-          method == lp::LpMethod::Pdhg
-              ? lp::pdhg_lp_device_bytes(form_->num_rows, form_->num_vars,
-                                         static_cast<long>(form_->a_rows.nnz()))
-              : lp::dense_lp_device_bytes(form_->num_rows, form_->num_vars);
-      if (options_.relax_arena != nullptr) {
-        options_.relax_arena->reset();
-        (void)options_.relax_arena->allot(static_cast<std::size_t>(footprint));
-      } else {
-        // gpumip-lint: hot-alloc(naive per-node device residency is the modeled baseline the arena path is measured against)
-        node_residency =
-            options_.relax_device->alloc(static_cast<std::size_t>(footprint), "node.lp");
-      }
-    }
     lp::LpResult lp_result;
     switch (method) {
       case lp::LpMethod::Simplex: {

@@ -23,11 +23,6 @@
 #include "mip/snapshot.hpp"
 #include "mip/tree.hpp"
 
-namespace gpumip::gpu {
-class Device;
-class DeviceArena;
-}  // namespace gpumip::gpu
-
 namespace gpumip::mip {
 
 enum class MipStatus {
@@ -58,15 +53,6 @@ struct MipOptions {
   /// Known upper bound (min form) from outside, e.g. a supervisor's global
   /// incumbent: nodes at or above it are pruned immediately.
   double initial_cutoff = 1e300;
-  /// Optional per-node device-residency modeling (ROADMAP item 4): when
-  /// set, every evaluated node charges its relaxation's device footprint
-  /// to this device — through `relax_arena` when also set (reset + allot
-  /// per node: zero device allocations once the arena slab is warm), or
-  /// as a naive per-node alloc/free pair otherwise. The numerics are
-  /// unchanged; only gpumip.gpu.* accounting differs. Both pointers must
-  /// outlive the solver.
-  gpu::Device* relax_device = nullptr;
-  gpu::DeviceArena* relax_arena = nullptr;
 };
 
 /// Linear-algebra record of one node evaluation, for timeline replay.
@@ -136,6 +122,9 @@ class BnbSolver {
 
   /// The (possibly cut-strengthened) model the search ran on.
   const MipModel& working_model() const noexcept { return model_; }
+
+  /// The standard form of working_model() that the node LPs ran on.
+  const lp::StandardForm& form() const;
 
  private:
   struct Impl;

@@ -167,8 +167,7 @@ class ByteWriter {
   void write_doubles(std::span<const double> values);
   void write_ints(std::span<const int> values);
   /// Surrenders the serialized bytes. Rvalue-qualified: the writer is spent
-  /// afterwards, so the call site must say so — `std::move(w).take()` —
-  /// which is exactly the consume gpumip-lint R10 then tracks. The
+  /// afterwards, so the call site must say so — `std::move(w).take()`. The
   /// moved-from buffer is re-cleared, so a (moved-from) writer can be
   /// reused by writing again.
   [[nodiscard]] std::vector<std::byte> take() && {

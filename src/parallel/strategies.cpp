@@ -241,31 +241,34 @@ void replay_s4(const mip::BnbSolver& solver, const lp::StandardForm& form,
 
 }  // namespace
 
-StrategyReport run_strategy(Strategy strategy, const mip::MipModel& model,
-                            const StrategyConfig& config) {
+StrategyReport replay_strategy(Strategy strategy, const mip::BnbSolver& searched,
+                               const StrategyConfig& config) {
   StrategyReport report;
   report.strategy = strategy;
-
-  // The search itself (host numerics): identical across strategies, so all
-  // four land on the same optimum; replay prices it on the configured hw.
-  mip::BnbSolver solver(model, config.mip);
-  report.result = solver.solve();
-  const lp::StandardForm form = lp::build_standard_form(solver.working_model().lp());
-
+  const lp::StandardForm& form = searched.form();
   switch (strategy) {
     case Strategy::S1_GpuOnly:
-      replay_s1(solver, form, config, report);
+      replay_s1(searched, form, config, report);
       break;
     case Strategy::S2_CpuOrchestrated:
-      replay_s2_s3(solver, form, config, /*overlap=*/false, report);
+      replay_s2_s3(searched, form, config, /*overlap=*/false, report);
       break;
     case Strategy::S3_Hybrid:
-      replay_s2_s3(solver, form, config, /*overlap=*/true, report);
+      replay_s2_s3(searched, form, config, /*overlap=*/true, report);
       break;
     case Strategy::S4_BigMip:
-      replay_s4(solver, form, config, report);
+      replay_s4(searched, form, config, report);
       break;
   }
+  return report;
+}
+
+StrategyReport run_strategy(Strategy strategy, const mip::MipModel& model,
+                            const StrategyConfig& config) {
+  mip::BnbSolver solver(model, config.mip);
+  mip::MipResult result = solver.solve();
+  StrategyReport report = replay_strategy(strategy, solver, config);
+  report.result = std::move(result);
   return report;
 }
 

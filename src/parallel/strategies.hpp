@@ -16,8 +16,10 @@
 //                      0, broadcasts in between). The only strategy that
 //                      works when one LP matrix exceeds a single device.
 //
-// All four solve the SAME search (numerics on the host), so they reach the
-// same optimum; what differs — and what experiment E1 measures — is the
+// A strategy does not change the search: the numerics run once, on the host
+// (mip::BnbSolver), and replay_strategy prices that finished search under
+// each strategy. Every strategy therefore prices the same tree and reports
+// the same optimum; what differs — and what experiment E1 measures — is the
 // simulated time, transfer volume, and memory footprint.
 #pragma once
 
@@ -37,13 +39,13 @@ struct StrategyConfig {
   gpu::CostModelConfig device;  ///< per-device architecture
   int devices = 1;              ///< S4 shards across this many devices
   NetworkConfig interconnect;   ///< device-to-device link (S4)
-  mip::MipOptions mip;
+  mip::MipOptions mip;          ///< the search (run_strategy only)
   lp::CpuCostModel cpu;
 };
 
 struct StrategyReport {
   Strategy strategy = Strategy::S2_CpuOrchestrated;
-  mip::MipResult result;
+  mip::MipResult result;         ///< run_strategy's search (replay: empty)
   bool completed = false;        ///< false: strategy infeasible on this hw
   std::string failure;           ///< why (e.g. device OOM for the tree)
   double sim_seconds = 0.0;      ///< simulated end-to-end time
@@ -56,10 +58,17 @@ struct StrategyReport {
   std::uint64_t device_peak_bytes = 0;  ///< max over devices
 };
 
-/// Runs `strategy` on `model`. The search itself always completes (host
-/// numerics); `completed=false` plus `failure` indicate the strategy could
-/// not have executed on the configured hardware (e.g. S1 tree OOM), with
-/// costs reported up to the failure point.
+/// Prices the finished search `searched` (after solve()) under `strategy`
+/// on the configured hardware; runs no search itself, and reads only the
+/// search's trace(), tree anatomy and form(). `config.mip` is not read.
+/// `completed=false` plus `failure` indicate the strategy could not have
+/// executed on that hardware (e.g. S1 tree OOM), with costs reported up to
+/// the failure point. `result` is left empty: it is the search's.
+StrategyReport replay_strategy(Strategy strategy, const mip::BnbSolver& searched,
+                               const StrategyConfig& config);
+
+/// Searches `model` with `config.mip`, then replay_strategy: the report
+/// carries the search's result.
 StrategyReport run_strategy(Strategy strategy, const mip::MipModel& model,
                             const StrategyConfig& config);
 

@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <deque>
 #include <functional>
-#include <optional>
 
 #include "check/invariants.hpp"
 #include "check/message_audit.hpp"
-#include "gpu/arena.hpp"
-#include "gpu/device.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "support/assert.hpp"
@@ -328,26 +325,12 @@ SupervisorResult run_supervised(const mip::MipModel& model,
       }
     } else {
       // ------------- worker -------------
-      // Per-worker device residency (ROADMAP item 4): each worker rank
-      // owns a Device (and, unless disabled, an arena) threaded through
-      // every BnbSolver it runs, so per-node relaxations charge real
-      // footprints. One rank = one thread, so no sharing hazard.
-      std::optional<gpu::Device> wdevice;
-      std::optional<gpu::DeviceArena> warena;
-      if (options.model_worker_device) {
-        // gpumip-lint: hot-alloc(one Device per worker rank at startup, before any node is received)
-        wdevice.emplace();
-        // gpumip-lint: hot-alloc(one arena per worker rank; it amortizes per-node allocations away)
-        if (options.worker_arena) warena.emplace(*wdevice, "worker.node.lp");
-      }
       // One solver per rank: its model copy, standard form and LP solvers
       // serve every subproblem. The cutoff rides in each task's incumbent
       // objective.
       mip::MipOptions wopts = options.mip;
       wopts.enable_cuts = false;  // the model is already strengthened
       wopts.max_nodes = options.worker_node_budget;
-      wopts.relax_device = wdevice ? &*wdevice : nullptr;
-      wopts.relax_arena = warena ? &*warena : nullptr;
       mip::BnbSolver solver(working_model, wopts);
       mip::ConsistentSnapshot task;
       // gpumip-lint: hot-alloc(the one-node task of the worker's solver, sized once per rank)
@@ -362,18 +345,19 @@ SupervisorResult run_supervised(const mip::MipModel& model,
         task.incumbent_objective = item.cutoff;
         task.frontier.front() = std::move(item.node);
 
-        // Span closes after the advance() below, so its simulated duration
-        // is the subproblem's compute time — the per-rank "busy" segments
-        // the trace analyzer aggregates.
-        GPUMIP_TRACE_BEGIN("gpumip.worker.subproblem", item.track_id);
-        mip::MipResult r = solver.solve_from(task);
-
+        mip::MipResult r;
         WorkerReport report;
         report.track_id = item.track_id;
-        report.nodes = r.stats.nodes_evaluated;
-        report.busy_seconds = lp::cpu_seconds(r.stats.total_ops) * options.rate_scale;
-        comm.advance(report.busy_seconds);
-        GPUMIP_TRACE_END("gpumip.worker.subproblem");
+        {
+          // The span closes after advance(), so its simulated duration is
+          // the subproblem's compute time — the per-rank "busy" segments
+          // the trace analyzer aggregates.
+          GPUMIP_TRACE_SCOPE("gpumip.worker.subproblem", item.track_id);
+          r = solver.solve_from(task);
+          report.nodes = r.stats.nodes_evaluated;
+          report.busy_seconds = lp::cpu_seconds(r.stats.total_ops) * options.rate_scale;
+          comm.advance(report.busy_seconds);
+        }
         if (r.has_solution) {
           // r.objective is user-sense; convert back to min form via the
           // model sense for supervisor-side comparison.

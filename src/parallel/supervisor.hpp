@@ -45,14 +45,6 @@ struct SupervisorOptions {
   /// Checkpoint every N completed assignments (0 = never).
   int checkpoint_interval = 0;
   std::function<void(const mip::ConsistentSnapshot&)> on_checkpoint;
-  /// Model per-node LP device residency on the workers: each worker rank
-  /// gets a gpu::Device and (worker_arena) a DeviceArena threaded into its
-  /// BnbSolver, so the e8 bench witnesses the per-node alloc-vs-arena
-  /// difference (ROADMAP item 4). Off by default: purely observational.
-  bool model_worker_device = false;
-  /// Reuse one arena across all of a worker's node solves (the point of
-  /// the exercise); false = naive per-node Device::alloc/free.
-  bool worker_arena = true;
 };
 
 struct SupervisorResult {

@@ -1101,6 +1101,34 @@ TEST(LintR16, DefaultConstructedEngineFires) {
                        "R16"));
 }
 
+TEST(LintR16, DefaultConstructingGrowthOfAnEngineContainerFires) {
+  // The container's element type names the engine; the growth call does not.
+  EXPECT_TRUE(has_rule(lint_one("src/parallel/fixture.cpp",
+                                "struct S {\n"
+                                "  std::vector<std::mt19937_64> rngs_;\n"
+                                "  void grow() { rngs_.emplace_back(); }\n"
+                                "};\n",
+                                doc_options()),
+                       "R16"));
+  EXPECT_TRUE(has_rule(lint_one("src/parallel/fixture.cpp",
+                                "void f(std::size_t n) {\n"
+                                "  std::vector<Rng> rngs;\n"
+                                "  rngs.resize(n);\n"
+                                "}\n",
+                                doc_options()),
+                       "R16"));
+  EXPECT_FALSE(has_rule(lint_one("src/parallel/fixture.cpp",
+                                 "struct S {\n"
+                                 "  std::vector<std::mt19937_64> rngs_;\n"
+                                 "  void grow(std::uint64_t seed) {\n"
+                                 "    rngs_.emplace_back(seed);\n"
+                                 "    rngs_.resize(4, std::mt19937_64(seed));\n"
+                                 "  }\n"
+                                 "};\n",
+                                 doc_options()),
+                        "R16"));
+}
+
 TEST(LintR16, SeededEngineAndCtorInitMemberAreQuiet) {
   EXPECT_FALSE(has_rule(
       lint_one("src/lp/fixture.cpp",

@@ -415,49 +415,6 @@ TEST(Supervisor, LoadIsDistributed) {
   EXPECT_GT(r.network.messages, 8u);
 }
 
-// ROADMAP item 4: per-node LP solves inside run_supervised go through a
-// per-worker DeviceArena. With the arena, device allocations are bounded
-// by slab growth; naive mode pays one Device::alloc per evaluated node.
-TEST(Supervisor, WorkerArenaCutsPerNodeDeviceAllocs) {
-  mip::MipModel m = test_mip(77, 14, 26);
-  SupervisorOptions opts;
-  opts.workers = 3;
-  opts.worker_node_budget = 8;
-  opts.ramp_up_nodes = 12;
-  opts.mip.enable_cuts = false;
-  opts.model_worker_device = true;
-
-  auto alloc_calls = [] {
-    return obs::kObsEnabled ? obs::counter("gpumip.gpu.alloc.calls").value() : 0;
-  };
-
-  const std::uint64_t before_naive = alloc_calls();
-  opts.worker_arena = false;
-  SupervisorResult naive = solve_supervised(m, opts);
-  ASSERT_EQ(naive.result.status, mip::MipStatus::Optimal);
-  const std::uint64_t naive_allocs = alloc_calls() - before_naive;
-
-  const std::uint64_t before_arena = alloc_calls();
-  opts.worker_arena = true;
-  SupervisorResult arena = solve_supervised(m, opts);
-  ASSERT_EQ(arena.result.status, mip::MipStatus::Optimal);
-  const std::uint64_t arena_allocs = alloc_calls() - before_arena;
-
-  // Residency modeling must not change the answer.
-  EXPECT_NEAR(arena.result.objective, naive.result.objective, 1e-9);
-
-  long worker_nodes = 0;
-  for (long nodes : naive.worker_nodes) worker_nodes += nodes;
-  ASSERT_GT(worker_nodes, 0) << "fixture too small: no work reached the workers";
-
-  if (obs::kObsEnabled) {
-    // Naive mode: at least one device alloc per worker-evaluated node.
-    EXPECT_GE(naive_allocs, static_cast<std::uint64_t>(worker_nodes));
-    // Arena mode: allocations are slab growth only — far below node count.
-    EXPECT_LT(arena_allocs, naive_allocs / 2);
-  }
-}
-
 TEST(Supervisor, CheckpointAndResume) {
   mip::MipModel m = test_mip(66, 12, 22);
   mip::MipOptions seq_opts;
@@ -559,25 +516,54 @@ TEST(Supervisor, ShippedFrontierCarriesBases) {
 
 // ---------------- strategies ----------------
 
+constexpr Strategy kAllStrategies[] = {Strategy::S1_GpuOnly, Strategy::S2_CpuOrchestrated,
+                                       Strategy::S3_Hybrid, Strategy::S4_BigMip};
+
 TEST(Strategies, AllFourReachTheSameOptimum) {
+  // One search, priced four times: the optimum is the search's, so every
+  // strategy reports it by construction; each replay must still complete.
   mip::MipModel m = test_mip(88, 10, 16);
   StrategyConfig cfg;
   cfg.mip.enable_cuts = false;
-  double reference = 0.0;
-  bool first = true;
-  for (Strategy s : {Strategy::S1_GpuOnly, Strategy::S2_CpuOrchestrated, Strategy::S3_Hybrid,
-                     Strategy::S4_BigMip}) {
-    StrategyReport r = run_strategy(s, m, cfg);
-    ASSERT_EQ(r.result.status, mip::MipStatus::Optimal) << strategy_name(s);
+  mip::BnbSolver searched(m, cfg.mip);
+  ASSERT_EQ(searched.solve().status, mip::MipStatus::Optimal);
+  for (Strategy s : kAllStrategies) {
+    const StrategyReport r = replay_strategy(s, searched, cfg);
     EXPECT_TRUE(r.completed) << strategy_name(s) << ": " << r.failure;
-    if (first) {
-      reference = r.result.objective;
-      first = false;
-    } else {
-      EXPECT_NEAR(r.result.objective, reference, 1e-6) << strategy_name(s);
-    }
     EXPECT_GT(r.sim_seconds, 0.0) << strategy_name(s);
   }
+}
+
+TEST(Strategies, ReplayIsAPureFunctionOfOneSearch) {
+  // Pricing reads the finished search and nothing else: replaying it twice
+  // gives the same report, field for field, and S2's replay is exactly what
+  // run_strategy reports for the same model.
+  const mip::MipModel m = test_mip(1, 16, 28);
+  StrategyConfig cfg;
+  cfg.devices = 4;
+  mip::BnbSolver searched(m, cfg.mip);
+  static_cast<void>(searched.solve());
+  for (Strategy s : kAllStrategies) {
+    const StrategyReport a = replay_strategy(s, searched, cfg);
+    const StrategyReport b = replay_strategy(s, searched, cfg);
+    EXPECT_EQ(a.strategy, s);
+    EXPECT_EQ(a.completed, b.completed) << strategy_name(s);
+    EXPECT_EQ(a.failure, b.failure) << strategy_name(s);
+    EXPECT_EQ(a.sim_seconds, b.sim_seconds) << strategy_name(s);
+    EXPECT_EQ(a.device_seconds, b.device_seconds) << strategy_name(s);
+    EXPECT_EQ(a.host_seconds, b.host_seconds) << strategy_name(s);
+    EXPECT_EQ(a.network_seconds, b.network_seconds) << strategy_name(s);
+    EXPECT_EQ(a.bytes_h2d, b.bytes_h2d) << strategy_name(s);
+    EXPECT_EQ(a.bytes_d2h, b.bytes_d2h) << strategy_name(s);
+    EXPECT_EQ(a.transfers, b.transfers) << strategy_name(s);
+    EXPECT_EQ(a.device_peak_bytes, b.device_peak_bytes) << strategy_name(s);
+  }
+  const StrategyReport replayed = replay_strategy(Strategy::S2_CpuOrchestrated, searched, cfg);
+  const StrategyReport run = run_strategy(Strategy::S2_CpuOrchestrated, m, cfg);
+  EXPECT_EQ(replayed.sim_seconds, run.sim_seconds);
+  EXPECT_EQ(replayed.transfers, run.transfers);
+  EXPECT_EQ(replayed.bytes_h2d, run.bytes_h2d);
+  EXPECT_EQ(replayed.bytes_d2h, run.bytes_d2h);
 }
 
 TEST(Strategies, SeededBnbTreeReplayIsBitExact) {
@@ -628,10 +614,9 @@ TEST(Strategies, InheritedInverseIsRebuiltOnceOnTheDevice) {
     return obs::kObsEnabled ? obs::counter("gpumip.gpu.kernel.launches").value() : 0;
   };
   const std::uint64_t before = launches();
-  const StrategyReport r = run_strategy(Strategy::S2_CpuOrchestrated, m, cfg);
+  const StrategyReport r = replay_strategy(Strategy::S2_CpuOrchestrated, solver, cfg);
   const std::uint64_t replay_launches = launches() - before;
   ASSERT_TRUE(r.completed) << r.failure;
-  ASSERT_EQ(r.result.stats.nodes_evaluated, static_cast<long>(nodes));
   // Matrix upload; per node a bound delta (hot) or bounds + basis (cold),
   // then the objective readback.
   EXPECT_EQ(r.transfers, 1 + hot + 2 * (nodes - hot) + nodes);
@@ -644,8 +629,10 @@ TEST(Strategies, HybridNoSlowerThanCpuOrchestrated) {
   mip::MipModel m = test_mip(99, 12, 20);
   StrategyConfig cfg;
   cfg.mip.enable_cuts = false;
-  StrategyReport s2 = run_strategy(Strategy::S2_CpuOrchestrated, m, cfg);
-  StrategyReport s3 = run_strategy(Strategy::S3_Hybrid, m, cfg);
+  mip::BnbSolver searched(m, cfg.mip);
+  static_cast<void>(searched.solve());
+  StrategyReport s2 = replay_strategy(Strategy::S2_CpuOrchestrated, searched, cfg);
+  StrategyReport s3 = replay_strategy(Strategy::S3_Hybrid, searched, cfg);
   ASSERT_TRUE(s2.completed);
   ASSERT_TRUE(s3.completed);
   EXPECT_LE(s3.sim_seconds, s2.sim_seconds + 1e-12);
@@ -653,18 +640,18 @@ TEST(Strategies, HybridNoSlowerThanCpuOrchestrated) {
 
 TEST(Strategies, S1FailsWhenTreeExceedsDeviceMemory) {
   mip::MipModel m = test_mip(111, 14, 26);
-  const lp::StandardForm form = lp::build_standard_form(m.lp());
   StrategyConfig cfg;
   cfg.mip.enable_cuts = false;
+  mip::BnbSolver searched(m, cfg.mip);
+  // The search itself (host numerics) certifies the optimum.
+  ASSERT_EQ(searched.solve().status, mip::MipStatus::Optimal);
   // Room for the LP matrix plus only a couple of tree nodes.
-  cfg.device.memory_bytes = lp_device_footprint(form) + 1024;
-  StrategyReport s1 = run_strategy(Strategy::S1_GpuOnly, m, cfg);
+  cfg.device.memory_bytes = lp_device_footprint(searched.form()) + 1024;
+  StrategyReport s1 = replay_strategy(Strategy::S1_GpuOnly, searched, cfg);
   EXPECT_FALSE(s1.completed);
   EXPECT_NE(s1.failure.find("OutOfDeviceMemory"), std::string::npos);
-  // The search itself (host replay) still certified the optimum.
-  EXPECT_EQ(s1.result.status, mip::MipStatus::Optimal);
   // S2 keeps the tree host-side and fits the same device fine.
-  StrategyReport s2 = run_strategy(Strategy::S2_CpuOrchestrated, m, cfg);
+  StrategyReport s2 = replay_strategy(Strategy::S2_CpuOrchestrated, searched, cfg);
   EXPECT_TRUE(s2.completed) << s2.failure;
 }
 
@@ -674,14 +661,15 @@ TEST(Strategies, OnlyBigMipSurvivesHugeMatrix) {
   // scenario). The search is node-capped: memory behaviour, not the
   // optimum, is under test.
   mip::MipModel m = test_mip(122, 24, 48);
-  const lp::StandardForm form = lp::build_standard_form(m.lp());
   StrategyConfig cfg;
   cfg.mip.enable_cuts = false;
   cfg.mip.max_nodes = 50;
+  mip::BnbSolver searched(m, cfg.mip);
+  static_cast<void>(searched.solve());
   cfg.devices = 4;
-  cfg.device.memory_bytes = lp_device_footprint(form) * 6 / 10;
-  StrategyReport s2 = run_strategy(Strategy::S2_CpuOrchestrated, m, cfg);
-  StrategyReport s4 = run_strategy(Strategy::S4_BigMip, m, cfg);
+  cfg.device.memory_bytes = lp_device_footprint(searched.form()) * 6 / 10;
+  StrategyReport s2 = replay_strategy(Strategy::S2_CpuOrchestrated, searched, cfg);
+  StrategyReport s4 = replay_strategy(Strategy::S4_BigMip, searched, cfg);
   EXPECT_FALSE(s2.completed);
   EXPECT_TRUE(s4.completed) << s4.failure;
   EXPECT_GT(s4.network_seconds, 0.0);

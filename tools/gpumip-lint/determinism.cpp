@@ -162,8 +162,79 @@ const std::set<std::string>& engine_names() {
   return k;
 }
 
-void check_seed_plumbing(const Scanned& f, std::vector<Finding>& findings) {
+/// Collects the names of variables declared as a container of engines
+/// (`std::vector<std::mt19937_64> rngs_`) across the in-scope files, like
+/// collect_unordered_names: the member is declared in a header and grown in
+/// its .cpp.
+std::set<std::string> collect_engine_containers(const std::vector<Scanned>& files) {
+  std::set<std::string> names;
+  for (const Scanned& f : files) {
+    if (!in_scope(f.src->path)) continue;
+    const std::string& s = f.clean;
+    for (const std::string& engine : engine_names()) {
+      for (std::size_t at : word_positions(f, engine)) {
+        // The engine is the element type: `<[ns::]Engine>` then a name.
+        std::size_t q = at;
+        if (q >= 2 && s[q - 1] == ':' && s[q - 2] == ':') {
+          q -= 2;
+          while (q > 0 && is_ident_char(s[q - 1])) --q;
+        }
+        while (q > 0 && is_space(s[q - 1])) --q;
+        if (q == 0 || s[q - 1] != '<') continue;
+        std::size_t pos = skip_ws(s, at + engine.size());
+        if (pos >= s.size() || s[pos] != '>') continue;
+        pos = skip_ws(s, pos + 1);
+        std::string name;
+        while (pos < s.size() && is_ident_char(s[pos])) name += s[pos++];
+        if (!name.empty()) names.insert(name);
+      }
+    }
+  }
+  return names;
+}
+
+/// True when the call whose '(' is at `open` has no argument, or (with
+/// `one_ok`) exactly one: `emplace_back()` and `resize(n)` default-construct
+/// the engines they add.
+bool default_constructs(const std::string& s, std::size_t open, bool one_ok) {
+  const std::size_t first = skip_ws(s, open + 1);
+  if (first >= s.size()) return false;
+  if (s[first] == ')') return true;
+  if (!one_ok) return false;
+  int depth = 0;
+  for (std::size_t i = open; i < s.size(); ++i) {
+    if (s[i] == '(' || s[i] == '{' || s[i] == '[') ++depth;
+    if (s[i] == ')' || s[i] == '}' || s[i] == ']') {
+      if (--depth == 0) return true;
+    }
+    if (s[i] == ',' && depth == 1) return false;
+  }
+  return false;
+}
+
+void check_seed_plumbing(const Scanned& f, const std::set<std::string>& engine_containers,
+                         std::vector<Finding>& findings) {
   const std::string& s = f.clean;
+  for (const std::string& name : engine_containers) {
+    for (std::size_t at : word_positions(f, name)) {
+      std::size_t pos = skip_ws(s, at + name.size());
+      if (pos >= s.size() || s[pos] != '.') continue;
+      pos = skip_ws(s, pos + 1);
+      std::string method;
+      while (pos < s.size() && is_ident_char(s[pos])) method += s[pos++];
+      const bool grow = method == "emplace_back" || method == "emplace_front";
+      if (!grow && method != "resize") continue;
+      pos = skip_ws(s, pos);
+      if (pos >= s.size() || s[pos] != '(' || !default_constructs(s, pos, !grow)) continue;
+      report(f, at, "R16",
+             "'" + name + "." + method +
+                 "' default-constructs RNG engines in a container of engines: their seed "
+                 "is whatever the implementation picks, invisible to the replay harness; "
+                 "pass each engine an explicit seed traceable to GPUMIP_SCHEDULE_SEED/options "
+                 "(or annotate '// gpumip-lint: determinism-ok(reason)'",
+             findings);
+    }
+  }
   for (const std::string& engine : engine_names()) {
     for (std::size_t at : word_positions(f, engine)) {
       // Type-position and declaration-of-the-engine uses are not
@@ -226,11 +297,12 @@ void check_seed_plumbing(const Scanned& f, std::vector<Finding>& findings) {
 
 void check_determinism(const std::vector<Scanned>& files, std::vector<Finding>& findings) {
   const std::map<std::string, UnorderedDecl> tracked = collect_unordered_names(files);
+  const std::set<std::string> engine_containers = collect_engine_containers(files);
   for (const Scanned& f : files) {
     if (!in_scope(f.src->path)) continue;
     check_clocks_and_randomness(f, findings);
     check_unordered_iteration(f, tracked, findings);
-    check_seed_plumbing(f, findings);
+    check_seed_plumbing(f, engine_containers, findings);
   }
 }
 
