@@ -9,7 +9,8 @@
 //
 // The invariants mirror the paper's correctness hazards:
 //  * check_tree       — bound monotonicity parent->child, no orphaned open
-//                       nodes, anatomy/counter consistency (Figure 1 state).
+//                       nodes, anatomy/counter consistency (Figure 1 state),
+//                       and the order of the frontier's best-first heap.
 //  * check_snapshot   — a consistent snapshot's frontier is well formed and
 //                       the incumbent respects its own bounds (section 2.1).
 //  * check_basis      — basis/status cross-consistency, and the
@@ -20,7 +21,9 @@
 #pragma once
 
 #include <cmath>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "check/registry.hpp"
 #include "linalg/matrix.hpp"
@@ -118,9 +121,10 @@ inline void check_sparse(const sparse::Csc& a) {
 /// Validates the whole node pool: parent links in range and acyclic (parent
 /// id < child id by construction), every child's parent is Branched (no
 /// orphaned open nodes under a retired parent), child bounds are monotone
-/// non-decreasing along the parent link (min form), and the anatomy counters
-/// match a fresh recount. Call only at consistent points (between node
-/// evaluations), where no node is in flight.
+/// non-decreasing along the parent link (min form), the anatomy counters
+/// match a fresh recount, and the frontier heap holds exactly the live
+/// frontier slots in (bound, slot) order. Call only at consistent points
+/// (between node evaluations), where no node is in flight.
 inline void check_tree(const mip::NodePool& pool, double tol = 1e-9) {
   count_check(Subsystem::kTree);
   using detail::require;
@@ -170,6 +174,39 @@ inline void check_tree(const mip::NodePool& pool, double tol = 1e-9) {
               ") != live active nodes (" + std::to_string(active) + ")");
   require(recount.total_nodes == a.branched + a.leaves() + active, s,
           "node states do not partition the tree");
+  // The best-first heap: one entry per live frontier slot, naming the slot
+  // that holds its node and carrying that node's bound, each entry's key
+  // (bound, slot) above its parent's.
+  const std::span<const int> slots = pool.frontier_slots();
+  const std::span<const mip::NodePool::HeapEntry> heap = pool.frontier_heap();
+  long live_slots = 0;
+  for (int id : slots) {
+    require(id >= 0 && id < pool.size(), s, "frontier slot holds an out-of-range id");
+    if (pool.node(id).state == mip::NodeState::Active) ++live_slots;
+  }
+  require(static_cast<long>(heap.size()) == live_slots, s,
+          "heap size (" + std::to_string(heap.size()) + ") != live frontier slots (" +
+              std::to_string(live_slots) + ")");
+  std::vector<bool> seen(slots.size(), false);
+  for (std::size_t i = 0; i < heap.size(); ++i) {
+    const mip::NodePool::HeapEntry& e = heap[i];
+    const mip::NodePool::HeapEntry& p = heap[i > 0 ? (i - 1) / 2 : 0];
+    const char* broken = nullptr;
+    if (e.slot < 0 || static_cast<std::size_t>(e.slot) >= slots.size() ||
+        slots[static_cast<std::size_t>(e.slot)] != e.id) {
+      broken = "names a slot that does not hold its node";
+    } else if (seen[static_cast<std::size_t>(e.slot)]) {
+      broken = "repeats a slot";
+    } else if (pool.node(e.id).state != mip::NodeState::Active) {
+      broken = "holds a finished node";
+    } else if (pool.node(e.id).bound != e.bound) {
+      broken = "carries a stale bound";
+    } else if (i > 0 && !(p.bound < e.bound || (p.bound == e.bound && p.slot < e.slot))) {
+      broken = "sorts before its parent";
+    }
+    if (broken != nullptr) detail::fail(s, "heap entry " + std::to_string(i) + " " + broken);
+    seen[static_cast<std::size_t>(e.slot)] = true;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -152,7 +152,7 @@ void SimplexSolver::cold_start(Workspace& ws) const {
 }
 
 bool SimplexSolver::try_warm_start(Workspace& ws, const Basis& warm,
-                                   const BasisInverse* inverse) const {
+                                   const BasisInverse* inverse) {
   if (static_cast<int>(warm.basic.size()) != ws.m ||
       static_cast<int>(warm.status.size()) != ws.n) {
     return false;
@@ -224,18 +224,38 @@ linalg::Matrix SimplexSolver::basis_matrix(const Workspace& ws) const {
   return b;
 }
 
-void SimplexSolver::refactorize(Workspace& ws) const {
+void SimplexSolver::refactorize(Workspace& ws) {
   // Paper C3: eta-file length at the moment the file is flushed.
   GPUMIP_OBS_RECORD("gpumip.lp.simplex.eta_length", static_cast<double>(ws.etas_since_refactor));
   GPUMIP_TRACE_INSTANT("gpumip.lp.simplex.refactor", ws.etas_since_refactor);
-  // Rebuild B from the basic columns and invert via LU.
-  const linalg::Matrix b = basis_matrix(ws);
-  linalg::DenseLU lu(b);  // throws NumericalError when basis is singular
-  ws.binv = lu.inverse();
+  // An artificial column is ±e_i with a sign the bounds set, so only an
+  // all-structural basis is a function of its ordered basic list alone.
+  const bool structural =
+      std::all_of(ws.basic.begin(), ws.basic.end(), [&](int v) { return v < ws.n; });
+  if (structural && !memo_basic_.empty() && ws.basic == memo_basic_) {
+    // The same LU of the same matrix would give this inverse bit for bit;
+    // the modelled solver still refactorizes, so ops.refactor counts it.
+    ws.binv = memo_binv_;
+    GPUMIP_OBS_COUNT("gpumip.lp.refactor.reused");
+    GPUMIP_VALIDATE(check::check_basis_inverse(basis_matrix(ws), ws.binv, 1e-6,
+                                               "(reused refactorization)"));
+  } else {
+    // Rebuild B from the basic columns and invert via LU.
+    const linalg::Matrix b = basis_matrix(ws);
+    linalg::DenseLU lu(b);  // throws NumericalError when basis is singular
+    ws.binv = lu.inverse();
+    // Paper C3: a fresh factorization must reproduce B to LU accuracy.
+    GPUMIP_VALIDATE(check::check_basis_inverse(b, ws.binv, 1e-6, "(after refactorize)"));
+    if (structural) {
+      // assign, not operator=: a second vector<int> copy-assignment in this
+      // file made GCC out-line the one finish() inlines (lp_batch_simplex,
+      // which never refactorizes, read 0.9% slower).
+      memo_basic_.assign(ws.basic.begin(), ws.basic.end());
+      memo_binv_ = ws.binv;
+    }
+  }
   ws.etas_since_refactor = 0;
   ++ws.ops.refactor;
-  // Paper C3: a fresh factorization must reproduce B to LU accuracy.
-  GPUMIP_VALIDATE(check::check_basis_inverse(b, ws.binv, 1e-6, "(after refactorize)"));
   recompute_basic_values(ws);
 }
 

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <optional>
+#include <vector>
 
 #include "lp/result.hpp"
 #include "lp/standard_form.hpp"
@@ -70,9 +71,11 @@ class SimplexSolver {
   /// Rebuilds the basis matrix B from the current basic set (checked-mode
   /// residual validation and refactorization share this).
   linalg::Matrix basis_matrix(const Workspace& ws) const;
-  bool try_warm_start(Workspace& ws, const Basis& warm, const BasisInverse* inverse) const;
+  bool try_warm_start(Workspace& ws, const Basis& warm, const BasisInverse* inverse);
   void cold_start(Workspace& ws) const;
-  void refactorize(Workspace& ws) const;
+  /// Sets B⁻¹ of the current basis; serves an all-structural basis equal to
+  /// the last one from memo_binv_.
+  void refactorize(Workspace& ws);
   void recompute_basic_values(Workspace& ws) const;
   /// Both return references into Workspace scratch (ftran_w / dual_y) so
   /// the per-pivot path stays allocation-free; each call overwrites the
@@ -88,6 +91,13 @@ class SimplexSolver {
 
   const StandardForm* form_;
   SimplexOptions options_;
+  /// The ordered basic list and B⁻¹ of this solver's last all-structural
+  /// refactorization (empty before the first). Both children of a B&B
+  /// parent whose inverse was evicted refactorize the same basis; the
+  /// second is served from here. This state makes a solver unsafe to share
+  /// between threads.
+  std::vector<int> memo_basic_;
+  linalg::Matrix memo_binv_;
 };
 
 }  // namespace gpumip::lp

@@ -1,6 +1,7 @@
 #include "mip/tree.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "obs/obs.hpp"
@@ -43,15 +44,19 @@ int NodePool::push(BnbNode node) {
                     node.bound + 1e-9 >= nodes_[static_cast<std::size_t>(node.parent)].bound,
                 "push: child bound regresses below parent bound");
   GPUMIP_ASSERT(node.lb.size() == node.ub.size(), "push: lb/ub size mismatch");
+  GPUMIP_ASSERT(!std::isnan(node.bound), "push: NaN bound (the heap needs a total order)");
   node.id = static_cast<int>(nodes_.size());
   node.state = NodeState::Active;
   const int id = node.id;
   anatomy_.max_depth = std::max(anatomy_.max_depth, node.depth);
   ++anatomy_.total_nodes;
+  const double bound = node.bound;
   nodes_.push_back(std::move(node));
   active_.push_back(id);
-  ++active_count_;
-  anatomy_.active_peak = std::max<long>(anatomy_.active_peak, static_cast<long>(active_count_));
+  heap_index_.push_back(-1);
+  heap_.push_back({bound, static_cast<int>(active_.size()) - 1, id});
+  sift_up(heap_.size() - 1);
+  anatomy_.active_peak = std::max<long>(anatomy_.active_peak, static_cast<long>(heap_.size()));
   GPUMIP_OBS_COUNT("gpumip.mip.tree.pushed");
   GPUMIP_TRACE_INSTANT("gpumip.mip.node.pushed", id);
   GPUMIP_OBS_GAUGE_MAX("gpumip.mip.tree.depth_max", static_cast<double>(anatomy_.max_depth));
@@ -60,39 +65,87 @@ int NodePool::push(BnbNode node) {
 }
 
 namespace {
-/// Removes the element at `pos` from a vector in O(1) (order not preserved).
-void swap_erase(std::vector<int>& v, std::size_t pos) {
-  v[pos] = v.back();
-  v.pop_back();
+/// Heap order: lower bound first, then lower frontier slot.
+bool heap_less(const NodePool::HeapEntry& a, const NodePool::HeapEntry& b) {
+  return a.bound < b.bound || (a.bound == b.bound && a.slot < b.slot);
 }
 }  // namespace
 
-int NodePool::pop(int last_evaluated, double best_known) {
-  // Lazily drop stale entries (nodes re-tagged by prune_worse_than).
-  while (!active_.empty() && nodes_[static_cast<std::size_t>(active_.back())].state != NodeState::Active) {
-    active_.pop_back();
+void NodePool::place(std::size_t i, const HeapEntry& e) {
+  heap_[i] = e;
+  heap_index_[static_cast<std::size_t>(e.id)] = static_cast<int>(i);
+}
+
+void NodePool::sift_up(std::size_t i) {
+  const HeapEntry e = heap_[i];
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!heap_less(e, heap_[parent])) break;
+    place(i, heap_[parent]);
+    i = parent;
   }
-  if (active_.empty()) return -1;
+  place(i, e);
+}
 
+void NodePool::sift_down(std::size_t i) {
+  const HeapEntry e = heap_[i];
+  const std::size_t n = heap_.size();
+  for (;;) {
+    std::size_t child = 2 * i + 1;
+    if (child >= n) break;
+    if (child + 1 < n && heap_less(heap_[child + 1], heap_[child])) ++child;
+    if (!heap_less(heap_[child], e)) break;
+    place(i, heap_[child]);
+    i = child;
+  }
+  place(i, e);
+}
+
+void NodePool::heap_remove(std::size_t i) {
+  heap_index_[static_cast<std::size_t>(heap_[i].id)] = -1;
+  const HeapEntry last = heap_.back();
+  heap_.pop_back();
+  if (i == heap_.size()) return;
+  place(i, last);
+  if (i > 0 && heap_less(last, heap_[(i - 1) / 2])) {
+    sift_up(i);
+  } else {
+    sift_down(i);
+  }
+}
+
+void NodePool::take(std::size_t pos) {
+  heap_remove(static_cast<std::size_t>(heap_index_[static_cast<std::size_t>(active_[pos])]));
+  // The last entry moves into the freed slot: a lower slot, so its key
+  // only falls.
+  active_[pos] = active_.back();
+  active_.pop_back();
+  if (pos == active_.size()) return;
+  const int h = heap_index_[static_cast<std::size_t>(active_[pos])];
+  if (h >= 0) {
+    heap_[static_cast<std::size_t>(h)].slot = static_cast<int>(pos);
+    sift_up(static_cast<std::size_t>(h));
+  }
+}
+
+int NodePool::pop(int last_evaluated, double best_known) {
   auto live = [&](std::size_t pos) {
-    return nodes_[static_cast<std::size_t>(active_[pos])].state == NodeState::Active;
+    return heap_index_[static_cast<std::size_t>(active_[pos])] >= 0;
   };
+  // Lazily drop stale entries (nodes re-tagged without a pop).
+  while (!active_.empty() && !live(active_.size() - 1)) active_.pop_back();
+  if (heap_.empty()) return -1;
 
-  std::size_t chosen = active_.size();  // sentinel
+  // Best-first's choice: the heap's top, the first slot with the lowest bound.
+  std::size_t chosen = static_cast<std::size_t>(heap_.front().slot);
   switch (policy_) {
-    case NodeSelection::DepthFirst: {
-      for (std::size_t i = active_.size(); i-- > 0;) {
-        if (live(i)) {
-          chosen = i;
-          break;
-        }
-      }
+    case NodeSelection::DepthFirst:
+      chosen = active_.size() - 1;  // live: stale entries were dropped above
       break;
-    }
     case NodeSelection::GpuLocality: {
       // A child of the last evaluated node keeps the device-resident matrix
       // and factorization hot; take one if its bound is close enough to the
-      // best active bound (relative slack).
+      // best active bound (relative slack). Otherwise best-first.
       const double best_bound = best_active_bound();
       const double slack = locality_slack_ * (1.0 + std::min(std::abs(best_bound),
                                                              std::abs(best_known)));
@@ -105,36 +158,17 @@ int NodePool::pop(int last_evaluated, double best_known) {
           break;
         }
       }
-      if (chosen != active_.size()) break;
-      [[fallthrough]];
-    }
-    case NodeSelection::BestFirst: {
-      double best = 0.0;
-      for (std::size_t i = 0; i < active_.size(); ++i) {
-        if (!live(i)) continue;
-        const double b = nodes_[static_cast<std::size_t>(active_[i])].bound;
-        if (chosen == active_.size() || b < best) {
-          best = b;
-          chosen = i;
-        }
-      }
       break;
     }
+    case NodeSelection::BestFirst: break;
   }
-  if (chosen == active_.size()) return -1;
   const int id = active_[chosen];
-  swap_erase(active_, chosen);
-  --active_count_;
+  take(chosen);
   return id;
 }
 
-double NodePool::best_active_bound() const {
-  double best = 1e300;
-  for (int id : active_) {
-    const BnbNode& n = nodes_[static_cast<std::size_t>(id)];
-    if (n.state == NodeState::Active) best = std::min(best, n.bound);
-  }
-  return best;
+double NodePool::best_active_bound() const noexcept {
+  return heap_.empty() ? 1e300 : std::min(1e300, heap_.front().bound);
 }
 
 void NodePool::set_state(int id, NodeState state) {
@@ -148,6 +182,8 @@ void NodePool::set_state(int id, NodeState state) {
     n.warm_basis = {};
     n.warm_x = {};
     n.warm_y = {};
+    const int h = heap_index_[static_cast<std::size_t>(id)];
+    if (h >= 0) heap_remove(static_cast<std::size_t>(h));
   }
   switch (state) {
     case NodeState::Branched: ++anatomy_.branched; break;
@@ -161,7 +197,7 @@ void NodePool::set_state(int id, NodeState state) {
 std::vector<int> NodePool::active_ids() const {
   std::vector<int> out;
   for (int id : active_) {
-    if (nodes_[static_cast<std::size_t>(id)].state == NodeState::Active) out.push_back(id);
+    if (heap_index_[static_cast<std::size_t>(id)] >= 0) out.push_back(id);
   }
   return out;
 }
@@ -169,18 +205,21 @@ std::vector<int> NodePool::active_ids() const {
 long NodePool::prune_worse_than(double cutoff) {
   long pruned = 0;
   for (int id : active_) {
-    BnbNode& n = nodes_[static_cast<std::size_t>(id)];
-    if (n.state == NodeState::Active && n.bound >= cutoff) {
+    const int h = heap_index_[static_cast<std::size_t>(id)];
+    if (h >= 0 && heap_[static_cast<std::size_t>(h)].bound >= cutoff) {
       set_state(id, NodeState::PrunedLeaf);
       GPUMIP_TRACE_INSTANT("gpumip.mip.node.pruned", id);
       ++pruned;
     }
   }
   if (pruned > 0) {
-    std::erase_if(active_, [&](int id) {
-      return nodes_[static_cast<std::size_t>(id)].state != NodeState::Active;
-    });
-    active_count_ = active_.size();
+    std::erase_if(active_, [&](int id) { return heap_index_[static_cast<std::size_t>(id)] < 0; });
+    // Compaction keeps the slot order, so renumbering the slots keeps the
+    // heap ordered.
+    for (std::size_t pos = 0; pos < active_.size(); ++pos) {
+      heap_[static_cast<std::size_t>(heap_index_[static_cast<std::size_t>(active_[pos])])].slot =
+          static_cast<int>(pos);
+    }
     GPUMIP_OBS_ADD("gpumip.mip.tree.pruned", static_cast<std::uint64_t>(pruned));
   }
   return pruned;

@@ -4,6 +4,7 @@
 // interior nodes, active frontier).
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -74,6 +75,16 @@ struct TreeAnatomy {
 /// frontier under a selection policy.
 class NodePool {
  public:
+  /// One live frontier node in the best-first heap. Its key is (bound,
+  /// slot): the lowest bound wins, and among equal bounds the lowest slot
+  /// of the frontier list does, which is the node a front-to-back scan of
+  /// that list would pick first. Siblings share a bound, so ties are common.
+  struct HeapEntry {
+    double bound;  ///< the node's bound, fixed while the node is active
+    int slot;      ///< its position in frontier_slots()
+    int id;
+  };
+
   explicit NodePool(NodeSelection policy = NodeSelection::BestFirst,
                     double locality_slack = 0.1);
 
@@ -86,18 +97,20 @@ class NodePool {
   /// by GpuLocality's slack test. Returns -1 when the frontier is empty.
   int pop(int last_evaluated, double best_known);
 
-  bool active_empty() const noexcept { return active_count_ == 0; }
-  std::size_t active_size() const noexcept { return active_count_; }
+  bool active_empty() const noexcept { return heap_.empty(); }
+  std::size_t active_size() const noexcept { return heap_.size(); }
 
-  /// Lowest bound among active nodes (the global dual bound), min form.
-  double best_active_bound() const;
+  /// Lowest bound among active nodes (the global dual bound), min form;
+  /// 1e300 when none is lower. O(1): the heap's top.
+  double best_active_bound() const noexcept;
 
   BnbNode& node(int id) { return nodes_[static_cast<std::size_t>(id)]; }
   const BnbNode& node(int id) const { return nodes_[static_cast<std::size_t>(id)]; }
   int size() const noexcept { return static_cast<int>(nodes_.size()); }
 
   /// Re-tags a node and maintains anatomy counters. A node leaving the
-  /// active state drops its warm-start data (basis, PDHG iterates).
+  /// active state drops its warm-start data (basis, PDHG iterates) and
+  /// leaves the heap.
   void set_state(int id, NodeState state);
 
   /// Ids of currently active nodes (a consistent snapshot's frontier).
@@ -109,15 +122,39 @@ class NodePool {
 
   const TreeAnatomy& anatomy() const noexcept { return anatomy_; }
 
+  /// The frontier list, stale entries included, and the heap over its live
+  /// entries (check::check_tree validates both).
+  std::span<const int> frontier_slots() const noexcept { return active_; }
+  std::span<const HeapEntry> frontier_heap() const noexcept { return heap_; }
+
   /// ASCII rendering of the tree (small trees; Figure 1 reproduction).
   std::string render_ascii(int max_nodes = 200) const;
 
  private:
+  /// Removes active_[pos] (pop's choice) from the frontier list and heap.
+  void take(std::size_t pos);
+  /// Heap primitives: `place` writes an entry and its index, `sift_up` and
+  /// `sift_down` restore the order around index i, `heap_remove` deletes the
+  /// entry at index i.
+  void place(std::size_t i, const HeapEntry& e);
+  void sift_up(std::size_t i);
+  void sift_down(std::size_t i);
+  void heap_remove(std::size_t i);
+
   NodeSelection policy_;
   double locality_slack_;
   std::vector<BnbNode> nodes_;
-  std::vector<int> active_;  // ids, maintained as needed per policy
-  std::size_t active_count_ = 0;
+  /// Frontier ids in push order, except that a pop moves the last entry
+  /// into the popped one's slot. Entries of nodes that left the active
+  /// state without a pop stay until pop drops them from the back or
+  /// prune_worse_than compacts the list. DepthFirst and GpuLocality scan it
+  /// from the back; the slot order is the best-first tie-break.
+  std::vector<int> active_;
+  /// Binary min-heap of the live entries of active_, keyed on (bound, slot),
+  /// under every policy: best-first pops its top, and best_active_bound
+  /// reads it.
+  std::vector<HeapEntry> heap_;
+  std::vector<int> heap_index_;  ///< by node id: index in heap_, -1 when not in it
   TreeAnatomy anatomy_;
 };
 

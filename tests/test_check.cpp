@@ -138,6 +138,17 @@ TEST(CheckTree, BoundRegressionFires) {
   });
 }
 
+TEST(CheckTree, StaleHeapBoundFires) {
+  // The frontier heap caches each active node's bound; changing the bound
+  // behind the pool's back leaves the heap ordered on a stale key.
+  mip::NodePool pool;
+  pool.push(make_node(-1, 0, 1.0));
+  pool.push(make_node(-1, 0, 2.0));
+  EXPECT_NO_THROW(check::check_tree(pool));
+  pool.node(1).bound = 0.5;
+  expect_internal([&] { check::check_tree(pool); });
+}
+
 TEST(CheckTree, HealthySolveTreePasses) {
   mip::MipModel m;
   m.lp().set_sense(lp::Sense::Maximize);

@@ -542,6 +542,72 @@ TEST(Simplex, SeededSolvesAreBitExact) {
   }
 }
 
+TEST(Simplex, RepeatedRefactorizationIsBitIdentical) {
+  // The two children of a B&B parent whose inverse was evicted refactorize
+  // the same basis on one solver; the second is served from the solver's
+  // memo and must match a fresh solver's LU bit for bit, still counting as
+  // one refactorization.
+  auto reused = [] {
+    return obs::kObsEnabled ? obs::counter("gpumip.lp.refactor.reused").value() : 0u;
+  };
+  for (std::uint64_t seed : {1, 2}) {
+    const std::string tag = "seed " + std::to_string(seed);
+    const LpModel model = pinned_model(seed);
+    const StandardForm form = build_standard_form(model);
+    SimplexSolver solver(form);
+    const LpResult root = solver.solve_default();
+    ASSERT_EQ(root.status, LpStatus::Optimal) << tag;
+    int j = 0;
+    while (j < form.num_struct &&
+           std::fabs(root.x[static_cast<std::size_t>(j)] -
+                     std::round(root.x[static_cast<std::size_t>(j)])) < 1e-6) {
+      ++j;
+    }
+    ASSERT_LT(j, form.num_struct) << tag;
+    const double value = root.x[static_cast<std::size_t>(j)];
+    Vector down_ub = form.ub;
+    down_ub[static_cast<std::size_t>(j)] = std::floor(value);
+    Vector up_lb = form.lb;
+    up_lb[static_cast<std::size_t>(j)] = std::ceil(value);
+
+    const LpResult down = solver.resolve_dual(form.lb, down_ub, root.basis);
+    const std::uint64_t before_up = reused();
+    const LpResult up = solver.resolve_dual(up_lb, form.ub, root.basis);
+    EXPECT_EQ(down.ops.refactor, 1) << tag;
+    EXPECT_EQ(up.ops.refactor, 1) << tag;
+    if (obs::kObsEnabled) {
+      EXPECT_EQ(reused() - before_up, 1u) << tag << ": up child not reused";
+    }
+    EXPECT_TRUE(pin(down) == pin(SimplexSolver(form).resolve_dual(form.lb, down_ub, root.basis)))
+        << tag << ": down child differs from a fresh solver's";
+    EXPECT_TRUE(pin(up) == pin(SimplexSolver(form).resolve_dual(up_lb, form.ub, root.basis)))
+        << tag << ": up child differs from a fresh solver's";
+  }
+
+  // x + y = 1 and x + y = 3 with x, y in [0, 1]: phase 1 pivots x in for
+  // the first artificial, refactorizes [x, art1] and stops infeasible. The
+  // second identical solve refactorizes that same ordered basis first, but
+  // an artificial column's sign comes from the bounds, so it is not reused.
+  LpModel infeasible;
+  const int x = infeasible.add_col(1.0, 0.0, 1.0);
+  const int y = infeasible.add_col(1.0, 0.0, 1.0);
+  infeasible.add_row_eq({{x, 1.0}, {y, 1.0}}, 1.0);
+  infeasible.add_row_eq({{x, 1.0}, {y, 1.0}}, 3.0);
+  const StandardForm form = build_standard_form(infeasible);
+  SimplexOptions every_pivot;
+  every_pivot.refactor_interval = 1;
+  SimplexSolver solver(form, every_pivot);
+  const LpResult first = solver.solve_default();
+  ASSERT_EQ(first.status, LpStatus::Infeasible);
+  ASSERT_TRUE(std::any_of(first.basis.basic.begin(), first.basis.basic.end(),
+                          [&](int v) { return v >= form.num_vars; }));
+  ASSERT_GE(first.ops.refactor, 1);
+  const std::uint64_t before = reused();
+  const LpResult second = solver.solve_default();
+  EXPECT_EQ(reused(), before) << "a basis with an artificial column was reused";
+  EXPECT_TRUE(pin(second) == pin(first)) << describe(pin(second)) << " vs " << describe(pin(first));
+}
+
 // ---------- interior point ----------
 
 TEST(InteriorPoint, MatchesSimplexOnTextbookLp) {

@@ -579,15 +579,29 @@ TEST(Strategies, SeededBnbTreeReplayIsBitExact) {
     long refactor;
     double sim_seconds;
   };
+  auto reused = [] {
+    return obs::kObsEnabled ? obs::counter("gpumip.lp.refactor.reused").value() : 0u;
+  };
   for (const Golden& g : {Golden{1, 653, 58, 0x1.72442842dcb8p-4},
                           Golden{2, 31, 3, 0x1.b1c3131b96643p-8}}) {
     const mip::MipModel m = test_mip(g.seed, 16, 28);
+    const std::uint64_t reused_before = reused();
     const StrategyReport r = run_strategy(Strategy::S2_CpuOrchestrated, m, StrategyConfig{});
     ASSERT_TRUE(r.completed) << r.failure;
     EXPECT_EQ(r.result.status, mip::MipStatus::Optimal) << "seed " << g.seed;
     EXPECT_EQ(r.result.stats.nodes_evaluated, g.nodes) << "seed " << g.seed;
     EXPECT_EQ(r.result.stats.total_ops.refactor, g.refactor) << "seed " << g.seed;
     EXPECT_EQ(r.sim_seconds, g.sim_seconds) << "seed " << g.seed;
+    if (g.seed == 1) {
+      // The pin must keep covering B⁻¹-store eviction and the solver's
+      // refactorization memo: seed 1's frontier (peak 529) outgrows the
+      // store's 64 slots, and evicted parents' children reuse a sibling's
+      // refactorization.
+      EXPECT_GT(r.result.stats.anatomy.active_peak, 64);
+      if (obs::kObsEnabled) {
+        EXPECT_GT(reused() - reused_before, 0u);
+      }
+    }
   }
 }
 

@@ -2,11 +2,18 @@
 // selection and logging, corners not covered by the higher-level suites.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <random>
+#include <string>
 #include <vector>
 
+#include "check/invariants.hpp"
 #include "linalg/matrix.hpp"
 #include "mip/branching.hpp"
 #include "mip/tree.hpp"
+#include "support/assert.hpp"
 #include "support/log.hpp"
 
 namespace gpumip {
@@ -100,6 +107,180 @@ TEST(NodePool, RenderHandlesEmptyAndTruncation) {
 TEST(NodePool, NamesForEnums) {
   EXPECT_STREQ(mip::node_state_name(mip::NodeState::PrunedLeaf), "pruned");
   EXPECT_STREQ(mip::node_selection_name(mip::NodeSelection::GpuLocality), "gpu-locality");
+}
+
+/// NodePool's frontier before its heap: one linear scan of the frontier list
+/// per pop and per bound query. The heap must reproduce it step for step.
+class LinearScanFrontier {
+ public:
+  LinearScanFrontier(mip::NodeSelection policy, double slack) : policy_(policy), slack_(slack) {}
+
+  void push(int id, int parent, double bound) {
+    nodes_.resize(std::max(nodes_.size(), static_cast<std::size_t>(id) + 1));
+    nodes_[static_cast<std::size_t>(id)] = {parent, bound, true};
+    active_.push_back(id);
+  }
+
+  /// The node left the active state (set_state to any other state).
+  void retire(int id) { nodes_[static_cast<std::size_t>(id)].active = false; }
+
+  int pop(int last_evaluated, double best_known) {
+    while (!active_.empty() && !live(active_.size() - 1)) active_.pop_back();
+    if (active_.empty()) return -1;
+    std::size_t chosen = active_.size();
+    switch (policy_) {
+      case mip::NodeSelection::DepthFirst:
+        for (std::size_t i = active_.size(); i-- > 0;) {
+          if (live(i)) {
+            chosen = i;
+            break;
+          }
+        }
+        break;
+      case mip::NodeSelection::GpuLocality: {
+        const double best_bound = best_active_bound();
+        const double slack =
+            slack_ * (1.0 + std::min(std::abs(best_bound), std::abs(best_known)));
+        for (std::size_t i = active_.size(); i-- > 0;) {
+          if (!live(i)) continue;
+          const Node& n = nodes_[static_cast<std::size_t>(active_[i])];
+          if (n.parent == last_evaluated && n.bound <= best_bound + slack &&
+              n.bound < best_known) {
+            chosen = i;
+            break;
+          }
+        }
+        if (chosen != active_.size()) break;
+        [[fallthrough]];
+      }
+      case mip::NodeSelection::BestFirst: {
+        double best = 0.0;
+        for (std::size_t i = 0; i < active_.size(); ++i) {
+          if (!live(i)) continue;
+          const double b = nodes_[static_cast<std::size_t>(active_[i])].bound;
+          if (chosen == active_.size() || b < best) {
+            best = b;
+            chosen = i;
+          }
+        }
+        break;
+      }
+    }
+    if (chosen == active_.size()) return -1;
+    const int id = active_[chosen];
+    active_[chosen] = active_.back();
+    active_.pop_back();
+    nodes_[static_cast<std::size_t>(id)].active = false;
+    return id;
+  }
+
+  double best_active_bound() const {
+    double best = 1e300;
+    for (std::size_t i = 0; i < active_.size(); ++i) {
+      if (live(i)) best = std::min(best, nodes_[static_cast<std::size_t>(active_[i])].bound);
+    }
+    return best;
+  }
+
+  long prune_worse_than(double cutoff) {
+    long pruned = 0;
+    for (std::size_t i = 0; i < active_.size(); ++i) {
+      Node& n = nodes_[static_cast<std::size_t>(active_[i])];
+      if (n.active && n.bound >= cutoff) {
+        n.active = false;
+        ++pruned;
+      }
+    }
+    if (pruned > 0) {
+      std::erase_if(active_, [&](int id) { return !nodes_[static_cast<std::size_t>(id)].active; });
+    }
+    return pruned;
+  }
+
+  std::vector<int> active_ids() const {
+    std::vector<int> out;
+    for (std::size_t i = 0; i < active_.size(); ++i) {
+      if (live(i)) out.push_back(active_[i]);
+    }
+    return out;
+  }
+
+ private:
+  struct Node {
+    int parent = -1;
+    double bound = 0.0;
+    bool active = false;
+  };
+  bool live(std::size_t pos) const { return nodes_[static_cast<std::size_t>(active_[pos])].active; }
+
+  mip::NodeSelection policy_;
+  double slack_;
+  std::vector<Node> nodes_;
+  std::vector<int> active_;
+};
+
+TEST(NodePool, HeapPopsInLinearScanOrder) {
+  // Seeded push / pop / set_state / prune_worse_than sequences with many
+  // tied bounds (siblings share one, and a signed zero ties with +0.0).
+  const double kBounds[] = {-0.0, 0.0, 1.0, 1.0, 2.0, 3.0};
+  for (mip::NodeSelection policy : {mip::NodeSelection::BestFirst, mip::NodeSelection::DepthFirst,
+                                    mip::NodeSelection::GpuLocality}) {
+    for (std::uint32_t seed = 1; seed <= 8; ++seed) {
+      SCOPED_TRACE(std::string(mip::node_selection_name(policy)) + " seed " +
+                   std::to_string(seed));
+      std::mt19937 rng(seed);
+      auto pick = [&](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+      mip::NodePool pool(policy, /*locality_slack=*/0.5);
+      LinearScanFrontier ref(policy, 0.5);
+      auto push = [&](int parent, double bound) {
+        const int depth = parent < 0 ? 0 : pool.node(parent).depth + 1;
+        const int id = pool.push(make_node(parent, bound, depth));
+        ref.push(id, parent, bound);
+      };
+      int last = -1;
+      double incumbent = 1e300;
+      for (int r = 0; r < 3; ++r) push(-1, kBounds[pick(6)]);
+      for (int step = 0; step < 3000; ++step) {
+        const std::size_t op = pick(pool.active_size() > 300 ? 6 : 12);
+        if (op < 5) {
+          const int id = pool.pop(last, incumbent);
+          ASSERT_EQ(id, ref.pop(last, incumbent)) << "step " << step;
+          if (id < 0) {
+            push(-1, kBounds[pick(6)]);
+            continue;
+          }
+          last = id;
+          const std::size_t fate = pick(4);
+          if (fate < 2) {
+            pool.set_state(id, mip::NodeState::Branched);
+            const double bound = std::max(pool.node(id).bound, 0.0) + kBounds[pick(6)];
+            push(id, bound);
+            if (fate == 0) push(id, bound);
+          } else {
+            pool.set_state(id, fate == 2 ? mip::NodeState::FeasibleLeaf
+                                         : mip::NodeState::InfeasibleLeaf);
+          }
+        } else if (op < 9) {
+          push(-1, kBounds[pick(6)] + static_cast<double>(pick(4)));
+        } else if (op < 11) {
+          // A frontier node retired without a pop leaves a stale entry.
+          const std::vector<int> ids = pool.active_ids();
+          if (ids.empty()) continue;
+          const int id = ids[pick(ids.size())];
+          pool.set_state(id, mip::NodeState::PrunedLeaf);
+          ref.retire(id);
+        } else {
+          incumbent = 1.0 + static_cast<double>(pick(6));
+          ASSERT_EQ(pool.prune_worse_than(incumbent), ref.prune_worse_than(incumbent))
+              << "step " << step;
+        }
+        ASSERT_EQ(pool.best_active_bound(), ref.best_active_bound()) << "step " << step;
+        ASSERT_EQ(pool.active_ids(), ref.active_ids()) << "step " << step;
+        ASSERT_EQ(pool.active_size(), ref.active_ids().size()) << "step " << step;
+        if (step % 50 == 0) GPUMIP_VALIDATE(check::check_tree(pool));
+      }
+    }
+  }
 }
 
 TEST(Branching, MostFractionalTieGoesToLowestIndex) {
