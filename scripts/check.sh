@@ -185,7 +185,7 @@ timed tidy tidy_gate
 # Gate 6: observability. Half (a): export metrics from two cheap benches
 # (e7 covers the batching histograms, e8 the per-rank simmpi names) and
 # cross-check every exported metric name against the docs/METRICS.md
-# glossary, normalizing rank-indexed names to the documented rank<r> form.
+# glossary, normalizing labeled names to their documented key-only form.
 # Half (b): -DGPUMIP_OBS=OFF builds of the same benches must not contain the
 # hot-path metric and trace name strings — proof the macros compiled to
 # no-ops. Each name must be in one of the OBS=ON binaries, or its absence
@@ -226,14 +226,12 @@ for path in sys.argv[1:]:
         sys.exit(f"{path}: export contains no metrics")
     for name in names:
         # Labeled names are documented once per family in key-only form:
-        # gpumip.lp.solves{method=pdhg} -> gpumip.lp.solves{method}. Legacy
-        # rank-suffixed names normalize to the rank<r> placeholder.
+        # gpumip.lp.solves{method=pdhg} -> gpumip.lp.solves{method}.
         documented = re.sub(
             r"\{([^}]*)\}",
             lambda m: "{" + ",".join(kv.split("=", 1)[0]
                                      for kv in m.group(1).split(",")) + "}",
             name)
-        documented = re.sub(r"rank\d+", "rank<r>", documented)
         if f"`{documented}`" not in glossary:
             bad.append(f"{name} (from {path})")
 if bad:

@@ -25,12 +25,10 @@ const char* batch_mode_name(BatchMode mode) noexcept {
 
 namespace {
 
-/// Batched kernel covering one operation type for `active` problems of
-/// (m, n, nnz) shape each.
-gpu::KernelCost wave_cost(int active, int m, int n, double flops_each, double doubles_each) {
+/// Batched kernel covering one operation type for `active` problems, each
+/// doing `flops_each` flops over `doubles_each` doubles.
+gpu::KernelCost wave_cost(int active, double flops_each, double doubles_each) {
   gpu::KernelCost cost = gpu::KernelCost::dense(flops_each * active, doubles_each * active);
-  (void)m;
-  (void)n;
   cost.occupancy =
       linalg::occupancy_for_elements(static_cast<std::size_t>(active) * static_cast<std::size_t>(doubles_each));
   return cost;
@@ -181,19 +179,16 @@ BatchedLpReport solve_batched(const std::vector<const StandardForm*>& problems,
                             {"method", "simplex"});
         const double mm = 2.0 * m_avg * m_avg;
         // BTRAN + FTRAN + eta update (dense m x m each).
-        device.launch(0, wave_cost(active, static_cast<int>(m_avg), static_cast<int>(n_avg),
-                                   mm, m_avg * m_avg), {});
-        device.launch(0, wave_cost(active, static_cast<int>(m_avg), static_cast<int>(n_avg),
-                                   mm, m_avg * m_avg), {});
-        device.launch(0, wave_cost(active, static_cast<int>(m_avg), static_cast<int>(n_avg),
-                                   mm, m_avg * m_avg), {});
+        device.launch(0, wave_cost(active, mm, m_avg * m_avg), {});
+        device.launch(0, wave_cost(active, mm, m_avg * m_avg), {});
+        device.launch(0, wave_cost(active, mm, m_avg * m_avg), {});
         // Pricing (dense m x n pass).
-        device.launch(0, wave_cost(active, static_cast<int>(m_avg), static_cast<int>(n_avg),
-                                   2.0 * m_avg * n_avg, m_avg * n_avg), {});
+        device.launch(0, wave_cost(active, 2.0 * m_avg * n_avg, m_avg * n_avg), {});
         // Periodic batched refactorization.
         if (options.refactor_interval > 0 && w > 0 && w % options.refactor_interval == 0) {
-          device.launch(0, wave_cost(active, static_cast<int>(m_avg), static_cast<int>(n_avg),
-                                     (2.0 / 3.0 + 1.0) * m_avg * m_avg * m_avg, m_avg * m_avg),
+          device.launch(0,
+                        wave_cost(active, (2.0 / 3.0 + 1.0) * m_avg * m_avg * m_avg,
+                                  m_avg * m_avg),
                         {});
         }
       }

@@ -214,7 +214,7 @@ MipResult BnbSolver::run(const ConsistentSnapshot* snapshot) {
   MipResult result;
   trace_.clear();
   stats_ = MipStats{};
-  incumbent_obj_ = options_.initial_cutoff;  // external bound, no solution yet
+  incumbent_obj_ = 1e300;  // no solution yet
   incumbent_x_.clear();
 
   // The form and its LP solvers are built once and kept across solve_from

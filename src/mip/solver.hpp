@@ -50,9 +50,6 @@ struct MipOptions {
   /// Emit a consistent snapshot every N evaluated nodes (0 = never).
   int snapshot_interval = 0;
   std::function<void(const ConsistentSnapshot&)> on_snapshot;
-  /// Known upper bound (min form) from outside, e.g. a supervisor's global
-  /// incumbent: nodes at or above it are pruned immediately.
-  double initial_cutoff = 1e300;
 };
 
 /// Linear-algebra record of one node evaluation, for timeline replay.

@@ -8,9 +8,10 @@
 // never evaluated, and the metric name string is not emitted into the
 // binary (scripts/check.sh's obs gate asserts this on a bench binary).
 //
-// Instruments with *dynamic* names (the per-rank simmpi families) cannot
-// use these macros; they cache obs::Counter*/obs::Gauge* handles manually
-// behind #ifdef GPUMIP_OBS_ENABLED. Every name, unit, and the paper claim
+// Instruments whose label value varies at runtime (the per-rank simmpi
+// families: literal names, a `rank` label set per Comm) cannot use these
+// macros; they cache obs::Counter*/obs::Gauge* handles manually behind
+// #ifdef GPUMIP_OBS_ENABLED. Every name, unit, and the paper claim
 // it quantifies is catalogued in docs/METRICS.md; the bench-smoke gate
 // cross-checks exported names against that glossary.
 #pragma once

@@ -97,15 +97,6 @@ const ScheduleEnv& schedule_env() {
 
 namespace detail {
 
-namespace {
-
-/// In fuzz mode, probability that try_recv reports "nothing yet" even when
-/// a matching message is queued (always legal in an asynchronous network;
-/// exercises polling loops).
-constexpr double kSpuriousTryRecv = 0.25;
-
-}  // namespace
-
 // ---- scheduler lifecycle ---------------------------------------------------
 
 void Scheduler::init(int n, const ScheduleConfig& config) {
@@ -141,13 +132,6 @@ void Scheduler::perturb(int rank) {
   // without turning the simulator into a sleep test.
   const auto yields = static_cast<int>(rng() % 4);
   for (int i = 0; i < yields; ++i) std::this_thread::yield();
-}
-
-bool Scheduler::spurious_try_recv_failure(int rank) {
-  if (!config_.fuzz || config_.replay != nullptr) return false;
-  auto& rng = yield_rngs_[static_cast<std::size_t>(rank)];
-  const double draw = static_cast<double>(rng() >> 11) * 0x1.0p-53;
-  return draw < kSpuriousTryRecv;
 }
 
 std::size_t Scheduler::overtake(int dest, std::size_t eligible) {
@@ -227,25 +211,6 @@ bool Scheduler::on_block_recv(int rank, int source, int tag, const DeliveryRecor
   return detect_locked();
 }
 
-bool Scheduler::on_block_barrier(int rank, double clock) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  RankState& state = ranks_[static_cast<std::size_t>(rank)];
-  state.phase = Phase::BlockedBarrier;
-  state.clock = clock;
-  return detect_locked();
-}
-
-void Scheduler::on_barrier_release() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  // Everyone registered at this point belongs to the generation that just
-  // completed (a next-generation waiter cannot register before the release
-  // that lets it re-enter the barrier), so all of them are runnable: do not
-  // let the detector count a released-but-not-yet-woken rank as blocked.
-  for (RankState& state : ranks_) {
-    if (state.phase == Phase::BlockedBarrier) state.phase = Phase::Running;
-  }
-}
-
 void Scheduler::on_unblock(int rank, double clock) {
   std::lock_guard<std::mutex> lock(mutex_);
   RankState& state = ranks_[static_cast<std::size_t>(rank)];
@@ -292,10 +257,9 @@ bool Scheduler::detect_locked() {
   // Optimistic progress closure: `can[r]` means rank r may still take a
   // step. Seeds: running ranks, and blocked receivers with a queued
   // matching message. Propagation: a blocked receiver progresses if ANY
-  // rank it waits for progresses (that rank might send); a barrier waiter
-  // progresses only if EVERY other rank has arrived or can still arrive.
-  // Because propagation only ever over-approximates reachability, a rank
-  // left unmarked provably can never be woken — no false positives.
+  // rank it waits for progresses (that rank might send). Because
+  // propagation only ever over-approximates reachability, a rank left
+  // unmarked provably can never be woken — no false positives.
   std::vector<char> can(n, 0);
   for (std::size_t r = 0; r < n; ++r) {
     const RankState& state = ranks_[r];
@@ -314,59 +278,32 @@ bool Scheduler::detect_locked() {
   while (changed) {
     changed = false;
     for (std::size_t r = 0; r < n; ++r) {
-      if (can[r] != 0) continue;
       const RankState& state = ranks_[r];
-      if (state.phase == Phase::BlockedRecv) {
-        if (state.want_source >= 0) {
-          if (can[static_cast<std::size_t>(state.want_source)] != 0) {
-            can[r] = 1;
-            changed = true;
-          }
-        } else {
-          for (std::size_t s = 0; s < n; ++s) {
-            if (s != r && can[s] != 0) {
-              can[r] = 1;
-              changed = true;
-              break;
-            }
-          }
-        }
-      } else if (state.phase == Phase::BlockedBarrier) {
-        bool all_arrive = true;
-        for (std::size_t s = 0; s < n; ++s) {
-          if (s == r) continue;
-          const Phase phase = ranks_[s].phase;
-          if (phase == Phase::Exited || (phase != Phase::BlockedBarrier && can[s] == 0)) {
-            all_arrive = false;
-            break;
-          }
-        }
-        if (all_arrive) {
+      if (can[r] != 0 || state.phase != Phase::BlockedRecv) continue;
+      if (state.want_source >= 0) {
+        if (can[static_cast<std::size_t>(state.want_source)] != 0) {
           can[r] = 1;
           changed = true;
+        }
+      } else {
+        for (std::size_t s = 0; s < n; ++s) {
+          if (s != r && can[s] != 0) {
+            can[r] = 1;
+            changed = true;
+            break;
+          }
         }
       }
     }
   }
 
-  bool stuck = false;
-  for (std::size_t r = 0; r < n; ++r) {
-    const Phase phase = ranks_[r].phase;
-    if ((phase == Phase::BlockedRecv || phase == Phase::BlockedBarrier) && can[r] == 0) {
-      stuck = true;
-      break;
-    }
-  }
-  if (!stuck) return false;
-
-  std::ostringstream report;
   int stuck_count = 0;
   for (std::size_t r = 0; r < n; ++r) {
-    const Phase phase = ranks_[r].phase;
-    if ((phase == Phase::BlockedRecv || phase == Phase::BlockedBarrier) && can[r] == 0) {
-      ++stuck_count;
-    }
+    if (ranks_[r].phase == Phase::BlockedRecv && can[r] == 0) ++stuck_count;
   }
+  if (stuck_count == 0) return false;
+
+  std::ostringstream report;
   report << "simmpi deadlock detected: " << stuck_count
          << " rank(s) can never be woken\n";
   for (std::size_t r = 0; r < n; ++r) {
@@ -393,9 +330,6 @@ std::string Scheduler::describe_rank_locked(int rank) const {
           << ", tag=" << (state.want_tag < 0 ? std::string("any") : std::to_string(state.want_tag));
       if (state.want_seq != 0) out << ", replay seq=" << state.want_seq;
       out << ")";
-      break;
-    case Phase::BlockedBarrier:
-      out << "blocked in barrier()";
       break;
     case Phase::Exited:
       out << (state.failed ? "exited with error" : "exited");

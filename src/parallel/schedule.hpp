@@ -8,9 +8,9 @@
 //
 //  * fuzzing  — a seeded controller perturbs message delivery order among
 //    eligible messages (any reordering that preserves per-source FIFO, the
-//    MPI non-overtaking rule) and injects yield points at send/recv/barrier
-//    so a seed sweep explores many distinct delivery orders;
-//  * deadlock detection — ranks blocked in recv()/barrier() register in a
+//    MPI non-overtaking rule) and injects yield points at send/recv so a
+//    seed sweep explores many distinct delivery orders;
+//  * deadlock detection — ranks blocked in recv() register in a
 //    wait-for graph; when no blocked rank can ever be satisfied (a cycle of
 //    specific-source waits, a wait on an exited rank, or global quiescence
 //    with nonempty waiters) the world aborts with a per-rank dump instead
@@ -102,23 +102,18 @@ struct MsgHeader {
 /// mailbox mirrors, the delivery trace, and the fuzzing RNGs.
 ///
 /// Locking: all on_* event hooks and the detector take the internal mutex.
-/// perturb()/spurious_try_recv_failure() use a per-rank RNG touched only by
-/// the owning rank thread; overtake() uses a per-destination RNG that is
-/// only ever called under that destination's mailbox mutex.
+/// perturb() uses a per-rank RNG touched only by the owning rank thread;
+/// overtake() uses a per-destination RNG that is only ever called under
+/// that destination's mailbox mutex.
 class Scheduler {
  public:
   void init(int n, const ScheduleConfig& config);
 
-  bool fuzzing() const noexcept { return config_.fuzz; }
-  bool replaying() const noexcept { return config_.replay != nullptr; }
-  bool recording() const noexcept { return record_internally_; }
   /// Record deliveries even without a caller-supplied sink (failure dump).
   void force_recording() { record_internally_ = true; }
 
-  /// Yield-injection point at send/recv/barrier entry (fuzz mode only).
+  /// Yield-injection point at send/recv entry (fuzz mode only).
   void perturb(int rank);
-  /// Seeded spurious failure for try_recv (fuzz mode only).
-  bool spurious_try_recv_failure(int rank);
   /// How many of the `eligible` reorderable tail messages the new message
   /// overtakes on insertion; uniform in [0, eligible]. Call under the
   /// destination mailbox mutex.
@@ -134,10 +129,6 @@ class Scheduler {
   /// Registers `rank` blocked in recv; returns true when this block
   /// completes a provable deadlock (caller must abort the world).
   bool on_block_recv(int rank, int source, int tag, const DeliveryRecord* expect, double clock);
-  /// Registers `rank` blocked in a barrier; same deadlock contract.
-  bool on_block_barrier(int rank, double clock);
-  /// Barrier released: every barrier-blocked rank is logically runnable.
-  void on_barrier_release();
   void on_unblock(int rank, double clock);
   /// Rank left its body (normally or by exception); may expose a deadlock
   /// among the survivors — same contract as on_block_recv.
@@ -152,7 +143,7 @@ class Scheduler {
   DeliveryTrace take_trace();
 
  private:
-  enum class Phase { Running, BlockedRecv, BlockedBarrier, Exited };
+  enum class Phase { Running, BlockedRecv, Exited };
 
   struct RankState {
     Phase phase = Phase::Running;

@@ -34,9 +34,9 @@ struct World {
   std::mutex stats_mutex;
   NetworkStats stats;
   /// Set when any rank exits with an exception or the deadlock detector
-  /// fires; blocked recv()/barrier() calls on the surviving ranks then
-  /// throw instead of waiting forever for a peer that will never send
-  /// (run_ranks rethrows the original error after the join). Without this,
+  /// fires; blocked recv() calls on the surviving ranks then throw instead
+  /// of waiting forever for a peer that will never send (run_ranks
+  /// rethrows the original error after the join). Without this,
   /// a checked-mode invariant failure inside one rank would deadlock the
   /// whole run.
   std::atomic<bool> aborted{false};
@@ -50,27 +50,15 @@ struct World {
   /// run id keeps arrows from successive run_ranks calls distinct.
   std::uint64_t trace_run = 0;
 
-  // Barrier state.
-  std::mutex barrier_mutex;
-  std::condition_variable barrier_cv;
-  int barrier_waiting = 0;
-  std::uint64_t barrier_generation = 0;
-  double barrier_clock = 0.0;
-
   /// Aborts the run: every blocked rank wakes and unwinds. Notifications
-  /// happen under the corresponding mutex — all waits are predicate waits,
-  /// but the predicate check and the sleep are only atomic against
-  /// notifiers that hold the same mutex. Never call while holding any
-  /// mailbox or barrier mutex.
+  /// happen under the mailbox mutex — all waits are predicate waits, but
+  /// the predicate check and the sleep are only atomic against notifiers
+  /// that hold the same mutex. Never call while holding a mailbox mutex.
   void abort_world() {
     aborted.store(true);
     for (auto& box : mailboxes) {
       std::lock_guard<std::mutex> lock(box->mutex);
       box->cv.notify_all();
-    }
-    {
-      std::lock_guard<std::mutex> lock(barrier_mutex);
-      barrier_cv.notify_all();
     }
   }
 };
@@ -97,14 +85,6 @@ void Comm::throw_aborted() const {
   }
   throw detail::AbortError("rank " + std::to_string(rank_) +
                            ": run aborted by a failure on another rank");
-}
-
-void Comm::send(int dest, int tag, std::span<const std::byte> payload) {
-  // Residual copy path for callers that must keep their buffer; the
-  // counter keeps any copy traffic visible next to the C8 byte totals.
-  GPUMIP_OBS_ADD("gpumip.simmpi.payload.copy_bytes", payload.size());
-  // gpumip-lint: hot-alloc(span overload materializes an owned buffer once; hot senders use the zero-copy overload)
-  send(dest, tag, std::vector<std::byte>(payload.begin(), payload.end()));
 }
 
 void Comm::send(int dest, int tag, std::vector<std::byte>&& payload) {
@@ -256,75 +236,6 @@ Message Comm::recv(int source, int tag) {
     }
     world.sched.on_unblock(rank_, clock_);
   }
-}
-
-bool Comm::try_recv(Message& out, int source, int tag) {
-  detail::World& world = *world_;
-  world.sched.perturb(rank_);
-  // An asynchronous network never guarantees arrival by any particular
-  // poll, so reporting "nothing yet" despite a queued message is always a
-  // legal schedule — fuzz it.
-  if (world.sched.spurious_try_recv_failure(rank_)) return false;
-  const DeliveryRecord* expect = world.sched.replay_next(rank_);
-  detail::Mailbox& box = *world.mailboxes[static_cast<std::size_t>(rank_)];
-  {
-    std::lock_guard<std::mutex> lock(box.mutex);
-    auto it = find_match(box.queue, source, tag, expect);
-    if (it == box.queue.end()) return false;
-    out = std::move(*it);
-    box.queue.erase(it);
-  }
-  if (expect != nullptr && !matches(out, source, tag)) {
-    throw_replay_filter_mismatch(rank_, out, source, tag);
-  }
-  clock_ = std::max(clock_, out.send_time);
-  world.sched.on_delivered(rank_, out, clock_);
-  GPUMIP_TRACE_FLOW_END("gpumip.simmpi.msg",
-                        obs::trace::flow_key(world.trace_run, out.source, rank_, out.seq));
-  GPUMIP_TRACE_INSTANT("gpumip.simmpi.recv", out.payload.size());
-  return true;
-}
-
-void Comm::barrier() {
-  detail::World& world = *world_;
-  world.sched.perturb(rank_);
-  std::unique_lock<std::mutex> lock(world.barrier_mutex);
-  world.barrier_clock = std::max(world.barrier_clock, clock_);
-  const std::uint64_t generation = world.barrier_generation;
-  if (++world.barrier_waiting == world.size) {
-    world.barrier_waiting = 0;
-    ++world.barrier_generation;
-    // Tell the detector every waiter of this generation is runnable before
-    // any wake-up races with a new block registration (barrier_mutex is
-    // held across both, and next-generation waiters can only register
-    // after this release).
-    world.sched.on_barrier_release();
-    world.barrier_cv.notify_all();
-  } else {
-    const bool fire = world.sched.on_block_barrier(rank_, clock_);
-    if (fire) {
-      // abort_world needs the mailbox/barrier locks; drop ours first.
-      lock.unlock();
-      world.abort_world();
-      lock.lock();
-    }
-    world.barrier_cv.wait(lock, [&] {
-      return world.barrier_generation != generation || world.aborted.load();
-    });
-    if (world.barrier_generation == generation) {
-      lock.unlock();
-      world.sched.on_unblock(rank_, clock_);
-      throw_aborted();
-    }
-    world.sched.on_unblock(rank_, clock_);
-  }
-  clock_ = std::max(clock_, world.barrier_clock + world.network.latency);
-}
-
-RunReport run_ranks(int n, const std::function<void(Comm&)>& body, NetworkConfig network) {
-  RunOptions options;
-  options.network = network;
-  return run_ranks(n, body, options);
 }
 
 RunReport run_ranks(int n, const std::function<void(Comm&)>& body, const RunOptions& options) {

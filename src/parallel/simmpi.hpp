@@ -88,14 +88,13 @@ struct RunOptions {
 };
 
 /// Spawns `n` ranks running `body` and joins them. Exceptions thrown by a
-/// rank are rethrown (first one wins) after all ranks stop.
+/// rank are rethrown (first one wins) after all ranks stop. `options`
+/// carries the network model, schedule controls (fuzzing, replay, deadlock
+/// detection) and abnormal-exit reporting; when `options.schedule` is
+/// default and the GPUMIP_SCHEDULE_* environment knobs are set, they are
+/// applied here.
 RunReport run_ranks(int n, const std::function<void(Comm&)>& body,
-                    NetworkConfig network = {});
-
-/// As above with schedule controls (fuzzing, replay, deadlock detection)
-/// and abnormal-exit reporting. When `options.schedule` is default and the
-/// GPUMIP_SCHEDULE_* environment knobs are set, they are applied here.
-RunReport run_ranks(int n, const std::function<void(Comm&)>& body, const RunOptions& options);
+                    const RunOptions& options = {});
 
 /// Per-rank communicator handle. Valid only inside run_ranks' callback.
 class Comm {
@@ -103,32 +102,19 @@ class Comm {
   int rank() const noexcept { return rank_; }
   int size() const noexcept;
 
-  /// Sends bytes to `dest` (non-blocking buffered send). This overload
-  /// copies the span into the message; the copied bytes are surfaced by
-  /// the `gpumip.simmpi.payload.copy_bytes` counter. Note `{}` is
-  /// ambiguous between the overloads — pass an explicit empty
-  /// `std::span<const std::byte>{}` for payload-less control messages.
-  void send(int dest, int tag, std::span<const std::byte> payload);
-
-  /// Zero-copy send: the buffer (typically `ByteWriter::take()`) moves
-  /// straight into the queued Message. Hot senders (subproblem dispatch,
-  /// report return) use this path so C8 measures one wire payload, not a
-  /// serialization copy on top.
+  /// Non-blocking buffered send: the buffer (typically `ByteWriter::take()`,
+  /// or `{}` for a payload-less control message) moves straight into the
+  /// queued Message, so C8 measures one wire payload, not a serialization
+  /// copy on top. The message is queued at `dest` when this returns.
   void send(int dest, int tag, std::vector<std::byte>&& payload);
 
   /// Blocking receive; source/tag of -1 match anything.
   Message recv(int source = -1, int tag = -1);
 
-  /// Non-blocking receive; returns false if no matching message queued.
-  bool try_recv(Message& out, int source = -1, int tag = -1);
-
   /// Local simulated clock.
   double now() const noexcept { return clock_; }
   /// Charges local compute time.
   void advance(double seconds) { clock_ += seconds; }
-
-  /// Simple synchronizing barrier (also aligns simulated clocks).
-  void barrier();
 
  private:
   friend struct detail::World;
@@ -141,9 +127,10 @@ class Comm {
   int rank_;
   double clock_ = 0.0;
   std::vector<std::uint64_t> send_seq_;  ///< next per-destination sequence
-  // Cached per-rank metric handles: the names are dynamic
-  // ("simmpi.rank<r>.…"), so the static-cache form of the obs macros cannot
-  // be used; a registry lookup per send would dominate the send cost.
+  // Cached per-rank metric handles: the names are literal but the `rank`
+  // label value varies at runtime, so the static-cache form of the obs
+  // macros cannot be used; a registry lookup per send would dominate the
+  // send cost.
   obs::Counter* obs_sent_msgs_ = nullptr;
   obs::Counter* obs_sent_bytes_ = nullptr;
   obs::Gauge* obs_idle_seconds_ = nullptr;

@@ -302,7 +302,7 @@ SupervisorResult run_supervised(const mip::MipModel& model,
           // gpumip-lint: hot-alloc(idle-worker list bounded by the worker count)
           waiting.push_back(msg.source);
         } else {
-          comm.send(msg.source, kTagStop, std::span<const std::byte>{});
+          comm.send(msg.source, kTagStop, {});
           ++stopped;
         }
         if (first_requests < options.workers) continue;
@@ -317,7 +317,7 @@ SupervisorResult run_supervised(const mip::MipModel& model,
         // If the pool drained and nothing is outstanding, release waiters.
         if (pool.empty() && outstanding == 0) {
           for (int worker : waiting) {
-            comm.send(worker, kTagStop, std::span<const std::byte>{});
+            comm.send(worker, kTagStop, {});
             ++stopped;
           }
           waiting.clear();
@@ -336,7 +336,7 @@ SupervisorResult run_supervised(const mip::MipModel& model,
       // gpumip-lint: hot-alloc(the one-node task of the worker's solver, sized once per rank)
       task.frontier.resize(1);
       for (;;) {
-        comm.send(0, kTagRequest, std::span<const std::byte>{});
+        comm.send(0, kTagRequest, {});
         Message msg = comm.recv(0);
         if (msg.tag == kTagStop) break;
         check_internal(msg.tag == kTagWork, "worker: unexpected tag");

@@ -281,10 +281,7 @@ TEST(ObsConcurrency, RankSafeUnderScheduleFuzz) {
       for (int i = 0; i < kRounds; ++i) {
         hits.add(1);
         dist.record(static_cast<double>(comm.rank() + 1));
-        if (comm.rank() > 0) {
-          std::vector<std::byte> payload(8);
-          comm.send(0, 1, payload);
-        }
+        if (comm.rank() > 0) comm.send(0, 1, std::vector<std::byte>(8));
       }
       if (comm.rank() == 0) {
         for (int m = 0; m < (kRanks - 1) * kRounds; ++m) comm.recv();

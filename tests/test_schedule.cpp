@@ -12,6 +12,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -132,8 +133,41 @@ TEST(ScheduleSweep, DeterminismCheckerFlagsSeedDependentOutcome) {
 
 // ---------------- fuzzer legality ----------------
 
-// Two senders flood rank 2, a barrier guarantees the queue is full before
-// the receiver drains it wildcard-style — maximum reordering opportunity.
+// Ranks 0 and 1 flood rank 2, then report "done" to coordinator rank 3;
+// once both have reported, rank 3 sends "go" to rank 2, which waits for it
+// and then drains every flood wildcard-style. A message is queued when
+// send returns, so the whole flood sits in rank 2's queue before its first
+// wildcard recv — maximum reordering opportunity. ("done" goes to the
+// coordinator, not the receiver: a tag-filtered recv taking a sender's
+// "done" ahead of its floods would break per-source FIFO.)
+constexpr int kFloodRanks = 4;
+constexpr int kFlood = 1;
+constexpr int kDone = 2;
+constexpr int kGo = 3;
+
+void flood_then_drain(Comm& comm, int per_sender, const std::function<void(Message&)>& drain) {
+  constexpr int kReceiver = 2;
+  constexpr int kCoordinator = 3;
+  if (comm.rank() < kReceiver) {
+    for (int i = 0; i < per_sender; ++i) {
+      ByteWriter w;
+      w.write<int>(i);
+      comm.send(kReceiver, kFlood, std::move(w).take());
+    }
+    comm.send(kCoordinator, kDone, {});
+  } else if (comm.rank() == kCoordinator) {
+    comm.recv(-1, kDone);
+    comm.recv(-1, kDone);
+    comm.send(kReceiver, kGo, {});
+  } else {
+    comm.recv(kCoordinator, kGo);  // every flood is queued by now
+    for (int i = 0; i < 2 * per_sender; ++i) {
+      Message msg = comm.recv();
+      drain(msg);
+    }
+  }
+}
+
 // Whatever order the fuzzer picks, per-source FIFO must survive.
 TEST(ScheduleFuzz, ReorderingPreservesPerSourceFifo) {
   constexpr int kPerSender = 25;
@@ -145,23 +179,12 @@ TEST(ScheduleFuzz, ReorderingPreservesPerSourceFifo) {
     options.schedule.record = &trace;
     std::vector<std::pair<int, int>> received;  // (source, payload) in order
     run_ranks(
-        3,
+        kFloodRanks,
         [&](Comm& comm) {
-          if (comm.rank() < 2) {
-            for (int i = 0; i < kPerSender; ++i) {
-              ByteWriter w;
-              w.write<int>(i);
-              comm.send(2, 1, std::move(w).take());
-            }
-            comm.barrier();
-          } else {
-            comm.barrier();  // all sends queued before the first recv
-            for (int i = 0; i < 2 * kPerSender; ++i) {
-              Message msg = comm.recv();
-              ByteReader r(msg.payload);
-              received.emplace_back(msg.source, r.read<int>());
-            }
-          }
+          flood_then_drain(comm, kPerSender, [&](Message& msg) {
+            ByteReader r(msg.payload);
+            received.emplace_back(msg.source, r.read<int>());
+          });
         },
         options);
     ASSERT_EQ(received.size(), static_cast<std::size_t>(2 * kPerSender)) << "seed " << seed;
@@ -173,10 +196,11 @@ TEST(ScheduleFuzz, ReorderingPreservesPerSourceFifo) {
         it->second = value;
       }
     }
-    // The recorded trace passes the structural validator (Lamport
-    // monotonicity + strictly increasing per-source seq).
-    EXPECT_GE(trace.size(), static_cast<std::size_t>(2 * kPerSender));
-    EXPECT_NO_THROW(check::check_delivery_trace(trace, 3)) << "seed " << seed;
+    // The recorded trace holds every delivery (floods, two "done"s, one
+    // "go") and passes the structural validator (Lamport monotonicity +
+    // strictly increasing per-source seq).
+    EXPECT_EQ(trace.size(), static_cast<std::size_t>(2 * kPerSender + 3));
+    EXPECT_NO_THROW(check::check_delivery_trace(trace, kFloodRanks)) << "seed " << seed;
   }
 }
 
@@ -189,17 +213,11 @@ TEST(ScheduleFuzz, DistinctSeedsExploreDistinctOrders) {
     options.schedule.seed = seed;
     std::string pattern;  // receiver's source sequence, e.g. "010011..."
     run_ranks(
-        3,
+        kFloodRanks,
         [&](Comm& comm) {
-          if (comm.rank() < 2) {
-            for (int i = 0; i < kPerSender; ++i) comm.send(2, 1, std::span<const std::byte>{});
-            comm.barrier();
-          } else {
-            comm.barrier();
-            for (int i = 0; i < 2 * kPerSender; ++i) {
-              pattern.push_back(static_cast<char>('0' + comm.recv().source));
-            }
-          }
+          flood_then_drain(comm, kPerSender, [&](Message& msg) {
+            pattern.push_back(static_cast<char>('0' + msg.source));
+          });
         },
         options);
     patterns.insert(pattern);
@@ -242,25 +260,6 @@ TEST(ScheduleDeadlock, WaitOnExitedRankIsDetected) {
                Error);
 }
 
-TEST(ScheduleDeadlock, BarrierMissingRankIsDetected) {
-  RunReport report;
-  RunOptions options;
-  options.report_out = &report;
-  try {
-    run_ranks(
-        3,
-        [](Comm& comm) {
-          if (comm.rank() != 2) comm.barrier();  // rank 2 never arrives
-        },
-        options);
-    FAIL() << "half-attended barrier did not abort";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("blocked in barrier()"), std::string::npos) << what;
-  }
-  EXPECT_TRUE(report.deadlock_detected);
-}
-
 // A wedged request/reply: the worker's SECOND request is queued at the
 // supervisor, but the supervisor filters on the wrong tag. The dump must
 // show the mailbox contents — that is the diagnosis (message present,
@@ -273,8 +272,8 @@ TEST(ScheduleDeadlock, DumpShowsQueuedMessagesAndBlockedSites) {
         comm.recv(1, 1);  // first request handled fine...
         comm.recv(1, 3);  // ...wrong tag: the queued tag-1 request never matches
       } else {
-        comm.send(0, 1, std::span<const std::byte>{});
-        comm.send(0, 1, std::span<const std::byte>{});
+        comm.send(0, 1, {});
+        comm.send(0, 1, {});
         comm.recv(0, 2);  // waits forever for the reply
       }
     });
@@ -302,15 +301,14 @@ TEST(ScheduleDeadlock, FuzzedSweepNeverFalselyFiresOnHealthyProtocol) {
           if (comm.rank() == 0) {
             for (int round = 0; round < 8; ++round) {
               Message req = comm.recv(-1, 1);
-              comm.send(req.source, 2, std::span<const std::byte>{});
+              comm.send(req.source, 2, {});
             }
           } else {
             for (int round = 0; round < 4; ++round) {
-              comm.send(0, 1, std::span<const std::byte>{});
+              comm.send(0, 1, {});
               comm.recv(0, 2);
             }
           }
-          comm.barrier();
         },
         options);
     EXPECT_FALSE(report.deadlock_detected) << "seed " << seed;
@@ -327,7 +325,7 @@ TEST(AbnormalExit, ReportCountsOnlyTheFailedRankAndUndelivered) {
                    2,
                    [](Comm& comm) {
                      if (comm.rank() == 0) {
-                       for (int i = 0; i < 3; ++i) comm.send(1, 1, std::span<const std::byte>{});
+                       for (int i = 0; i < 3; ++i) comm.send(1, 1, {});
                        throw Error(ErrorCode::kInternal, "deliberate failure");
                      }
                      comm.recv(0, 99);  // never matches; unwound by the abort
@@ -417,8 +415,8 @@ TEST(ScheduleReplay, DivergentProtocolIsRejectedNotMisreplayed) {
       2,
       [](Comm& comm) {
         if (comm.rank() == 0) {
-          comm.send(1, 1, std::span<const std::byte>{});
-          comm.send(1, 2, std::span<const std::byte>{});
+          comm.send(1, 1, {});
+          comm.send(1, 2, {});
         } else {
           comm.recv(0, 1);
           comm.recv(0, 2);
@@ -437,8 +435,8 @@ TEST(ScheduleReplay, DivergentProtocolIsRejectedNotMisreplayed) {
         2,
         [](Comm& comm) {
           if (comm.rank() == 0) {
-            comm.send(1, 1, std::span<const std::byte>{});
-            comm.send(1, 2, std::span<const std::byte>{});
+            comm.send(1, 1, {});
+            comm.send(1, 2, {});
           } else {
             comm.recv(0, 2);
             comm.recv(0, 1);

@@ -172,14 +172,21 @@ TEST(TraceFlows, SendRecvPairsMatchUnderFuzzedSchedules) {
     parallel::RunOptions options;
     options.schedule.fuzz = true;
     options.schedule.seed = seed;
+    // Ranks 0 and 1 flood rank 2, then report "done" to coordinator rank
+    // 3, whose "go" releases rank 2's drain only once every flood is queued.
     parallel::run_ranks(
-        3,
+        4,
         [&](parallel::Comm& comm) {
+          constexpr int kFlood = 1, kDone = 2, kGo = 3;
           if (comm.rank() < 2) {
-            for (int i = 0; i < kPerSender; ++i) comm.send(2, 1, std::span<const std::byte>{});
-            comm.barrier();
+            for (int i = 0; i < kPerSender; ++i) comm.send(2, kFlood, {});
+            comm.send(3, kDone, {});
+          } else if (comm.rank() == 3) {
+            comm.recv(-1, kDone);
+            comm.recv(-1, kDone);
+            comm.send(2, kGo, {});
           } else {
-            comm.barrier();
+            comm.recv(3, kGo);
             for (int i = 0; i < 2 * kPerSender; ++i) comm.recv();
           }
         },
@@ -195,8 +202,8 @@ TEST(TraceFlows, SendRecvPairsMatchUnderFuzzedSchedules) {
         ++ends[ev.flow];
       }
     }
-    // Barrier traffic also flows; the send/recv pairs are the floor.
-    EXPECT_GE(starts.size(), static_cast<std::size_t>(2 * kPerSender)) << "seed " << seed;
+    // One flow per message: the floods, two "done"s and one "go".
+    EXPECT_EQ(starts.size(), static_cast<std::size_t>(2 * kPerSender + 3)) << "seed " << seed;
     EXPECT_EQ(starts, ends) << "seed " << seed;  // every arrow has both halves
     for (const auto& [id, count] : starts) {
       EXPECT_EQ(count, 1) << "flow id reused, seed " << seed;

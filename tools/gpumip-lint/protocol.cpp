@@ -86,8 +86,8 @@ std::vector<TagSite> collect_send_tags(const std::vector<Scanned>& files) {
 }
 
 /// True when some occurrence of `tag` anywhere in the scanned set sits in a
-/// handler context: compared with ==/!=, a case label, or inside a
-/// recv/try_recv call's statement.
+/// handler context: compared with ==/!=, a case label, or inside a recv
+/// call's statement.
 bool tag_is_handled(const std::vector<Scanned>& files, const std::string& tag) {
   for (const Scanned& f : files) {
     const std::string& s = f.clean;
