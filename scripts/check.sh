@@ -257,7 +257,7 @@ PY
   for name in gpumip.gpu.xfer.h2d.bytes gpumip.lp.ops.refactor gpumip.lp.batch.occupancy \
               gpumip.lp.batch.wave gpumip.lp.pdhg.iterations gpumip.lp.method.choice \
               gpumip.mip.cuts.round gpumip.simmpi.recv.wait \
-              gpumip.lp.solves gpumip.lp.solve.seconds; do
+              gpumip.lp.solves gpumip.lp.solve.seconds gpumip.gpu.kernel.occupancy; do
     if ! grep -qa "$name" "$build_dir/bench/bench_e7_batching" \
                            "$build_dir/bench/bench_e8_scaleout"; then
       echo "==> [obs] OBS=ON benches lack '$name': its OFF check is vacuous"

@@ -165,15 +165,45 @@ double Device::acquire_kernel_slot(double ready, double duration) {
 void Device::launch(StreamId stream, const KernelCost& cost, const std::function<void()>& body) {
   validate_stream(stream);
   if (body) body();  // host-side effect happens eagerly
+  launch_n(stream, cost, 1);
+}
+
+void Device::launch_n(StreamId stream, const KernelCost& cost, long count) {
+  validate_stream(stream);
+  if (count < 0) check_arg(false, "launch_n: negative count " + std::to_string(count));
+  if (count == 0) return;
   const double duration = kernel_seconds(config_, cost);
+  // Only the first kernel can wait for a slot. It leaves at most
+  // `parallel_slots - 1` other kernels in the heap, and no other stream
+  // launches during this call, so each later kernel finds a free slot when
+  // its predecessor ends: it starts where that one ended. The loop does
+  // the frontier and kernel_seconds adds of `count` single launches; the
+  // heap then drops every end the last of them would have popped and keeps
+  // its end, as `count` calls of acquire_kernel_slot leave it.
   const double start = acquire_kernel_slot(streams_[stream], duration);
-  streams_[stream] = start + duration;
-  ++stats_.kernels;
-  stats_.kernel_seconds += duration;
-  GPUMIP_OBS_COUNT("gpumip.gpu.kernel.launches");
-  GPUMIP_OBS_RECORD("gpumip.gpu.kernel.occupancy", cost.occupancy);
-  GPUMIP_TRACE_COMPLETE("gpumip.gpu.kernel", obs::trace::Lane::kKernel, start, duration,
-                        static_cast<std::uint64_t>(stream));
+  double end = start + duration;
+  double last_start = start;
+  double seconds = stats_.kernel_seconds + duration;
+  for (long i = 1; i < count; ++i) {
+    last_start = end;
+    end += duration;
+    seconds += duration;
+  }
+  if (count > 1) {
+    while (!slot_ends_.empty() && slot_ends_.top() <= last_start) slot_ends_.pop();
+    slot_ends_.push(end);
+  }
+  streams_[stream] = end;
+  stats_.kernel_seconds = seconds;
+  stats_.kernels += static_cast<std::uint64_t>(count);
+  GPUMIP_OBS_ADD("gpumip.gpu.kernel.launches", count);
+  // One weighted record equals `count` single ones, sum included: every
+  // occupancy src/ launches with is k/2^17 (linalg::occupancy_for_elements)
+  // or 1/1024, so occupancy * count and every partial sum below 2^36 are
+  // exact doubles.
+  GPUMIP_OBS_RECORD_N("gpumip.gpu.kernel.occupancy", cost.occupancy, count);
+  GPUMIP_TRACE_COMPLETE("gpumip.gpu.kernel", obs::trace::Lane::kKernel, start, end - start,
+                        count);
 }
 
 Event Device::record(StreamId stream) {

@@ -137,8 +137,20 @@ class Device {
                 std::size_t src_offset_doubles = 0);
 
   /// Launches a kernel: runs `body` immediately for its data effect and
-  /// charges `cost` to the stream's timeline through the kernel scheduler.
+  /// charges `cost` to the stream's timeline through the kernel scheduler
+  /// (as `launch_n(stream, cost, 1)`).
   void launch(StreamId stream, const KernelCost& cost, const std::function<void()>& body);
+
+  /// Charges `count` launches of one body-less kernel of cost `cost` to
+  /// `stream`, back to back. The stream frontier and
+  /// `DeviceStats::kernel_seconds` go through the same adds as `count`
+  /// calls of launch(), and the slot heap ends in the same state, so every
+  /// simulated second is bit-identical; the cost is priced, the occupancy
+  /// recorded and the stream checked once. The launches form one
+  /// contiguous run (only the first can wait for a slot), traced as one
+  /// kernel event whose arg is `count`. `count == 0` is a no-op; a
+  /// negative count throws Error(kInvalidArgument).
+  void launch_n(StreamId stream, const KernelCost& cost, long count);
 
   /// Records an event capturing the stream's current frontier.
   Event record(StreamId stream);

@@ -179,9 +179,7 @@ BatchedLpReport solve_batched(const std::vector<const StandardForm*>& problems,
                             {"method", "simplex"});
         const double mm = 2.0 * m_avg * m_avg;
         // BTRAN + FTRAN + eta update (dense m x m each).
-        device.launch(0, wave_cost(active, mm, m_avg * m_avg), {});
-        device.launch(0, wave_cost(active, mm, m_avg * m_avg), {});
-        device.launch(0, wave_cost(active, mm, m_avg * m_avg), {});
+        device.launch_n(0, wave_cost(active, mm, m_avg * m_avg), 3);
         // Pricing (dense m x n pass).
         device.launch(0, wave_cost(active, 2.0 * m_avg * n_avg, m_avg * n_avg), {});
         // Periodic batched refactorization.

@@ -54,13 +54,9 @@ void charge_to_device(gpu::Device& device, gpu::StreamId stream, const LpOpStats
   const std::size_t mm_elems = static_cast<std::size_t>(stats.m) * stats.m;
   const double occ_mm = linalg::occupancy_for_elements(mm_elems);
 
-  auto launch_many = [&](long count, KernelCost cost) {
-    for (long i = 0; i < count; ++i) device.launch(stream, cost, {});
-  };
-
   KernelCost mm_cost = KernelCost::dense(2.0 * m * m, m * m);
   mm_cost.occupancy = occ_mm;
-  launch_many(stats.ftran + stats.btran + stats.eta_updates, mm_cost);
+  device.launch_n(stream, mm_cost, stats.ftran + stats.btran + stats.eta_updates);
 
   KernelCost price_cost =
       sparse_pricing
@@ -70,17 +66,17 @@ void charge_to_device(gpu::Device& device, gpu::StreamId stream, const LpOpStats
   price_cost.occupancy = linalg::occupancy_for_elements(
       sparse_pricing ? static_cast<std::size_t>(stats.nnz)
                      : static_cast<std::size_t>(stats.m) * stats.n);
-  launch_many(stats.price_full, price_cost);
+  device.launch_n(stream, price_cost, stats.price_full);
 
-  launch_many(stats.refactor, refactor_kernel_cost(stats.m));
+  device.launch_n(stream, refactor_kernel_cost(stats.m), stats.refactor);
 
   KernelCost chol_cost = KernelCost::dense((1.0 / 3.0) * m * m * m, m * m);
   chol_cost.occupancy = occ_mm;
-  launch_many(stats.cholesky, chol_cost);
+  device.launch_n(stream, chol_cost, stats.cholesky);
 
   KernelCost vec_cost = KernelCost::dense(2.0 * n, n);
   vec_cost.occupancy = linalg::occupancy_for_elements(static_cast<std::size_t>(stats.n));
-  launch_many(stats.matvec_n, vec_cost);
+  device.launch_n(stream, vec_cost, stats.matvec_n);
 
   // Matrix-free SpMV passes (PDHG): always sparse-irregular — the whole
   // point of the first-order backend is that it never densifies A.
@@ -88,7 +84,7 @@ void charge_to_device(gpu::Device& device, gpu::StreamId stream, const LpOpStats
       2.0 * static_cast<double>(stats.nnz), 1.5 * static_cast<double>(stats.nnz) + n);
   spmv_cost.occupancy =
       linalg::occupancy_for_elements(static_cast<std::size_t>(stats.nnz < 0 ? 0 : stats.nnz));
-  launch_many(stats.spmv, spmv_cost);
+  device.launch_n(stream, spmv_cost, stats.spmv);
 }
 
 std::uint64_t dense_lp_device_bytes(int m, int n) {

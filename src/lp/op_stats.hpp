@@ -3,8 +3,9 @@
 //
 // The simplex/IPM numerics run on the host; they record *what* linear
 // algebra they performed (how many FTRANs of what size, etc.). A charger
-// then replays that recipe as device kernel launches (one per logical
-// kernel, so launch-latency effects are preserved) or prices it at CPU
+// then replays that recipe as device kernel launches (one bulk
+// `Device::launch_n` charge per kernel family, still priced launch by
+// launch, so launch-latency effects are preserved) or prices it at CPU
 // rates. This keeps the numerics engine independent of where the paper's
 // strategies decide to run each piece (sections 3, 5).
 #pragma once
@@ -67,9 +68,10 @@ void publish_op_stats(const LpOpStats& stats);
 /// over m² doubles): the kernel charge_to_device launches per `refactor`.
 gpu::KernelCost refactor_kernel_cost(int m);
 
-/// Replays the recorded operations as device kernel launches on `stream`
-/// (empty bodies; the numerics already ran). `sparse_pricing` selects
-/// whether pricing passes are charged at sparse or dense rates.
+/// Replays the recorded operations as device kernel launches on `stream`,
+/// one `launch_n` per kernel family (no bodies; the numerics already ran).
+/// `sparse_pricing` selects whether pricing passes are charged at sparse or
+/// dense rates.
 void charge_to_device(gpu::Device& device, gpu::StreamId stream, const LpOpStats& stats,
                       bool sparse_pricing);
 

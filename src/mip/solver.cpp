@@ -304,7 +304,6 @@ MipResult BnbSolver::run(const ConsistentSnapshot* snapshot) {
     // Bound-based prune without an LP solve.
     if (node.bound >= incumbent_obj_ - 1e-9) {
       pool_->set_state(id, NodeState::PrunedLeaf);
-      GPUMIP_TRACE_INSTANT("gpumip.mip.node.pruned", id);
       continue;
     }
 
@@ -362,7 +361,6 @@ MipResult BnbSolver::run(const ConsistentSnapshot* snapshot) {
     stats_.lp_iterations += lp_result.iterations;
     ++stats_.nodes_evaluated;
     GPUMIP_OBS_COUNT("gpumip.mip.nodes.evaluated");
-    GPUMIP_TRACE_INSTANT("gpumip.mip.node.evaluated", id);
     last_evaluated = id;
     node.lp_objective = lp_result.objective;
 
@@ -385,7 +383,6 @@ MipResult BnbSolver::run(const ConsistentSnapshot* snapshot) {
 
     if (lp_result.objective - bound_pad >= incumbent_obj_ - 1e-9) {
       pool_->set_state(id, NodeState::PrunedLeaf);
-      GPUMIP_TRACE_INSTANT("gpumip.mip.node.pruned", id);
       continue;
     }
 
@@ -438,7 +435,6 @@ MipResult BnbSolver::run(const ConsistentSnapshot* snapshot) {
     up.lb[static_cast<std::size_t>(var)] = std::ceil(value);
 
     pool_->set_state(id, NodeState::Branched);
-    GPUMIP_TRACE_INSTANT("gpumip.mip.node.branched", id);
     const auto k = static_cast<std::size_t>(var);
     const bool push_down = down.lb[k] <= down.ub[k] + 1e-9;
     const bool push_up = up.lb[k] <= up.ub[k] + 1e-9;

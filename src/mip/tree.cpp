@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "obs/obs.hpp"
-#include "obs/trace.hpp"
 #include "support/assert.hpp"
 #include "support/error.hpp"
 
@@ -58,7 +57,6 @@ int NodePool::push(BnbNode node) {
   sift_up(heap_.size() - 1);
   anatomy_.active_peak = std::max<long>(anatomy_.active_peak, static_cast<long>(heap_.size()));
   GPUMIP_OBS_COUNT("gpumip.mip.tree.pushed");
-  GPUMIP_TRACE_INSTANT("gpumip.mip.node.pushed", id);
   GPUMIP_OBS_GAUGE_MAX("gpumip.mip.tree.depth_max", static_cast<double>(anatomy_.max_depth));
   GPUMIP_OBS_GAUGE_MAX("gpumip.mip.tree.frontier_peak", static_cast<double>(anatomy_.active_peak));
   return id;
@@ -208,7 +206,6 @@ long NodePool::prune_worse_than(double cutoff) {
     const int h = heap_index_[static_cast<std::size_t>(id)];
     if (h >= 0 && heap_[static_cast<std::size_t>(h)].bound >= cutoff) {
       set_state(id, NodeState::PrunedLeaf);
-      GPUMIP_TRACE_INSTANT("gpumip.mip.node.pruned", id);
       ++pruned;
     }
   }

@@ -74,6 +74,15 @@ void Histogram::record(double v) noexcept {
   count_.fetch_add(1, std::memory_order_relaxed);
 }
 
+void Histogram::record_n(double v, std::uint64_t n) noexcept {
+  if (n == 0) return;
+  buckets_[bucket_index(v)].fetch_add(n, std::memory_order_relaxed);
+  atomic_min(min_, v);
+  atomic_max(max_, v);
+  atomic_add(sum_, v * static_cast<double>(n));
+  count_.fetch_add(n, std::memory_order_relaxed);
+}
+
 double Histogram::min() const noexcept {
   return count() == 0 ? 0.0 : min_.load(std::memory_order_relaxed);
 }

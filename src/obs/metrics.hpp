@@ -71,6 +71,10 @@ class Histogram {
   static constexpr int kZeroBucket = 40;
 
   void record(double v) noexcept;
+  /// Records `v` `n` times in one update: the count and buckets match `n`
+  /// calls of record(v), and so does the sum whenever `v * n` and the
+  /// running sum are exact doubles.
+  void record_n(double v, std::uint64_t n) noexcept;
 
   std::uint64_t count() const noexcept { return count_.load(std::memory_order_relaxed); }
   double sum() const noexcept { return sum_.load(std::memory_order_relaxed); }

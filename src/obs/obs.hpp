@@ -64,6 +64,15 @@
     gpumip_obs_metric_.record(static_cast<double>(value));            \
   } while (false)
 
+/// Records `value` into histogram `name` `count` times in one update.
+#define GPUMIP_OBS_RECORD_N(name, value, count)                       \
+  do {                                                                \
+    static ::gpumip::obs::Histogram& gpumip_obs_metric_ =             \
+        ::gpumip::obs::histogram(name);                               \
+    gpumip_obs_metric_.record_n(static_cast<double>(value),           \
+                                static_cast<std::uint64_t>(count));   \
+  } while (false)
+
 /// Times the rest of the enclosing scope into histogram `name` (seconds).
 #define GPUMIP_OBS_SPAN(name) \
   ::gpumip::obs::Span GPUMIP_OBS_CONCAT_(gpumip_obs_span_, __LINE__)(name)
@@ -139,6 +148,14 @@
 #define GPUMIP_OBS_GAUGE_SET(name, value) GPUMIP_OBS_ADD(name, value)
 #define GPUMIP_OBS_GAUGE_MAX(name, value) GPUMIP_OBS_ADD(name, value)
 #define GPUMIP_OBS_RECORD(name, value) GPUMIP_OBS_ADD(name, value)
+#define GPUMIP_OBS_RECORD_N(name, value, count)         \
+  do {                                                  \
+    if (false) {                                        \
+      static_cast<void>(name);                          \
+      static_cast<void>(value);                         \
+      static_cast<void>(count);                         \
+    }                                                   \
+  } while (false)
 #define GPUMIP_OBS_SPAN(name)                           \
   do {                                                  \
     if (false) static_cast<void>(name);                 \

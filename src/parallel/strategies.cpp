@@ -87,9 +87,7 @@ void replay_s1(const mip::BnbSolver& solver, const lp::StandardForm& form,
       control.bytes = 256.0;
       control.divergence = 1.0;
       control.occupancy = 1.0 / 1024.0;
-      for (long it = 0; it < 2 * std::max<long>(node.ops.iterations, 1); ++it) {
-        device.launch(0, control, {});
-      }
+      device.launch_n(0, control, 2 * std::max<long>(node.ops.iterations, 1));
       lp::LpOpStats ops = node.ops;
       ops.refactor = device_refactors(node);
       lp::charge_to_device(device, 0, ops, /*sparse_pricing=*/false);

@@ -4,6 +4,9 @@
 
 #include "gpu/arena.hpp"
 #include "gpu/device.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
+#include "support/rng.hpp"
 
 namespace gpumip::gpu {
 namespace {
@@ -177,6 +180,150 @@ TEST(Device, InvalidStreamRejected) {
   Device dev;
   EXPECT_THROW(dev.launch(5, KernelCost::dense(1, 1), {}), Error);
   EXPECT_THROW(dev.record(-1), Error);
+}
+
+/// What the obs registry holds about simulated kernels: the launch counter
+/// and the occupancy histogram.
+struct KernelObs {
+  std::uint64_t launches = 0;
+  std::uint64_t count = 0;
+  double sum = 0.0;
+  std::vector<std::uint64_t> buckets;
+
+  static KernelObs read() {
+    KernelObs o;
+    o.launches = obs::counter("gpumip.gpu.kernel.launches").value();
+    const obs::Histogram& h = obs::histogram("gpumip.gpu.kernel.occupancy");
+    o.count = h.count();
+    o.sum = h.sum();
+    for (int b = 0; b < obs::Histogram::kBuckets; ++b) o.buckets.push_back(h.bucket_count(b));
+    return o;
+  }
+  KernelObs minus(const KernelObs& before) const {
+    KernelObs d{launches - before.launches, count - before.count, sum - before.sum, {}};
+    for (std::size_t b = 0; b < buckets.size(); ++b) {
+      d.buckets.push_back(buckets[b] - before.buckets[b]);
+    }
+    return d;
+  }
+};
+
+TEST(Device, LaunchNMatchesRepeatedLaunches) {
+  // Two slots shared by three streams, with cross-stream waits: kernels
+  // contend for slots, and a bulk charge must still land where `count`
+  // single launches land, bit for bit.
+  CostModelConfig cfg;
+  cfg.parallel_slots = 2;
+  Device bulk(cfg);
+  Device single(cfg);
+  for (Device* d : {&bulk, &single}) {
+    ASSERT_EQ(d->create_stream(), 1);
+    ASSERT_EQ(d->create_stream(), 2);
+  }
+  // Occupancies of the form k/2^17, as linalg::occupancy_for_elements
+  // yields, keep the histogram sum exact.
+  std::vector<KernelCost> costs = {KernelCost::dense(7e9, 0),  // ~1 ms
+                                   KernelCost::dense(7e8, 1e5), KernelCost::dense(64, 64)};
+  costs[1].occupancy = 5000.0 / 131072.0;
+  costs[2].occupancy = 1.0 / 1024.0;
+  struct Charge {
+    StreamId stream;
+    StreamId waits_on;  ///< stream whose frontier it waits for first; -1 none
+    std::size_t cost;
+    long count;
+  };
+  std::vector<Charge> charges;
+  Rng rng(2024);
+  std::uint64_t total = 0;
+  std::uint64_t nonzero = 0;
+  for (int i = 0; i < 200; ++i) {
+    const auto stream = static_cast<StreamId>(rng.index(3));
+    const StreamId waits_on = rng.flip(0.15) ? static_cast<StreamId>(rng.index(3)) : -1;
+    const long count = rng.uniform_int(0, 12);
+    charges.push_back({stream, waits_on, rng.index(costs.size()), count});
+    total += static_cast<std::uint64_t>(count);
+    nonzero += count > 0 ? 1 : 0;
+  }
+
+  obs::trace::reset();
+  const KernelObs before_bulk = KernelObs::read();
+  std::vector<std::vector<double>> bulk_frontiers;  // per charge, per stream
+  int waited = 0;  // charges whose first kernel waited for a slot
+  for (const Charge& c : charges) {
+    if (c.waits_on >= 0) bulk.wait(c.stream, bulk.record(c.waits_on));
+    const double ready = bulk.record(c.stream).ready_time;
+    bulk.launch_n(c.stream, costs[c.cost], c.count);
+    const double busy = static_cast<double>(c.count) * kernel_seconds(cfg, costs[c.cost]);
+    if (bulk.record(c.stream).ready_time > ready + busy * (1.0 + 1e-9)) ++waited;
+    bulk_frontiers.push_back({bulk.record(0).ready_time, bulk.record(1).ready_time,
+                              bulk.record(2).ready_time});
+  }
+  const KernelObs bulk_obs = KernelObs::read().minus(before_bulk);
+  EXPECT_GT(waited, 10);  // the slots really were contended
+  const std::vector<obs::trace::TraceEvent> events = obs::trace::snapshot();
+
+  const KernelObs before_single = KernelObs::read();
+  for (std::size_t i = 0; i < charges.size(); ++i) {
+    const Charge& c = charges[i];
+    if (c.waits_on >= 0) single.wait(c.stream, single.record(c.waits_on));
+    for (long k = 0; k < c.count; ++k) single.launch(c.stream, costs[c.cost], {});
+    for (StreamId s = 0; s < 3; ++s) {
+      EXPECT_EQ(bulk_frontiers[i][static_cast<std::size_t>(s)], single.record(s).ready_time)
+          << "charge " << i << ", stream " << s;
+    }
+  }
+  const KernelObs single_obs = KernelObs::read().minus(before_single);
+
+  EXPECT_EQ(bulk.synchronize(), single.synchronize());
+  EXPECT_EQ(bulk.stats().kernels, total);
+  EXPECT_EQ(bulk.stats().kernels, single.stats().kernels);
+  EXPECT_EQ(bulk.stats().kernel_seconds, single.stats().kernel_seconds);
+
+  if (obs::kObsEnabled) {
+    EXPECT_EQ(bulk_obs.launches, total);
+    EXPECT_EQ(bulk_obs.launches, single_obs.launches);
+    EXPECT_EQ(bulk_obs.count, single_obs.count);
+    EXPECT_EQ(bulk_obs.sum, single_obs.sum);
+    EXPECT_EQ(bulk_obs.buckets, single_obs.buckets);
+    // One event per nonzero call, covering every launch and every
+    // simulated kernel second.
+    std::uint64_t runs = 0;
+    std::uint64_t launches = 0;
+    double seconds = 0.0;
+    for (const obs::trace::TraceEvent& ev : events) {
+      if (ev.name_view() != "gpumip.gpu.kernel") continue;
+      EXPECT_EQ(ev.kind, obs::trace::EventKind::kComplete);
+      EXPECT_EQ(ev.lane, obs::trace::Lane::kKernel);
+      EXPECT_GT(ev.arg, 0u);
+      ++runs;
+      launches += ev.arg;
+      seconds += ev.dur;
+    }
+    EXPECT_EQ(launches, total);
+    EXPECT_NEAR(seconds, bulk.stats().kernel_seconds, 1e-12 * bulk.stats().kernel_seconds);
+    EXPECT_EQ(runs, nonzero);
+  }
+
+  // count == 0 charges nothing and emits nothing.
+  obs::trace::reset();
+  const double frontier = bulk.record(1).ready_time;
+  bulk.launch_n(1, costs[0], 0);
+  EXPECT_EQ(bulk.record(1).ready_time, frontier);
+  EXPECT_EQ(bulk.stats().kernels, total);
+  EXPECT_TRUE(obs::trace::snapshot().empty());
+
+  // A negative count and an invalid stream are typed errors that charge
+  // nothing.
+  try {
+    bulk.launch_n(1, costs[0], -1);
+    ADD_FAILURE() << "negative count accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument);
+  }
+  EXPECT_THROW(bulk.launch_n(3, costs[0], 2), Error);
+  EXPECT_THROW(bulk.launch_n(-1, costs[0], 2), Error);
+  EXPECT_EQ(bulk.record(1).ready_time, frontier);
+  EXPECT_EQ(bulk.stats().kernels, total);
 }
 
 TEST(Arena, AllotBumpsWithinOneReservedSlab) {

@@ -194,6 +194,11 @@ TEST(LintR4, UndocumentedNameFires) {
                                 "void f() { GPUMIP_OBS_COUNT(\"gpumip.fixture.undocumented\"); }\n",
                                 doc_options()),
                        "R4"));
+  EXPECT_TRUE(has_rule(
+      lint_one("src/lp/fixture.cpp",
+               "void f() { GPUMIP_OBS_RECORD_N(\"gpumip.fixture.undocumented\", 0.5, 3); }\n",
+               doc_options()),
+      "R4"));
   const std::string undocumented_trace =
       "void f() { GPUMIP_TRACE_BEGIN(\"gpumip.fixture.undocumented\", 0); }\n";
   EXPECT_TRUE(has_rule(lint_one("src/lp/fixture.cpp", undocumented_trace, doc_options()), "R4"));

@@ -8,6 +8,7 @@
 #include "gpu/device.hpp"
 #include "lp/op_stats.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "parallel/simmpi.hpp"
 #include "parallel/strategies.hpp"
 #include "parallel/supervisor.hpp"
@@ -574,6 +575,49 @@ TEST(Strategies, SeededBnbTreeReplayIsBitExact) {
       }
     }
   }
+}
+
+TEST(Strategies, BnbTreeReplayTracesOneKernelEventPerFamily) {
+  // The S2 replay charges each node's kernels in bulk, one launch_n per
+  // kernel family, so its trace holds one kernel event per family per node
+  // instead of one per launch, and those events still account for every
+  // launch and every simulated kernel second.
+  if (!obs::kObsEnabled) GTEST_SKIP() << "trace macros are compiled out";
+  const mip::MipModel m = test_mip(1, 16, 28);
+  StrategyConfig cfg;
+  mip::BnbSolver solver(m, cfg.mip);
+  static_cast<void>(solver.solve());
+  // The replay's kernels, charged the way it charges them: the host's
+  // operations plus one refactorization per non-hot inherited node.
+  gpu::Device mirror(cfg.device);
+  for (const mip::NodeTrace& t : solver.trace()) {
+    lp::LpOpStats ops = t.ops;
+    ops.refactor += t.inherited && !t.hot ? 1 : 0;
+    lp::charge_to_device(mirror, 0, ops, /*sparse_pricing=*/false);
+  }
+  const std::uint64_t nodes = solver.trace().size();
+
+  obs::trace::reset();
+  const std::uint64_t launches_before = obs::counter("gpumip.gpu.kernel.launches").value();
+  const StrategyReport r = replay_strategy(Strategy::S2_CpuOrchestrated, solver, cfg);
+  ASSERT_TRUE(r.completed) << r.failure;
+  EXPECT_EQ(obs::counter("gpumip.gpu.kernel.launches").value() - launches_before,
+            mirror.stats().kernels);
+  ASSERT_EQ(obs::trace::dropped(), 0u);
+
+  std::uint64_t events = 0;
+  std::uint64_t launches = 0;
+  double seconds = 0.0;
+  for (const obs::trace::TraceEvent& ev : obs::trace::snapshot()) {
+    if (ev.name_view() != "gpumip.gpu.kernel") continue;
+    ++events;
+    launches += ev.arg;
+    seconds += ev.dur;
+  }
+  EXPECT_EQ(launches, mirror.stats().kernels);
+  EXPECT_NEAR(seconds, mirror.stats().kernel_seconds, 1e-12 * mirror.stats().kernel_seconds);
+  EXPECT_LE(events, 6 * nodes);
+  EXPECT_LT(4 * events, launches);
 }
 
 TEST(Strategies, InheritedInverseIsRebuiltOnceOnTheDevice) {

@@ -407,7 +407,8 @@ void check_r4_names(const Scanned& f, const std::vector<R4Site>& sites,
 void check_r4(const Scanned& f, const Options& options, std::vector<Finding>& findings) {
   static const std::vector<R4Site> kMetricSites = {
       {"GPUMIP_OBS_COUNT"}, {"GPUMIP_OBS_ADD"},    {"GPUMIP_OBS_GAUGE_SET"},
-      {"GPUMIP_OBS_GAUGE_MAX"}, {"GPUMIP_OBS_RECORD"}, {"GPUMIP_OBS_SPAN"},
+      {"GPUMIP_OBS_GAUGE_MAX"}, {"GPUMIP_OBS_RECORD"}, {"GPUMIP_OBS_RECORD_N"},
+      {"GPUMIP_OBS_SPAN"},
       {"GPUMIP_OBS_COUNT_L", 0, true},     {"GPUMIP_OBS_ADD_L", 0, true},
       {"GPUMIP_OBS_GAUGE_SET_L", 0, true}, {"GPUMIP_OBS_RECORD_L", 0, true},
       {"GPUMIP_OBS_SPAN_L", 0, true},
