@@ -47,9 +47,9 @@
 #                   call-graph rules R6-R9 enforce the hot-path manifest
 #                   (no allocation / payload copy / blocking call reachable
 #                   from a declared root without a justified waiver, every
-#                   root instrumented), the CFG/dataflow lifetime rules
-#                   R11-R12 catch arena use-after-reset and unbalanced raw
-#                   trace spans path-sensitively, R14 holds every sent tag
+#                   root instrumented), the CFG/dataflow span rule R12
+#                   catches unbalanced raw trace spans
+#                   path-sensitively, R14 holds every sent tag
 #                   to a handler and every decoder to an exhausted()
 #                   check, and R15-R16 ban replay-determinism hazards and
 #                   unseeded RNG engines in src/. The
@@ -255,7 +255,7 @@ PY
   fi
   local name
   for name in gpumip.gpu.xfer.h2d.bytes gpumip.lp.ops.refactor gpumip.lp.batch.occupancy \
-              gpumip.lp.batch.wave gpumip.lp.pdhg.iterations gpumip.lp.method.choice \
+              gpumip.lp.batch.wave gpumip.lp.pdhg.iterations \
               gpumip.mip.cuts.round gpumip.simmpi.recv.wait \
               gpumip.lp.solves gpumip.lp.solve.seconds gpumip.gpu.kernel.occupancy; do
     if ! grep -qa "$name" "$build_dir/bench/bench_e7_batching" \
@@ -314,7 +314,7 @@ timed methods methods_gate
 # Gate 7: gpumip-lint. A dedicated small Release tree builds just the tool,
 # its test suite and the R5 header target (none of them link the solver,
 # so this is cheap even from scratch). test_lint proves each rule R1-R4,
-# the call-graph rules R6-R9, the CFG/dataflow lifetime rules R11-R12, and
+# the call-graph rules R6-R9, the CFG/dataflow span rule R12, and
 # the protocol/determinism rules R14-R16 still fire on their
 # seeded-violation fixtures and that the suppression round trip holds;
 # gpumip_lint_headers compiles every src/ header as its own translation
@@ -345,7 +345,7 @@ lint_gate() {
     FAILURES=$((FAILURES + 1))
     return
   fi
-  echo "==> [lint] R1-R4, R6-R9, R11-R12, R14-R16 over src/ (suppressions: tools/gpumip-lint/suppressions.txt, hot paths: tools/gpumip-lint/hotpaths.txt)"
+  echo "==> [lint] R1-R4, R6-R9, R12, R14-R16 over src/ (suppressions: tools/gpumip-lint/suppressions.txt, hot paths: tools/gpumip-lint/hotpaths.txt)"
   mapfile -t lint_sources < <(find src -name '*.cpp' -o -name '*.hpp' | sort)
   if ! "./$build_dir/tools/gpumip-lint/gpumip-lint" \
          --metrics-doc docs/METRICS.md --tracing-doc docs/TRACING.md \

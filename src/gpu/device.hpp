@@ -1,4 +1,4 @@
-// Simulated GPU device: memory arena, streams, events, transfer engines,
+// Simulated GPU device: memory ledger, streams, events, transfer engines,
 // and a kernel scheduler that charges simulated time.
 //
 // Semantics: enqueued work executes its host-side effect immediately (data

@@ -25,6 +25,13 @@ const char* batch_mode_name(BatchMode mode) noexcept {
 
 namespace {
 
+/// Streams mode replays the members round-robin over this many streams.
+constexpr int kBatchStreams = 16;
+
+/// Lockstep charges a batched refactorization every this many waves: the
+/// members' own refactor interval (they solve under default options).
+constexpr int kRefactorInterval = SimplexOptions{}.refactor_interval;
+
 /// Batched kernel covering one operation type for `active` problems, each
 /// doing `flops_each` flops over `doubles_each` doubles.
 gpu::KernelCost wave_cost(int active, double flops_each, double doubles_each) {
@@ -87,33 +94,23 @@ void solve_members(std::size_t count, const SolveMember& solve_member) {
 }  // namespace
 
 BatchedLpReport solve_batched(const std::vector<const StandardForm*>& problems,
-                              gpu::Device& device, gpu::DeviceArena& arena, BatchMode mode,
-                              const SimplexOptions& options, int streams) {
+                              gpu::Device& device, BatchMode mode) {
   check_arg(!problems.empty(), "solve_batched: empty batch");
-  check_arg(streams >= 1, "solve_batched: need at least one stream");
   BatchedLpReport report;
   GPUMIP_OBS_COUNT_L("gpumip.lp.batch.solves", {"method", "simplex"});
   GPUMIP_OBS_RECORD_L("gpumip.lp.batch.size", static_cast<double>(problems.size()),
                       {"method", "simplex"});
 
-  // Device residency for the whole batch, served from the caller's arena
-  // (capacity is still checked for real: arena growth goes through
-  // Device::alloc). Sizing the reserve up front keeps the arena at one
-  // exactly-fitting slab; repeat batches of similar shape reuse it with no
-  // device allocation at all.
-  arena.reset();
+  // Device residency for the whole batch: one allocation of the summed
+  // footprints, held until return (Device::alloc enforces capacity).
   std::size_t residency_bytes = 0;
   for (const StandardForm* form : problems) {
     check_arg(form != nullptr, "solve_batched: null problem");
-    residency_bytes += gpu::DeviceArena::aligned_size(
-        static_cast<std::size_t>(dense_lp_device_bytes(form->num_rows, form->num_vars)));
+    residency_bytes +=
+        static_cast<std::size_t>(dense_lp_device_bytes(form->num_rows, form->num_vars));
   }
-  // gpumip-lint: hot-alloc(arena reserve: at most one amortized slab allocation, zero once warm)
-  arena.reserve(residency_bytes);
-  for (const StandardForm* form : problems) {
-    (void)arena.allot(
-        static_cast<std::size_t>(dense_lp_device_bytes(form->num_rows, form->num_vars)));
-  }
+  // gpumip-lint: hot-alloc(batch residency: one device allocation per call, before the wave loop)
+  const gpu::DeviceBuffer residency = device.alloc(residency_bytes, "batch.lp");
 
   // Host numerics: exact solves, recording the per-problem recipes; the
   // concurrent host phase is timed as one sample.
@@ -122,14 +119,13 @@ BatchedLpReport solve_batched(const std::vector<const StandardForm*>& problems,
   {
     GPUMIP_OBS_SPAN_L("gpumip.lp.solve.seconds", {"method", "simplex"});
     solve_members(problems.size(), [&](std::size_t p) {
-      SimplexSolver solver(*problems[p], options);
+      SimplexSolver solver(*problems[p]);
       report.results[p] = solver.solve_default(SolveTiming::Caller);
     });
   }
 
   device.synchronize();
   device.reset_stats();
-  const std::uint64_t kernels_before = device.stats().kernels;
 
   switch (mode) {
     case BatchMode::Sequential: {
@@ -139,10 +135,10 @@ BatchedLpReport solve_batched(const std::vector<const StandardForm*>& problems,
       break;
     }
     case BatchMode::Streams: {
-      // gpumip-lint: hot-alloc(stream-id table bounded by --streams, built at batch setup before the timed section)
+      // gpumip-lint: hot-alloc(stream-id table of kBatchStreams entries, built at batch setup before the timed section)
       std::vector<gpu::StreamId> ids = {0};
-      // gpumip-lint: hot-alloc(same stream-id table growth, bounded by --streams)
-      while (static_cast<int>(ids.size()) < streams) ids.push_back(device.create_stream());
+      // gpumip-lint: hot-alloc(same stream-id table growth, bounded by kBatchStreams)
+      while (static_cast<int>(ids.size()) < kBatchStreams) ids.push_back(device.create_stream());
       for (std::size_t p = 0; p < report.results.size(); ++p) {
         charge_to_device(device, ids[p % ids.size()], report.results[p].ops,
                          /*sparse_pricing=*/false);
@@ -152,7 +148,7 @@ BatchedLpReport solve_batched(const std::vector<const StandardForm*>& problems,
     case BatchMode::Lockstep: {
       // Wave w executes iteration w of every problem still active. Four
       // batched kernels per wave (BTRAN, pricing, FTRAN, eta update), plus
-      // batched refactorizations at the configured interval.
+      // batched refactorizations at the members' refactor interval.
       long max_iters = 0;
       for (const LpResult& r : report.results) {
         max_iters = std::max(max_iters, r.ops.iterations);
@@ -183,7 +179,7 @@ BatchedLpReport solve_batched(const std::vector<const StandardForm*>& problems,
         // Pricing (dense m x n pass).
         device.launch(0, wave_cost(active, 2.0 * m_avg * n_avg, m_avg * n_avg), {});
         // Periodic batched refactorization.
-        if (options.refactor_interval > 0 && w > 0 && w % options.refactor_interval == 0) {
+        if (w > 0 && w % kRefactorInterval == 0) {
           device.launch(0,
                         wave_cost(active, (2.0 / 3.0 + 1.0) * m_avg * m_avg * m_avg,
                                   m_avg * m_avg),
@@ -194,15 +190,8 @@ BatchedLpReport solve_batched(const std::vector<const StandardForm*>& problems,
     }
   }
   report.sim_seconds = device.synchronize();
-  report.kernels = device.stats().kernels - kernels_before;
+  report.kernels = device.stats().kernels;
   return report;
-}
-
-BatchedLpReport solve_batched(const std::vector<const StandardForm*>& problems,
-                              gpu::Device& device, BatchMode mode,
-                              const SimplexOptions& options, int streams) {
-  gpu::DeviceArena arena(device, "batch.lp");
-  return solve_batched(problems, device, arena, mode, options, streams);
 }
 
 namespace {
@@ -219,8 +208,7 @@ gpu::KernelCost sparse_wave_cost(double nnz_total, double vec_total) {
 }  // namespace
 
 BatchedLpReport solve_batched_pdhg(const std::vector<const StandardForm*>& problems,
-                                   gpu::Device& device, gpu::DeviceArena& arena,
-                                   const PdhgOptions& options) {
+                                   gpu::Device& device, const PdhgOptions& options) {
   check_arg(!problems.empty(), "solve_batched_pdhg: empty batch");
   BatchedLpReport report;
   GPUMIP_OBS_COUNT_L("gpumip.lp.batch.solves", {"method", "pdhg"});
@@ -230,21 +218,15 @@ BatchedLpReport solve_batched_pdhg(const std::vector<const StandardForm*>& probl
   // Residency: the CSR image plus iterate vectors per instance — no basis
   // inverse, no dense expansion, which is why far more PDHG instances
   // co-reside than simplex ones (pdhg_lp_device_bytes vs dense_lp_device_bytes).
-  arena.reset();
+  // One allocation of the summed footprints, held until return.
   std::size_t residency_bytes = 0;
   for (const StandardForm* form : problems) {
     check_arg(form != nullptr, "solve_batched_pdhg: null problem");
-    residency_bytes += gpu::DeviceArena::aligned_size(static_cast<std::size_t>(
-        pdhg_lp_device_bytes(form->num_rows, form->num_vars,
-                             static_cast<long>(form->a_rows.nnz()))));
+    residency_bytes += static_cast<std::size_t>(pdhg_lp_device_bytes(
+        form->num_rows, form->num_vars, static_cast<long>(form->a_rows.nnz())));
   }
-  // gpumip-lint: hot-alloc(arena reserve: at most one amortized slab allocation, zero once warm)
-  arena.reserve(residency_bytes);
-  for (const StandardForm* form : problems) {
-    (void)arena.allot(static_cast<std::size_t>(
-        pdhg_lp_device_bytes(form->num_rows, form->num_vars,
-                             static_cast<long>(form->a_rows.nnz()))));
-  }
+  // gpumip-lint: hot-alloc(batch residency: one device allocation per call, before the wave loop)
+  const gpu::DeviceBuffer residency = device.alloc(residency_bytes, "batch.pdhg");
 
   // Host numerics: the batched path is exact — bit-identical to sequential
   // PdhgSolver calls (tests assert this under the schedule fuzzer); the
@@ -261,7 +243,6 @@ BatchedLpReport solve_batched_pdhg(const std::vector<const StandardForm*>& probl
 
   device.synchronize();
   device.reset_stats();
-  const std::uint64_t kernels_before = device.stats().kernels;
 
   // Wave w executes iteration w of every still-active instance as four
   // batched kernels: SpMVᵀ (Aᵀy), primal update/project, SpMV (A·x̄), dual
@@ -309,14 +290,8 @@ BatchedLpReport solve_batched_pdhg(const std::vector<const StandardForm*>& probl
     }
   }
   report.sim_seconds = device.synchronize();
-  report.kernels = device.stats().kernels - kernels_before;
+  report.kernels = device.stats().kernels;
   return report;
-}
-
-BatchedLpReport solve_batched_pdhg(const std::vector<const StandardForm*>& problems,
-                                   gpu::Device& device, const PdhgOptions& options) {
-  gpu::DeviceArena arena(device, "batch.lp");
-  return solve_batched_pdhg(problems, device, arena, options);
 }
 
 }  // namespace gpumip::lp

@@ -23,7 +23,6 @@
 
 #include <vector>
 
-#include "gpu/arena.hpp"
 #include "gpu/device.hpp"
 #include "lp/pdhg.hpp"
 #include "lp/simplex.hpp"
@@ -45,21 +44,13 @@ struct BatchedLpReport {
   long waves = 0;                  ///< Lockstep: number of kernel waves
 };
 
-/// Solves every standard form under its own bounds and replays the device
-/// cost in the chosen mode. All forms must be small enough to co-reside on
-/// the device (throws DeviceOutOfMemory otherwise). Device residency for
-/// the batch comes from `arena` (reset on entry): callers evaluating batch
-/// after batch hold one arena so the steady state performs no device
-/// allocations at all (ROADMAP item 4).
+/// Solves every standard form under its own bounds (default
+/// SimplexOptions) and replays the device cost in the chosen mode. The
+/// batch is resident on the device for the call: one Device::alloc of the
+/// summed dense_lp_device_bytes, freed on return. All forms must fit at
+/// once (throws DeviceOutOfMemory otherwise).
 [[nodiscard]] BatchedLpReport solve_batched(const std::vector<const StandardForm*>& problems,
-                              gpu::Device& device, gpu::DeviceArena& arena, BatchMode mode,
-                              const SimplexOptions& options = {}, int streams = 16);
-
-/// Convenience overload owning a throwaway arena (one device allocation per
-/// call instead of one per problem).
-[[nodiscard]] BatchedLpReport solve_batched(const std::vector<const StandardForm*>& problems,
-                              gpu::Device& device, BatchMode mode,
-                              const SimplexOptions& options = {}, int streams = 16);
+                                            gpu::Device& device, BatchMode mode);
 
 /// The first-order contender (Blin et al., paper claims C6/C7): every
 /// instance is solved by restarted PDHG (exact host numerics, identical
@@ -72,13 +63,8 @@ struct BatchedLpReport {
 /// periodic batched KKT check. A wave moves K·nnz sparse bytes where the
 /// simplex lockstep wave moves K·m² dense bytes; launch amortization plus
 /// that byte asymmetry is the crossover argument of docs/METHODS.md.
-/// Residency is pdhg_lp_device_bytes per instance from `arena` (reset on
-/// entry).
-[[nodiscard]] BatchedLpReport solve_batched_pdhg(
-    const std::vector<const StandardForm*>& problems, gpu::Device& device,
-    gpu::DeviceArena& arena, const PdhgOptions& options = {});
-
-/// Convenience overload owning a throwaway arena.
+/// Residency is one Device::alloc of the summed pdhg_lp_device_bytes,
+/// freed on return.
 [[nodiscard]] BatchedLpReport solve_batched_pdhg(
     const std::vector<const StandardForm*>& problems, gpu::Device& device,
     const PdhgOptions& options = {});

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/obs.hpp"
-#include "obs/trace.hpp"
 
 namespace gpumip::lp {
 
@@ -75,8 +74,6 @@ void record_choice(LpMethod method, bool forced) {
       break;
   }
   if (forced) GPUMIP_OBS_COUNT("gpumip.lp.method.forced");
-  // arg encodes the method ordinal so the trace shows the flips themselves.
-  GPUMIP_TRACE_INSTANT("gpumip.lp.method.choice", static_cast<int>(method));
 }
 
 }  // namespace

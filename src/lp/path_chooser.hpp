@@ -9,9 +9,8 @@
 //   2. choose_path(): WHERE the chosen method's linear algebra runs
 //      (dense-GPU kernels vs sparse-hybrid).
 //
-// Every choose_method() decision is exported as gpumip.lp.method.* counters
-// and a gpumip.lp.method.choice trace instant so bench_e9_methods can show
-// the crossover surface rather than assert it.
+// Every choose_method() decision is counted in gpumip.lp.method.chosen{method}
+// (and gpumip.lp.method.forced for a pinned method).
 #pragma once
 
 #include <optional>

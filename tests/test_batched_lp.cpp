@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "lp/batched_lp.hpp"
+#include "lp/op_stats.hpp"
 #include "obs/metrics.hpp"
 #include "problems/generators.hpp"
 
@@ -24,6 +25,17 @@ Batch make_batch(int count, std::uint64_t seed) {
   Batch batch;
   for (int i = 0; i < count; ++i) {
     LpModel model = problems::dense_lp(8 + i % 4, 12 + i % 5, rng);
+    batch.storage.push_back(std::make_unique<StandardForm>(build_standard_form(model)));
+    batch.views.push_back(batch.storage.back().get());
+  }
+  return batch;
+}
+
+Batch make_sparse_batch(int count, std::uint64_t seed) {
+  Rng rng(seed);
+  Batch batch;
+  for (int i = 0; i < count; ++i) {
+    LpModel model = problems::sparse_lp(24 + i % 5, 36 + i % 7, 0.15, rng);
     batch.storage.push_back(std::make_unique<StandardForm>(build_standard_form(model)));
     batch.views.push_back(batch.storage.back().get());
   }
@@ -160,42 +172,49 @@ TEST(BatchedLp, CapacityIsEnforced) {
 TEST(BatchedLp, InputValidation) {
   gpu::Device device;
   EXPECT_THROW(solve_batched({}, device, BatchMode::Sequential), Error);
-  Batch batch = make_batch(1, 23);
-  EXPECT_THROW(solve_batched(batch.views, device, BatchMode::Streams, {}, 0), Error);
   std::vector<const StandardForm*> with_null = {nullptr};
   EXPECT_THROW(solve_batched(with_null, device, BatchMode::Sequential), Error);
 }
 
-TEST(BatchedLp, PersistentArenaMakesRepeatBatchesAllocationFree) {
-  Batch batch = make_batch(8, 31);
-  gpu::Device device;
-  gpu::DeviceArena arena(device, "batch.lp");
-  BatchedLpReport first = solve_batched(batch.views, device, arena, BatchMode::Lockstep);
-  // The up-front reserve sizes one exact slab for the whole batch
-  // (solve_batched calls reset_stats, so assert through the live ledger).
-  EXPECT_EQ(device.live_allocations(), 1u);
-  EXPECT_EQ(arena.slab_count(), 1u);
-  const std::size_t capacity_after_first = arena.capacity_bytes();
-  for (int round = 0; round < 3; ++round) {
-    BatchedLpReport again = solve_batched(batch.views, device, arena, BatchMode::Lockstep);
-    ASSERT_EQ(again.results.size(), first.results.size());
-    EXPECT_NEAR(again.results[0].objective, first.results[0].objective, 1e-12);
-  }
-  // Steady state (ROADMAP item 4): the first batch's slab serves every
-  // later batch — no new device allocations, no capacity growth.
-  EXPECT_EQ(device.live_allocations(), 1u);
-  EXPECT_EQ(arena.slab_count(), 1u);
-  EXPECT_EQ(arena.capacity_bytes(), capacity_after_first);
-}
+TEST(BatchedLp, ResidencyIsOneAllocationFreedOnReturn) {
+  // Each entry point holds its batch in one device allocation of exactly
+  // the summed member footprints: the peak equals that sum, a device one
+  // byte smaller refuses the batch, and the ledger is empty on return.
+  const auto expect_one_exact_allocation = [](const Batch& batch, std::uint64_t footprint,
+                                              const auto& solve) {
+    gpu::Device device;
+    ASSERT_EQ(solve(device).results.size(), batch.views.size());
+    EXPECT_EQ(device.stats().peak_allocated_bytes, footprint);
+    EXPECT_EQ(device.live_allocations(), 0u);
+    EXPECT_NO_THROW(device.audit());
+    gpu::CostModelConfig exact;
+    exact.memory_bytes = footprint;
+    gpu::Device fits(exact);
+    EXPECT_NO_THROW((void)solve(fits));
+    exact.memory_bytes = footprint - 1;
+    gpu::Device short_by_one(exact);
+    EXPECT_THROW((void)solve(short_by_one), DeviceOutOfMemory);
+    EXPECT_EQ(short_by_one.live_allocations(), 0u);
+  };
 
-TEST(BatchedLp, ThrowawayArenaOverloadStillSolves) {
-  Batch batch = make_batch(4, 37);
-  gpu::Device device;
-  BatchedLpReport r = solve_batched(batch.views, device, BatchMode::Sequential);
-  ASSERT_EQ(r.results.size(), 4u);
-  // The throwaway arena freed its slab on return: ledger clean, no leaks.
-  EXPECT_EQ(device.live_allocations(), 0u);
-  EXPECT_NO_THROW(device.audit());
+  Batch dense = make_batch(4, 37);
+  std::uint64_t dense_bytes = 0;
+  for (const StandardForm* form : dense.views) {
+    dense_bytes += dense_lp_device_bytes(form->num_rows, form->num_vars);
+  }
+  expect_one_exact_allocation(dense, dense_bytes, [&](gpu::Device& device) {
+    return solve_batched(dense.views, device, BatchMode::Sequential);
+  });
+
+  Batch sparse = make_sparse_batch(6, 47);
+  std::uint64_t sparse_bytes = 0;
+  for (const StandardForm* form : sparse.views) {
+    sparse_bytes += pdhg_lp_device_bytes(form->num_rows, form->num_vars,
+                                         static_cast<long>(form->a_rows.nnz()));
+  }
+  expect_one_exact_allocation(sparse, sparse_bytes, [&](gpu::Device& device) {
+    return solve_batched_pdhg(sparse.views, device);
+  });
 }
 
 TEST(BatchedLp, SingleProblemDegeneratesGracefully) {
@@ -246,17 +265,6 @@ TEST(BatchedLp, MemberErrorIsRethrownAfterJoin) {
 // is perturbed by GPUMIP_SCHEDULE_SEED, and these tests prove the results
 // stay bit-identical to sequential PdhgSolver calls regardless.
 // ---------------------------------------------------------------------------
-
-Batch make_sparse_batch(int count, std::uint64_t seed) {
-  Rng rng(seed);
-  Batch batch;
-  for (int i = 0; i < count; ++i) {
-    LpModel model = problems::sparse_lp(24 + i % 5, 36 + i % 7, 0.15, rng);
-    batch.storage.push_back(std::make_unique<StandardForm>(build_standard_form(model)));
-    batch.views.push_back(batch.storage.back().get());
-  }
-  return batch;
-}
 
 TEST(BatchedPdhg, BitIdenticalToSequentialSolves) {
   // Exact equality, not NEAR: each member runs the same host arithmetic in
@@ -309,24 +317,6 @@ TEST(BatchedPdhg, WavesTrackTheSlowestInstance) {
   EXPECT_GE(r.kernels, static_cast<std::uint64_t>(r.waves));
   EXPECT_LT(r.kernels, static_cast<std::uint64_t>(2 * r.waves));
   EXPECT_GT(r.sim_seconds, 0.0);
-}
-
-TEST(BatchedPdhg, PersistentArenaSteadyState) {
-  Batch batch = make_sparse_batch(6, 47);
-  gpu::Device device;
-  gpu::DeviceArena arena(device, "batch.pdhg");
-  BatchedLpReport first = solve_batched_pdhg(batch.views, device, arena);
-  EXPECT_EQ(device.live_allocations(), 1u);
-  EXPECT_EQ(arena.slab_count(), 1u);
-  const std::size_t capacity_after_first = arena.capacity_bytes();
-  for (int round = 0; round < 3; ++round) {
-    BatchedLpReport again = solve_batched_pdhg(batch.views, device, arena);
-    ASSERT_EQ(again.results.size(), first.results.size());
-    EXPECT_EQ(again.results[0].objective, first.results[0].objective);
-  }
-  EXPECT_EQ(device.live_allocations(), 1u);
-  EXPECT_EQ(arena.slab_count(), 1u);
-  EXPECT_EQ(arena.capacity_bytes(), capacity_after_first);
 }
 
 TEST(BatchedPdhg, CapacityIsEnforced) {

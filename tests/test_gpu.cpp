@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "gpu/arena.hpp"
 #include "gpu/device.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -324,69 +323,6 @@ TEST(Device, LaunchNMatchesRepeatedLaunches) {
   EXPECT_THROW(bulk.launch_n(-1, costs[0], 2), Error);
   EXPECT_EQ(bulk.record(1).ready_time, frontier);
   EXPECT_EQ(bulk.stats().kernels, total);
-}
-
-TEST(Arena, AllotBumpsWithinOneReservedSlab) {
-  Device dev(small_config());
-  DeviceArena arena(dev, "t");
-  arena.reserve(4096);
-  EXPECT_EQ(dev.stats().allocations, 1u);
-  EXPECT_EQ(arena.slab_count(), 1u);
-  DeviceArena::Block a = arena.allot(100);
-  DeviceArena::Block b = arena.allot(100);
-  EXPECT_EQ(a.slab, b.slab);
-  EXPECT_EQ(a.offset % 64, 0u);
-  EXPECT_EQ(b.offset % 64, 0u);
-  EXPECT_GE(b.offset, a.offset + 100);
-  // No further device allocations: both blocks came from the slab.
-  EXPECT_EQ(dev.stats().allocations, 1u);
-  EXPECT_EQ(arena.used_bytes(), 256u);  // two 100-byte allots, 64-aligned
-}
-
-TEST(Arena, ResetReusesCapacityWithoutNewDeviceAllocations) {
-  Device dev(small_config());
-  DeviceArena arena(dev, "t");
-  for (int i = 0; i < 8; ++i) (void)arena.allot(512);
-  const std::uint64_t after_first_round = dev.stats().allocations;
-  EXPECT_GE(after_first_round, 1u);
-  for (int round = 0; round < 4; ++round) {
-    arena.reset();
-    for (int i = 0; i < 8; ++i) (void)arena.allot(512);
-  }
-  // Steady state: round-one capacity serves every later round untouched.
-  EXPECT_EQ(dev.stats().allocations, after_first_round);
-  EXPECT_EQ(arena.high_water_bytes(), 8u * 512);
-}
-
-TEST(Arena, GrowthKeepsEarlierBlocksValid) {
-  Device dev(small_config());
-  DeviceArena arena(dev, "t");
-  DeviceArena::Block first = arena.allot(8 * sizeof(double));
-  first.as<double>()[0] = 42.0;
-  // Force growth onto a second slab; the first block must still read back.
-  (void)arena.allot(64 * 1024);
-  EXPECT_EQ(arena.slab_count(), 2u);
-  EXPECT_EQ(first.as<double>()[0], 42.0);
-  // reserve() after reset coalesces back to a single exactly-sized slab.
-  arena.reset();
-  arena.reserve(arena.capacity_bytes());
-  EXPECT_EQ(arena.slab_count(), 1u);
-}
-
-TEST(Arena, OverCapacityThrowsAndReleaseAudits) {
-  Device dev(small_config());
-  DeviceArena arena(dev, "t");
-  EXPECT_THROW(arena.reserve(2 << 20), DeviceOutOfMemory);
-  (void)arena.allot(1024);
-  arena.release();
-  EXPECT_NO_THROW(dev.audit());
-}
-
-TEST(Arena, ReserveWithOutstandingBlocksThrows) {
-  Device dev(small_config());
-  DeviceArena arena(dev, "t");
-  (void)arena.allot(128);
-  EXPECT_THROW(arena.reserve(4096), Error);
 }
 
 }  // namespace

@@ -223,7 +223,7 @@ TEST(ReportCompare, ScaleoutBenchIsLooseForEveryMetric) {
   EXPECT_TRUE(skipped.failures.empty());
   EXPECT_EQ(skipped.compared, 0);
   EXPECT_EQ(reporttool::compare_tolerance("e1_strategies", pruned), 0.02);
-  for (const char* other : {"gpumip.mip.incumbent.updates", "gpumip.gpu.arena.grows",
+  for (const char* other : {"gpumip.mip.incumbent.updates", "gpumip.supervisor.dispatched",
                             "gpumip.simmpi.bytes"}) {
     EXPECT_EQ(reporttool::compare_tolerance("e8_scaleout", other), 0.25) << other;
   }

@@ -12,7 +12,7 @@
 // the enclosing function's paths — while the capture list stays in the
 // enclosing statement (capturing a local IS evaluated at the definition
 // site). The graphs feed the forward dataflow engine (dataflow.hpp) that
-// powers the path-sensitive lifetime rules R11-R12 (lifetime.hpp).
+// powers the path-sensitive span rule R12 (lifetime.hpp).
 #pragma once
 
 #include <cstddef>

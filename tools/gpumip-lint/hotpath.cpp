@@ -124,7 +124,7 @@ void scan_allocations(const Scanned& f, const FunctionDecl& d, const std::string
     findings.push_back(
         {f.src->path, line, "R6",
          "heap allocation (" + what + ") on the hot path [" + chain +
-             "]; hoist it out of the loop, reuse a preallocated buffer/arena, or annotate "
+             "]; hoist it out of the loop, reuse a preallocated buffer, or annotate "
              "'// gpumip-lint: hot-alloc(reason)'"});
   };
 

@@ -485,8 +485,8 @@ std::vector<Finding> run_lint(const std::vector<SourceFile>& files, const Option
   }
 
   // The declaration index and call graph are built once and shared by the
-  // hot-path rules (R6-R9) and the lifetime rules (R11-R12); R14 uses the
-  // declaration index only.
+  // hot-path rules (R6-R9); the span rule R12 and R14 use the declaration
+  // index only.
   const std::vector<FunctionDecl> functions = index_functions(scanned);
   const CallGraph graph = build_call_graph(scanned, functions);
 
@@ -497,8 +497,8 @@ std::vector<Finding> run_lint(const std::vector<SourceFile>& files, const Option
     check_hotpaths(scanned, manifest, options.hotpaths_path, functions, graph, findings);
   }
 
-  // Lifetime rules R11-R12: per-function CFGs + forward dataflow.
-  check_lifetimes(scanned, functions, graph, collect_noreturn_names(scanned), findings);
+  // Span rule R12: per-function CFGs + forward dataflow.
+  check_lifetimes(scanned, functions, collect_noreturn_names(scanned), findings);
 
   // Protocol rule R14: tag-protocol coverage and exhausted() checks.
   check_protocol(scanned, functions, findings);

@@ -16,8 +16,8 @@
 // paths reachable from the roots declared in the checked-in manifest
 // (tools/gpumip-lint/hotpaths.txt). A third layer builds per-function
 // control-flow graphs (cfg.hpp) and runs forward dataflow over them
-// (dataflow.hpp) for the path-sensitive lifetime rules R11-R12
-// (lifetime.hpp): arena use-after-reset and unbalanced trace spans. The
+// (dataflow.hpp) for the path-sensitive span rule R12 (lifetime.hpp):
+// unbalanced raw trace spans. The
 // tag-protocol rule R14 (protocol.hpp) needs only the token and
 // declaration indexes: every sent tag has a handler, and every
 // deserializer checks exhausted(). The replay-determinism rules R15-R16
@@ -39,7 +39,7 @@
 
 namespace gpumip::lint {
 
-/// One diagnostic. `rule` is a rule ID (R1-R4, R6-R9, R11, R12, R14-R16),
+/// One diagnostic. `rule` is a rule ID (R1-R4, R6-R9, R12, R14-R16),
 /// "SUP" (suppression-file problems: syntax errors, missing justification,
 /// stale entries), or "HOT" (hot-path manifest problems: syntax errors,
 /// entries matching no indexed function). SUP and HOT findings are not
@@ -103,7 +103,7 @@ struct Options {
 std::vector<Suppression> parse_suppressions(const std::string& text, const std::string& path,
                                             std::vector<Finding>& findings);
 
-/// Runs rules R1-R4, the lifetime dataflow rules R11-R12, the protocol
+/// Runs rules R1-R4, the dataflow span rule R12, the protocol
 /// rule R14, the determinism rules R15-R16 — and, when
 /// `options.hotpaths` is set, the call-graph hot-path rules R6-R9 — over
 /// `files`, consuming `suppressions` (marking used entries) and appending

@@ -169,8 +169,7 @@ std::string category_of(const std::string& metric_name) {
     return "c4_cuts";
   }
   if (starts_with(name, "gpumip.gpu.alloc") || starts_with(name, "gpumip.gpu.free") ||
-      starts_with(name, "gpumip.gpu.arena") || starts_with(name, "gpumip.mip.reuse.") ||
-      starts_with(name, "gpumip.mip.pool.")) {
+      starts_with(name, "gpumip.mip.reuse.") || starts_with(name, "gpumip.mip.pool.")) {
     return "c5_memory";
   }
   if (starts_with(name, "gpumip.lp.batch.")) return "c7_batch";
